@@ -19,15 +19,16 @@
 use em_bench::serve_scale::{mixed_op, quantile, rss_kb, MixedOp, MixedStats};
 use em_bench::timing::fmt_ns;
 use em_data::{CatalogSpec, ScaleCatalog};
-use em_obs::live::{Window, WindowedCounter, WindowedHistogram};
+use em_obs::live::Window;
+use em_obs::{Counter, Histogram};
 use em_serve::{http_get, IncrementalIndex, IndexOptions, MetricsServer, PersistentIndex};
 use std::path::PathBuf;
 use std::time::Instant;
 
-/// Mixed-workload ops applied (windowed, for live progress).
-static SOAK_OPS: WindowedCounter = WindowedCounter::new("soak.ops");
-/// Per-query candidate-probe latency, ns (windowed).
-static SOAK_QUERY_NS: WindowedHistogram = WindowedHistogram::new("soak.query_ns");
+/// Mixed-workload ops applied (its windows drive live progress).
+static SOAK_OPS: Counter = Counter::new("soak.ops");
+/// Per-query candidate-probe latency, ns.
+static SOAK_QUERY_NS: Histogram = Histogram::new("soak.query_ns");
 
 const VERIFY_EVERY_SECS: f64 = 5.0;
 const SNAPSHOT_EVERY_SECS: f64 = 15.0;

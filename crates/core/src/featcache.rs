@@ -34,13 +34,13 @@ use em_text::{ProfileDraft, SimScratch, StringSimilarity, TokenInterner, TokenPr
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap, HashSet};
 
-/// Profiles built (one per distinct attribute value; traced runs only).
+/// Profiles built (one per distinct attribute value).
 static PROFILE_BUILDS: em_obs::Counter = em_obs::Counter::new("featcache.profile_builds");
 /// Memo lookups served from the cache (including repeats within a batch).
 static MEMO_HITS: em_obs::Counter = em_obs::Counter::new("featcache.memo_hits");
 /// Memo lookups that required computing a fresh similarity vector.
 static MEMO_MISSES: em_obs::Counter = em_obs::Counter::new("featcache.memo_misses");
-/// Distinct tokens interned across all caches (traced runs only).
+/// Distinct tokens interned across all caches.
 static INTERNER_TOKENS: em_obs::Counter = em_obs::Counter::new("featcache.interner_tokens");
 /// Memo entries evicted by the serving-path entry cap (see
 /// [`FeatureCache::set_memo_cap`]; zero unless a cap is set).

@@ -9,8 +9,10 @@
 //!   uncontended mutex per thread, drained in bulk), so the hot paths of a
 //!   search never serialize on a global lock.
 //! * [`Counter`] / [`Histogram`] — domain metrics (candidate pairs emitted,
-//!   surrogate refits, …) as `static` items with fixed log2-scale buckets,
-//!   registered lazily on first touch.
+//!   surrogate refits, batch latency, …) as `static` items, registered
+//!   lazily on first touch. One declaration feeds both sinks: the trace
+//!   below and the rolling windows of [`live`]. Histograms share one
+//!   log-linear bucket core, `em_rt::stats::LogHistogram`.
 //! * [`event`] — a structured, low-frequency event log: search-trajectory
 //!   events (suggestion, eval start/finish, incumbent updates, per-fold F1),
 //!   active-learning loop events, pool lifecycle. Events serialize
@@ -32,7 +34,7 @@
 use em_rt::Json;
 use std::fs::File;
 use std::io::{BufWriter, Write};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Mutex, Once};
 
 pub mod live;
@@ -59,18 +61,43 @@ enum SinkTarget {
     File(BufWriter<File>),
 }
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
+/// [`SINKS`] bit: the JSONL trace is on (`EM_TRACE`).
+const TRACE: u8 = 1;
+/// [`SINKS`] bit: live telemetry is on (`EM_METRICS`, [`live::set_enabled`]).
+const LIVE: u8 = 2;
+
+/// The active sinks, so one load tells a record site whether, and where,
+/// to record.
+static SINKS: AtomicU8 = AtomicU8::new(0);
 static ENV_INIT: Once = Once::new();
 static SINK: Mutex<Option<SinkTarget>> = Mutex::new(None);
 
-/// Whether tracing is active. Inlined to a relaxed load after the one-time
-/// `EM_TRACE` environment lookup.
+/// The active sinks as [`TRACE`] / [`LIVE`] bits. Inlined to a relaxed
+/// load after the one-time `EM_TRACE` environment lookup.
 #[inline]
-pub fn enabled() -> bool {
+fn sinks() -> u8 {
     if !ENV_INIT.is_completed() {
         init_from_env();
     }
-    ENABLED.load(Ordering::Relaxed)
+    SINKS.load(Ordering::Relaxed)
+}
+
+/// Whether tracing is active.
+#[inline]
+pub fn enabled() -> bool {
+    sinks() & TRACE != 0
+}
+
+/// Turn one sink bit on or off. The runtime collects its own counters
+/// (queue wait, busy time, channel traffic) while either sink is on: the
+/// trace flush snapshots them and the live poller reads pool busy time.
+fn set_sink(bit: u8, on: bool) {
+    let now = if on {
+        SINKS.fetch_or(bit, Ordering::Relaxed) | bit
+    } else {
+        SINKS.fetch_and(!bit, Ordering::Relaxed) & !bit
+    };
+    em_rt::stats::set_enabled(now != 0);
 }
 
 fn init_from_env() {
@@ -118,12 +145,7 @@ fn apply_mode(mode: TraceMode) {
     };
     let on = sink.is_some();
     drop(sink);
-    ENABLED.store(on, Ordering::Relaxed);
-    // The runtime collects its own counters (queue wait, busy time, channel
-    // traffic) whenever a sink is active; `flush` snapshots them. Live
-    // telemetry pollers read the same counters, so the switch stays on while
-    // either layer is active.
-    em_rt::stats::set_enabled(on || live::enabled());
+    set_sink(TRACE, on);
 }
 
 /// Serialize one record to the active sink. No-op when tracing is off.
@@ -179,8 +201,8 @@ pub fn flush() {
     span::flush_shards();
     metrics::flush();
     let (pool, channel) = em_rt::stats::snapshot_json();
-    write_record(&prepend_kind("pool", pool));
-    write_record(&prepend_kind("channel", channel));
+    write_record(&prepend([("kind", Json::from("pool"))], pool));
+    write_record(&prepend([("kind", Json::from("channel"))], channel));
     write_record(&Json::obj([
         ("kind", Json::from("meta")),
         ("t", Json::from(em_rt::stats::now_ns())),
@@ -196,8 +218,10 @@ pub fn flush() {
     }
 }
 
-fn prepend_kind(kind: &str, obj: Json) -> Json {
-    let mut fields = vec![("kind".to_string(), Json::from(kind))];
+/// The `head` fields followed by those of the object `obj`.
+pub(crate) fn prepend<const N: usize>(head: [(&str, Json); N], obj: Json) -> Json {
+    let mut fields: Vec<(String, Json)> =
+        head.into_iter().map(|(k, v)| (k.to_string(), v)).collect();
     if let Json::Obj(rest) = obj {
         fields.extend(rest);
     }

@@ -2,33 +2,38 @@
 //! process-wide health registry — the read-while-it-runs counterpart to the
 //! post-hoc trace in the crate root.
 //!
-//! The trace layer ([`Counter`](crate::Counter) / [`Histogram`](crate::Histogram))
-//! accumulates from process start and flushes once at exit; a long-running
-//! server instead wants "what happened in the last minute". Every windowed
-//! metric here owns a ring of [`RING_LEN`] time slices, each a log2-bucket
-//! histogram stamped with its slice epoch (`now_ns / slice_ns` off the shared
-//! monotonic timebase in `em_rt::stats`). Recording rotates the ring lazily:
-//! the slot for the current epoch is cleared the first time a new epoch
-//! touches it, so there is no background sweeper thread and an idle metric
-//! costs nothing. Snapshots merge the slices whose epochs fall inside the
-//! requested [`Window`] (10s / 1m / 5m with the default 5-second slice), so a
-//! reported rate or quantile describes a trailing window with one-slice
-//! resolution.
+//! There is no second metric type here. The trace accumulates from process
+//! start and flushes once at exit; a long-running server instead wants
+//! "what happened in the last minute". So each [`Counter`](crate::Counter)
+//! and [`Histogram`](crate::Histogram) carries, beside its trace value, a
+//! ring of [`RING_LEN`] time slices that records while live telemetry is on.
+//! A histogram slice is an `em_rt::stats::LogHistogram`, the same
+//! log-linear core the trace uses, stamped with its slice epoch
+//! (`now_ns / slice_ns` off the shared monotonic timebase in
+//! `em_rt::stats`). Recording rotates the ring lazily: the slot for the
+//! current epoch is cleared the first time a new epoch touches it, so there
+//! is no background sweeper thread and an idle metric costs nothing.
+//! Snapshots merge the slices whose epochs fall inside the requested
+//! [`Window`] (10s / 1m / 5m with the default 5-second slice) and read
+//! quantiles by the trace's rule, so a windowed and a post-hoc quantile
+//! over the same observations are equal.
 //!
 //! Everything is gated on [`enabled`], flipped when a metrics endpoint starts
-//! (`EM_METRICS`): while off, every instrumentation site is one relaxed
-//! atomic load. The determinism contract of the trace layer carries over
-//! unchanged — live telemetry *observes* execution and never feeds back into
-//! it, so enabling it cannot change any computed bit
+//! (`EM_METRICS`): while it and tracing are both off, every instrumentation
+//! site is one relaxed atomic load. The determinism contract of the trace
+//! layer carries over unchanged — live telemetry *observes* execution and
+//! never feeds back into it, so enabling it cannot change any computed bit
 //! (`crates/serve/tests/serve_stream.rs` enforces this).
 //!
-//! [`RequestLog`] adds request-scoped visibility: a seeded deterministic
+//! [`Gauge`]s are live-only last values. [`RequestLog`] adds
+//! request-scoped visibility: a seeded deterministic
 //! sampler (keyed on `em_rt::derive_seed(seed, request_id)`, so the *same*
 //! requests are sampled in every run at every thread count) keeps a bounded
 //! ring of fully-annotated recent requests, and a bounded slow-query log
 //! retains the K worst requests seen so far. [`set_health`] lets serving
 //! components publish invariant-check results for the `/healthz` endpoint.
 
+use crate::metrics::{register_once, registry, Metric};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
@@ -38,22 +43,19 @@ pub const DEFAULT_SLICE_NS: u64 = 5_000_000_000;
 /// Slices per ring: 64 x 5s = 320s of history, enough to cover the 5-minute
 /// window with headroom.
 pub const RING_LEN: usize = 64;
-const BUCKETS: usize = 65;
 
-static LIVE: AtomicBool = AtomicBool::new(false);
-
-/// Turn live telemetry collection on or off. Also re-derives the runtime
-/// stats switch, which must be on when *either* tracing or live telemetry is
-/// active (the poller reads pool busy-time from `em_rt::stats`).
+/// Turn live telemetry collection on or off. The runtime stats switch
+/// follows: it stays on while either tracing or live telemetry is active
+/// (the poller reads pool busy-time from `em_rt::stats`).
 pub fn set_enabled(on: bool) {
-    LIVE.store(on, Ordering::Relaxed);
-    em_rt::stats::set_enabled(on || crate::enabled());
+    crate::set_sink(crate::LIVE, on);
 }
 
-/// Whether live telemetry is active. One relaxed load.
+/// Whether live telemetry is active. One relaxed load after the one-time
+/// `EM_TRACE` lookup.
 #[inline]
 pub fn enabled() -> bool {
-    LIVE.load(Ordering::Relaxed)
+    crate::sinks() & crate::LIVE != 0
 }
 
 /// A trailing window over the slice ring. Durations assume the default
@@ -107,344 +109,88 @@ pub struct WindowStats {
     /// Exact min/max observed inside the window, `None` while empty.
     pub min: Option<u64>,
     pub max: Option<u64>,
-    /// Log2-bucket quantiles clamped to the exact observed `[min, max]`
-    /// range, `None` while empty (counters: always `None`).
+    /// Quantiles by the trace's rule (`em_rt::stats::LogHistogram::quantile`),
+    /// `None` while empty (counters: always `None`).
     pub p50: Option<u64>,
     pub p99: Option<u64>,
 }
 
-#[inline]
-fn bucket_index(v: u64) -> usize {
-    if v == 0 {
-        0
-    } else {
-        64 - v.leading_zeros() as usize
-    }
-}
-
-/// Nearest-rank quantile over merged log2 buckets: the bucket upper bound
-/// clamped to the exact observed `[min, max]` — the same rule as
-/// [`crate::Histogram::quantile`], so windowed and post-hoc quantiles over
-/// the same data agree exactly.
-fn merged_quantile(
-    buckets: &[u64; BUCKETS],
-    total: u64,
-    q: f64,
-    min: u64,
-    max: u64,
-) -> Option<u64> {
-    if total == 0 {
-        return None;
-    }
-    let rank = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
-    let mut seen = 0u64;
-    for (i, n) in buckets.iter().enumerate() {
-        seen += n;
-        if seen >= rank {
-            let upper = if i == 0 {
-                0
-            } else if i >= 64 {
-                u64::MAX
-            } else {
-                1u64 << i
-            };
-            return Some(upper.clamp(min, max));
-        }
-    }
-    None
-}
-
-#[derive(Clone)]
-struct Slice {
-    /// Which epoch this slot currently holds; `u64::MAX` = never written.
-    epoch: u64,
-    count: u64,
-    sum: u64,
-    min: u64,
-    max: u64,
-    buckets: [u32; BUCKETS],
-}
-
-const EMPTY_SLICE: Slice = Slice {
-    epoch: u64::MAX,
-    count: 0,
-    sum: 0,
-    min: u64::MAX,
-    max: 0,
-    buckets: [0; BUCKETS],
-};
-
-struct Ring {
-    slices: Vec<Slice>,
-}
-
-impl Ring {
-    fn new() -> Ring {
-        Ring {
-            slices: vec![EMPTY_SLICE; RING_LEN],
-        }
-    }
-
-    /// The slot for `epoch`, cleared first if it still holds an older epoch.
-    /// This lazy rotation is the only way slices are ever reset.
-    fn slot(&mut self, epoch: u64) -> &mut Slice {
-        let s = &mut self.slices[(epoch % RING_LEN as u64) as usize];
-        if s.epoch != epoch {
-            *s = EMPTY_SLICE;
-            s.epoch = epoch;
-        }
-        s
-    }
-}
-
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+/// Lock `m`, recovering the guard if a panicking thread poisoned it: every
+/// update under these locks leaves the data valid at each step.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// A named histogram with both cumulative totals and trailing-window
-/// quantiles. Declare as a `static`; like the trace-layer metrics it costs
-/// nothing (and allocates nothing) until first recorded into while live
-/// telemetry is enabled.
-pub struct WindowedHistogram {
-    name: &'static str,
+/// One metric's live state: cumulative totals plus a ring of [`RING_LEN`]
+/// time slices, boxed on the first live record so a declared but untouched
+/// metric is a few static words.
+pub(crate) struct Windows<S> {
     slice_ns: u64,
-    total_count: AtomicU64,
-    total_sum: AtomicU64,
-    registered: AtomicBool,
-    ring: Mutex<Option<Box<Ring>>>,
+    ring: Mutex<Option<Box<Ring<S>>>>,
 }
 
-impl WindowedHistogram {
-    /// Declare with the default 5-second slice (usable in `static` position).
-    pub const fn new(name: &'static str) -> WindowedHistogram {
-        WindowedHistogram::with_slice_ns(name, DEFAULT_SLICE_NS)
-    }
+struct Ring<S> {
+    total: S,
+    /// `(epoch, slice)`; epoch `u64::MAX` marks a slot never written.
+    slices: Vec<(u64, S)>,
+}
 
-    /// Declare with a custom slice width — tests use millisecond slices to
-    /// exercise rotation without waiting out wall-clock windows.
-    pub const fn with_slice_ns(name: &'static str, slice_ns: u64) -> WindowedHistogram {
-        WindowedHistogram {
-            name,
+impl<S: Default> Windows<S> {
+    pub(crate) const fn new(slice_ns: u64) -> Windows<S> {
+        Windows {
             slice_ns,
-            total_count: AtomicU64::new(0),
-            total_sum: AtomicU64::new(0),
-            registered: AtomicBool::new(false),
             ring: Mutex::new(None),
         }
     }
 
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    fn register(&'static self) {
-        if !self.registered.swap(true, Ordering::Relaxed) {
-            lock(&METRICS).push(Metric::Histogram(self));
-        }
-    }
-
-    /// Count one observation of `v` at the current time (no-op while live
-    /// telemetry is off).
-    #[inline]
-    pub fn record(&'static self, v: u64) {
-        if !enabled() {
-            return;
-        }
-        self.register();
-        self.record_at(em_rt::stats::now_ns(), v);
-    }
-
-    /// Count a batch of observations under one lock acquisition (no-op while
-    /// live telemetry is off). Hot paths that observe per-item values (e.g.
-    /// per-pair match scores) use this to avoid a lock round-trip per item.
-    pub fn record_all<I: IntoIterator<Item = u64>>(&'static self, values: I) {
-        if !enabled() {
-            return;
-        }
-        self.register();
-        let epoch = em_rt::stats::now_ns() / self.slice_ns;
+    /// Apply `f` to the totals and to the slice for `now_ns`. A slot still
+    /// holding an older epoch is cleared first: this lazy rotation is the
+    /// only way slices are ever reset.
+    pub(crate) fn update(&self, now_ns: u64, mut f: impl FnMut(&mut S)) {
+        let epoch = now_ns / self.slice_ns;
         let mut guard = lock(&self.ring);
-        let ring = guard.get_or_insert_with(|| Box::new(Ring::new()));
-        let s = ring.slot(epoch);
-        let (mut n, mut sum) = (0u64, 0u64);
-        for v in values {
-            n += 1;
-            sum += v;
-            s.count += 1;
-            s.sum += v;
-            s.min = s.min.min(v);
-            s.max = s.max.max(v);
-            s.buckets[bucket_index(v)] += 1;
+        let ring = guard.get_or_insert_with(|| {
+            Box::new(Ring {
+                total: S::default(),
+                slices: (0..RING_LEN).map(|_| (u64::MAX, S::default())).collect(),
+            })
+        });
+        f(&mut ring.total);
+        let (slot_epoch, slice) = &mut ring.slices[(epoch % RING_LEN as u64) as usize];
+        if *slot_epoch != epoch {
+            *slot_epoch = epoch;
+            *slice = S::default();
         }
-        drop(guard);
-        self.total_count.fetch_add(n, Ordering::Relaxed);
-        self.total_sum.fetch_add(sum, Ordering::Relaxed);
+        f(slice);
     }
 
-    /// Record at an explicit timestamp. Driver/test hook: not gated on
-    /// [`enabled`] and does not self-register, so tests can drive synthetic
-    /// time deterministically.
-    pub fn record_at(&self, now_ns: u64, v: u64) {
+    /// `f` of the totals, `None` while the ring is unallocated.
+    pub(crate) fn total<R>(&self, f: impl FnOnce(&S) -> R) -> Option<R> {
+        lock(&self.ring).as_deref().map(|ring| f(&ring.total))
+    }
+
+    /// Visit every slice inside `window` ending at `now_ns`.
+    pub(crate) fn for_window(&self, now_ns: u64, window: Window, mut f: impl FnMut(&S)) {
         let epoch = now_ns / self.slice_ns;
-        {
-            let mut guard = lock(&self.ring);
-            let ring = guard.get_or_insert_with(|| Box::new(Ring::new()));
-            let s = ring.slot(epoch);
-            s.count += 1;
-            s.sum += v;
-            s.min = s.min.min(v);
-            s.max = s.max.max(v);
-            s.buckets[bucket_index(v)] += 1;
-        }
-        self.total_count.fetch_add(1, Ordering::Relaxed);
-        self.total_sum.fetch_add(v, Ordering::Relaxed);
-    }
-
-    /// Cumulative observation count since process start.
-    pub fn total_count(&self) -> u64 {
-        self.total_count.load(Ordering::Relaxed)
-    }
-
-    /// Cumulative sum of observed values since process start.
-    pub fn total_sum(&self) -> u64 {
-        self.total_sum.load(Ordering::Relaxed)
-    }
-
-    /// Trailing-window snapshot at the current time.
-    pub fn stats(&self, window: Window) -> WindowStats {
-        self.stats_at(em_rt::stats::now_ns(), window)
-    }
-
-    /// Trailing-window snapshot at an explicit timestamp (test hook).
-    pub fn stats_at(&self, now_ns: u64, window: Window) -> WindowStats {
-        let epoch = now_ns / self.slice_ns;
-        let n = window.slices().min(RING_LEN as u64);
-        let lo = epoch.saturating_sub(n - 1);
-        let mut count = 0u64;
-        let mut sum = 0u64;
-        let mut min = u64::MAX;
-        let mut max = 0u64;
-        let mut buckets = [0u64; BUCKETS];
-        if let Some(ring) = lock(&self.ring).as_ref() {
-            for s in &ring.slices {
-                if s.epoch >= lo && s.epoch <= epoch {
-                    count += s.count;
-                    sum += s.sum;
-                    min = min.min(s.min);
-                    max = max.max(s.max);
-                    for (acc, b) in buckets.iter_mut().zip(s.buckets.iter()) {
-                        *acc += *b as u64;
-                    }
+        let lo = epoch.saturating_sub(window.slices() - 1);
+        if let Some(ring) = lock(&self.ring).as_deref() {
+            for (e, slice) in &ring.slices {
+                if (lo..=epoch).contains(e) {
+                    f(slice);
                 }
             }
         }
-        let window_secs = (n * self.slice_ns) as f64 / 1e9;
+    }
+
+    /// Count, rate and sum over `window`; no range or quantiles.
+    pub(crate) fn stats(&self, window: Window, count: u64, sum: u64) -> WindowStats {
+        let window_secs = (window.slices() * self.slice_ns) as f64 / 1e9;
         WindowStats {
             window,
             window_secs,
             count,
             rate_per_sec: count as f64 / window_secs,
             sum,
-            min: (count > 0).then_some(min),
-            max: (count > 0).then_some(max),
-            p50: merged_quantile(&buckets, count, 0.50, min, max),
-            p99: merged_quantile(&buckets, count, 0.99, min, max),
-        }
-    }
-}
-
-/// A named monotonic counter with trailing-window rates. Declare as a
-/// `static`.
-pub struct WindowedCounter {
-    name: &'static str,
-    slice_ns: u64,
-    total: AtomicU64,
-    registered: AtomicBool,
-    ring: Mutex<Option<Box<Ring>>>,
-}
-
-impl WindowedCounter {
-    /// Declare with the default 5-second slice (usable in `static` position).
-    pub const fn new(name: &'static str) -> WindowedCounter {
-        WindowedCounter::with_slice_ns(name, DEFAULT_SLICE_NS)
-    }
-
-    /// Declare with a custom slice width (test hook).
-    pub const fn with_slice_ns(name: &'static str, slice_ns: u64) -> WindowedCounter {
-        WindowedCounter {
-            name,
-            slice_ns,
-            total: AtomicU64::new(0),
-            registered: AtomicBool::new(false),
-            ring: Mutex::new(None),
-        }
-    }
-
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// Add `n` at the current time (no-op while live telemetry is off).
-    #[inline]
-    pub fn add(&'static self, n: u64) {
-        if !enabled() {
-            return;
-        }
-        if !self.registered.swap(true, Ordering::Relaxed) {
-            lock(&METRICS).push(Metric::Counter(self));
-        }
-        self.add_at(em_rt::stats::now_ns(), n);
-    }
-
-    /// Add 1 (no-op while live telemetry is off).
-    #[inline]
-    pub fn incr(&'static self) {
-        self.add(1);
-    }
-
-    /// Add at an explicit timestamp. Driver/test hook: ungated, unregistered.
-    pub fn add_at(&self, now_ns: u64, n: u64) {
-        let epoch = now_ns / self.slice_ns;
-        {
-            let mut guard = lock(&self.ring);
-            let ring = guard.get_or_insert_with(|| Box::new(Ring::new()));
-            let s = ring.slot(epoch);
-            s.count += n;
-            s.sum += n;
-        }
-        self.total.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Cumulative total since process start.
-    pub fn total(&self) -> u64 {
-        self.total.load(Ordering::Relaxed)
-    }
-
-    /// Trailing-window count + rate at the current time.
-    pub fn stats(&self, window: Window) -> WindowStats {
-        self.stats_at(em_rt::stats::now_ns(), window)
-    }
-
-    /// Trailing-window count + rate at an explicit timestamp (test hook).
-    pub fn stats_at(&self, now_ns: u64, window: Window) -> WindowStats {
-        let epoch = now_ns / self.slice_ns;
-        let n = window.slices().min(RING_LEN as u64);
-        let lo = epoch.saturating_sub(n - 1);
-        let mut count = 0u64;
-        if let Some(ring) = lock(&self.ring).as_ref() {
-            for s in &ring.slices {
-                if s.epoch >= lo && s.epoch <= epoch {
-                    count += s.count;
-                }
-            }
-        }
-        let window_secs = (n * self.slice_ns) as f64 / 1e9;
-        WindowStats {
-            window,
-            window_secs,
-            count,
-            rate_per_sec: count as f64 / window_secs,
-            sum: count,
             min: None,
             max: None,
             p50: None,
@@ -481,9 +227,7 @@ impl Gauge {
         if !enabled() {
             return;
         }
-        if !self.registered.swap(true, Ordering::Relaxed) {
-            lock(&METRICS).push(Metric::Gauge(self));
-        }
+        register_once(&self.registered, Metric::Gauge(self));
         self.value.store(v, Ordering::Relaxed);
     }
 
@@ -493,81 +237,60 @@ impl Gauge {
     }
 }
 
-enum Metric {
-    Counter(&'static WindowedCounter),
-    Histogram(&'static WindowedHistogram),
-    Gauge(&'static Gauge),
-}
-
-impl Metric {
-    fn name(&self) -> &'static str {
-        match self {
-            Metric::Counter(c) => c.name,
-            Metric::Histogram(h) => h.name,
-            Metric::Gauge(g) => g.name,
-        }
-    }
-}
-
-static METRICS: Mutex<Vec<Metric>> = Mutex::new(Vec::new());
 static REQUEST_LOGS: Mutex<Vec<&'static RequestLog>> = Mutex::new(Vec::new());
 
 /// Render every registered metric as `key value` text lines (the `/metrics`
-/// payload), sorted by key. Histograms emit cumulative totals plus
-/// count/rate/p50/p99/min/max per trailing window; quantile lines are omitted
-/// while a window is empty.
+/// payload), sorted by name. Counters and histograms emit their live totals
+/// plus count/rate per trailing window, histograms also p50/p99/min/max;
+/// quantile lines are omitted while a window is empty.
 pub fn render_metrics() -> String {
     render_metrics_at(em_rt::stats::now_ns())
 }
 
 /// [`render_metrics`] at an explicit timestamp (test hook).
 pub fn render_metrics_at(now_ns: u64) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("em.uptime_secs {:.1}\n", now_ns as f64 / 1e9));
-    let guard = lock(&METRICS);
-    let mut order: Vec<usize> = (0..guard.len()).collect();
-    order.sort_by_key(|&i| guard[i].name());
-    for i in order {
-        match &guard[i] {
-            Metric::Gauge(g) => out.push_str(&format!("{} {}\n", g.name, g.value())),
+    let mut out = format!("em.uptime_secs {:.1}\n", now_ns as f64 / 1e9);
+    let registry = registry();
+    let mut order: Vec<&Metric> = registry.iter().collect();
+    order.sort_by_key(|m| m.name());
+    for m in order {
+        let name = m.name();
+        match m {
+            Metric::Gauge(g) => out.push_str(&format!("{name} {}\n", g.value())),
             Metric::Counter(c) => {
-                out.push_str(&format!("{}.total {}\n", c.name, c.total()));
+                let total = c.live_total().unwrap_or(0);
+                out.push_str(&format!("{name}.total {total}\n"));
                 for w in Window::ALL {
-                    let s = c.stats_at(now_ns, w);
-                    let l = w.label();
-                    out.push_str(&format!("{}.{l}.count {}\n", c.name, s.count));
-                    out.push_str(&format!(
-                        "{}.{l}.rate_per_s {:.3}\n",
-                        c.name, s.rate_per_sec
-                    ));
+                    push_window(&mut out, name, &c.stats_at(now_ns, w));
                 }
             }
             Metric::Histogram(h) => {
-                out.push_str(&format!("{}.total.count {}\n", h.name, h.total_count()));
-                out.push_str(&format!("{}.total.sum {}\n", h.name, h.total_sum()));
+                let (count, sum) = h.live_total().unwrap_or((0, 0));
+                out.push_str(&format!("{name}.total.count {count}\n"));
+                out.push_str(&format!("{name}.total.sum {sum}\n"));
                 for w in Window::ALL {
-                    let s = h.stats_at(now_ns, w);
-                    let l = w.label();
-                    out.push_str(&format!("{}.{l}.count {}\n", h.name, s.count));
-                    out.push_str(&format!(
-                        "{}.{l}.rate_per_s {:.3}\n",
-                        h.name, s.rate_per_sec
-                    ));
-                    for (stat, v) in [
-                        ("p50", s.p50),
-                        ("p99", s.p99),
-                        ("min", s.min),
-                        ("max", s.max),
-                    ] {
-                        if let Some(v) = v {
-                            out.push_str(&format!("{}.{l}.{stat} {v}\n", h.name));
-                        }
-                    }
+                    push_window(&mut out, name, &h.stats_at(now_ns, w));
                 }
             }
         }
     }
     out
+}
+
+fn push_window(out: &mut String, name: &str, s: &WindowStats) {
+    let l = s.window.label();
+    out.push_str(&format!("{name}.{l}.count {}\n", s.count));
+    out.push_str(&format!("{name}.{l}.rate_per_s {:.3}\n", s.rate_per_sec));
+    for (stat, v) in [
+        ("p50", s.p50),
+        ("p99", s.p99),
+        ("min", s.min),
+        ("max", s.max),
+    ] {
+        if let Some(v) = v {
+            out.push_str(&format!("{name}.{l}.{stat} {v}\n"));
+        }
+    }
 }
 
 /// One request's record in a [`RequestLog`]: identity, latency, and a small

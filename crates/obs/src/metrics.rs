@@ -1,160 +1,259 @@
 //! Domain counters and histograms as `static` items.
 //!
-//! Declaration is `const` so a metric costs nothing until first touched
-//! while tracing is active, at which point it registers itself into the
-//! global flush list:
+//! Declaration is `const`, so a metric costs nothing until first touched
+//! while a sink is active, at which point it registers itself into the one
+//! metric registry:
 //!
 //! ```
 //! static PAIRS_EMITTED: em_obs::Counter = em_obs::Counter::new("blocking.pairs_emitted");
 //! PAIRS_EMITTED.add(42);
 //! ```
 //!
-//! Updates are relaxed atomics behind the crate-wide enabled check; while
-//! tracing is off nothing moves, so a metric's value describes exactly the
-//! traced window.
+//! One declaration and one `add`/`record` call feed both sinks under the
+//! same name: the JSONL trace while tracing is on ([`crate::enabled`]) and
+//! the trailing windows of `/metrics` while live telemetry is on
+//! ([`crate::live::enabled`]). Each sink moves only while it is on, so the
+//! trace value describes exactly the traced window and the `/metrics`
+//! totals exactly the time with live telemetry on. With both off, a record
+//! site is one relaxed load.
 
-use crate::write_record;
+use crate::live::{lock, Gauge, Window, WindowStats, Windows, DEFAULT_SLICE_NS};
+use crate::{prepend, sinks, write_record, LIVE, TRACE};
 use em_rt::stats::LogHistogram;
 use em_rt::Json;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
-static COUNTERS: Mutex<Vec<&'static Counter>> = Mutex::new(Vec::new());
-static HISTOGRAMS: Mutex<Vec<&'static Histogram>> = Mutex::new(Vec::new());
+/// Every metric touched while a sink was on, in first-touch order.
+pub(crate) enum Metric {
+    Counter(&'static Counter),
+    Histogram(&'static Histogram),
+    Gauge(&'static Gauge),
+}
+
+impl Metric {
+    pub(crate) fn name(&self) -> &'static str {
+        match self {
+            Metric::Counter(c) => c.name,
+            Metric::Histogram(h) => h.name,
+            Metric::Gauge(g) => g.name(),
+        }
+    }
+}
+
+static REGISTRY: Mutex<Vec<Metric>> = Mutex::new(Vec::new());
+
+pub(crate) fn registry() -> MutexGuard<'static, Vec<Metric>> {
+    lock(&REGISTRY)
+}
+
+/// Push `metric` into the registry the first time `flag` is raised.
+pub(crate) fn register_once(flag: &AtomicBool, metric: Metric) {
+    if !flag.swap(true, Ordering::Relaxed) {
+        registry().push(metric);
+    }
+}
 
 /// A named monotonic counter.
 pub struct Counter {
     name: &'static str,
     value: AtomicU64,
     registered: AtomicBool,
+    live: Windows<u64>,
 }
 
 impl Counter {
     /// Declare a counter (usable in `static` position).
     pub const fn new(name: &'static str) -> Counter {
+        Counter::with_slice_ns(name, DEFAULT_SLICE_NS)
+    }
+
+    /// Declare with a custom window slice width — tests use millisecond
+    /// slices to exercise rotation without waiting out wall-clock windows.
+    pub const fn with_slice_ns(name: &'static str, slice_ns: u64) -> Counter {
         Counter {
             name,
             value: AtomicU64::new(0),
             registered: AtomicBool::new(false),
+            live: Windows::new(slice_ns),
         }
     }
 
-    /// Add `n` (no-op while tracing is off).
+    /// Add `n` to every active sink (no-op while both are off).
     #[inline]
     pub fn add(&'static self, n: u64) {
-        if !crate::enabled() {
+        let sinks = sinks();
+        if sinks == 0 {
             return;
         }
-        if !self.registered.swap(true, Ordering::Relaxed) {
-            COUNTERS.lock().unwrap().push(self);
+        register_once(&self.registered, Metric::Counter(self));
+        if sinks & TRACE != 0 {
+            self.value.fetch_add(n, Ordering::Relaxed);
         }
-        self.value.fetch_add(n, Ordering::Relaxed);
+        if sinks & LIVE != 0 {
+            self.add_at(em_rt::stats::now_ns(), n);
+        }
     }
 
-    /// Add 1 (no-op while tracing is off).
+    /// Add 1 (no-op while both sinks are off).
     #[inline]
     pub fn incr(&'static self) {
         self.add(1);
     }
 
-    /// Current value.
+    /// Add to the live windows at an explicit timestamp. Test hook: not
+    /// gated on any sink and does not register, so tests can drive
+    /// synthetic time deterministically.
+    pub fn add_at(&self, now_ns: u64, n: u64) {
+        self.live.update(now_ns, |c| *c += n);
+    }
+
+    /// Value recorded while tracing was on.
     pub fn value(&self) -> u64 {
         self.value.load(Ordering::Relaxed)
     }
+
+    /// Total recorded while live telemetry was on; `None` until the first
+    /// live record allocates the window ring.
+    pub fn live_total(&self) -> Option<u64> {
+        self.live.total(|c| *c)
+    }
+
+    /// Trailing-window count and rate at the current time.
+    pub fn stats(&self, window: Window) -> WindowStats {
+        self.stats_at(em_rt::stats::now_ns(), window)
+    }
+
+    /// Trailing-window count and rate at an explicit timestamp (test hook).
+    pub fn stats_at(&self, now_ns: u64, window: Window) -> WindowStats {
+        let mut count = 0;
+        self.live.for_window(now_ns, window, |c| count += c);
+        self.live.stats(window, count, count)
+    }
 }
 
-/// A named log2-bucket histogram (see [`em_rt::stats::LogHistogram`]) that
-/// additionally tracks the exact observed min/max, so reported quantiles
-/// clamp to the true value range instead of a log2 bucket bound (a
-/// small-sample p99 of three ~1ms batches reads ~1ms, not the 2^n bucket
-/// boundary above it).
+/// A named histogram over the shared log-linear core
+/// ([`em_rt::stats::LogHistogram`]): exact below 16, 8 sub-buckets per
+/// power of two above, exact min/max beside.
 pub struct Histogram {
     name: &'static str,
-    inner: LogHistogram,
-    min: AtomicU64,
-    max: AtomicU64,
+    trace: LogHistogram,
     registered: AtomicBool,
+    live: Windows<LogHistogram>,
 }
 
 impl Histogram {
     /// Declare a histogram (usable in `static` position).
     pub const fn new(name: &'static str) -> Histogram {
+        Histogram::with_slice_ns(name, DEFAULT_SLICE_NS)
+    }
+
+    /// Declare with a custom window slice width (test hook, as
+    /// [`Counter::with_slice_ns`]).
+    pub const fn with_slice_ns(name: &'static str, slice_ns: u64) -> Histogram {
         Histogram {
             name,
-            inner: LogHistogram::new(),
-            min: AtomicU64::new(u64::MAX),
-            max: AtomicU64::new(0),
+            trace: LogHistogram::new(),
             registered: AtomicBool::new(false),
+            live: Windows::new(slice_ns),
         }
     }
 
-    /// Count one observation of `v` (no-op while tracing is off).
+    /// Count one observation of `v` in every active sink (no-op while both
+    /// are off).
     #[inline]
     pub fn record(&'static self, v: u64) {
-        if !crate::enabled() {
+        self.record_all([v]);
+    }
+
+    /// Count a batch of observations, taking the live-window lock once.
+    /// Hot paths that observe per-item values (e.g. per-pair match scores)
+    /// use this instead of a lock round-trip per item.
+    pub fn record_all<I>(&'static self, values: I)
+    where
+        I: IntoIterator<Item = u64>,
+        I::IntoIter: Clone,
+    {
+        let sinks = sinks();
+        if sinks == 0 {
             return;
         }
-        if !self.registered.swap(true, Ordering::Relaxed) {
-            HISTOGRAMS.lock().unwrap().push(self);
+        register_once(&self.registered, Metric::Histogram(self));
+        let values = values.into_iter();
+        if sinks & TRACE != 0 {
+            values.clone().for_each(|v| self.trace.record(v));
         }
-        self.inner.record(v);
-        self.min.fetch_min(v, Ordering::Relaxed);
-        self.max.fetch_max(v, Ordering::Relaxed);
+        if sinks & LIVE != 0 {
+            self.live.update(em_rt::stats::now_ns(), |h| {
+                values.clone().for_each(|v| h.record(v))
+            });
+        }
     }
 
-    /// Total observations recorded.
+    /// Record into the live windows at an explicit timestamp. Test hook:
+    /// not gated on any sink and does not register.
+    pub fn record_at(&self, now_ns: u64, v: u64) {
+        self.live.update(now_ns, |h| h.record(v));
+    }
+
+    /// Observations recorded while tracing was on.
     pub fn count(&self) -> u64 {
-        self.inner.count()
+        self.trace.count()
     }
 
-    /// Exact observed `(min, max)`, `None` while empty.
+    /// Exact `(min, max)` recorded while tracing was on, `None` while empty.
     pub fn observed_range(&self) -> Option<(u64, u64)> {
-        let min = self.min.load(Ordering::Relaxed);
-        let max = self.max.load(Ordering::Relaxed);
-        (min <= max).then_some((min, max))
+        self.trace.range()
     }
 
-    /// Approximate quantile (log2 bucket upper bound, clamped to the exact
-    /// observed range — so when the tail shares one bucket, p99 reads the
-    /// true max instead of the next power of two), `None` while empty. Lets
-    /// harnesses (e.g. `bench_serve`) read p50/p99 without a flush cycle.
+    /// Quantile of the traced observations ([`LogHistogram::quantile`]),
+    /// `None` while empty. Lets harnesses (e.g. `bench_serve`) read p50/p99
+    /// without a flush cycle.
     pub fn quantile(&self, q: f64) -> Option<u64> {
-        let lower = self.inner.quantile(q)?;
-        let upper = if lower == 0 {
-            0
-        } else {
-            lower.saturating_mul(2)
-        };
-        let (min, max) = self.observed_range()?;
-        Some(upper.clamp(min, max))
+        self.trace.quantile(q)
+    }
+
+    /// `(count, sum)` recorded while live telemetry was on; `None` until the
+    /// first live record allocates the window ring.
+    pub fn live_total(&self) -> Option<(u64, u64)> {
+        self.live.total(|h| (h.count(), h.sum()))
+    }
+
+    /// Trailing-window snapshot at the current time.
+    pub fn stats(&self, window: Window) -> WindowStats {
+        self.stats_at(em_rt::stats::now_ns(), window)
+    }
+
+    /// Trailing-window snapshot at an explicit timestamp (test hook).
+    pub fn stats_at(&self, now_ns: u64, window: Window) -> WindowStats {
+        let merged = LogHistogram::new();
+        self.live.for_window(now_ns, window, |h| merged.merge(h));
+        let range = merged.range();
+        WindowStats {
+            min: range.map(|(lo, _)| lo),
+            max: range.map(|(_, hi)| hi),
+            p50: merged.quantile(0.50),
+            p99: merged.quantile(0.99),
+            ..self.live.stats(window, merged.count(), merged.sum())
+        }
     }
 }
 
-/// Serialize every registered metric. Called from [`flush`](crate::flush).
+/// Serialize every registered counter and histogram to the trace. Called
+/// from [`flush`](crate::flush).
 pub(crate) fn flush() {
-    for c in COUNTERS.lock().unwrap().iter() {
-        write_record(&Json::obj([
-            ("kind", Json::from("counter")),
-            ("name", Json::from(c.name)),
-            ("value", Json::from(c.value())),
-        ]));
-    }
-    for h in HISTOGRAMS.lock().unwrap().iter() {
-        let range = h.observed_range();
-        write_record(&Json::obj([
-            ("kind", Json::from("hist")),
-            ("name", Json::from(h.name)),
-            ("count", Json::from(h.inner.count())),
-            ("p50", h.quantile(0.50).map_or(Json::Null, Json::from)),
-            ("p99", h.quantile(0.99).map_or(Json::Null, Json::from)),
-            ("min", range.map_or(Json::Null, |(lo, _)| Json::from(lo))),
-            ("max", range.map_or(Json::Null, |(_, hi)| Json::from(hi))),
-            (
-                "buckets",
-                Json::arr(h.inner.nonzero_buckets().into_iter().map(|(lower, n)| {
-                    Json::obj([("ge", Json::from(lower)), ("n", Json::from(n))])
-                })),
-            ),
-        ]));
+    for m in registry().iter() {
+        match m {
+            Metric::Counter(c) => write_record(&Json::obj([
+                ("kind", Json::from("counter")),
+                ("name", Json::from(c.name)),
+                ("value", Json::from(c.value())),
+            ])),
+            Metric::Histogram(h) => write_record(&prepend(
+                [("kind", Json::from("hist")), ("name", Json::from(h.name))],
+                h.trace.to_json(),
+            )),
+            Metric::Gauge(_) => {}
+        }
     }
 }

@@ -1,10 +1,11 @@
 //! Live-telemetry tests: window rotation and count conservation (including
 //! an 8-thread hammer across rotations), sampler determinism, the slow-query
 //! log bound, min/max-clamped quantiles, and the text renderers. Tests that
-//! flip the global live switch or touch the health registry serialize on a
+//! flip a global sink switch or touch the health registry serialize on a
 //! mutex.
 
-use em_obs::live::{self, RequestLog, RequestRecord, Window, WindowedCounter, WindowedHistogram};
+use em_obs::live::{self, RequestLog, RequestRecord, Window};
+use em_obs::{Counter, Histogram, TraceMode};
 use std::sync::{Mutex, MutexGuard};
 
 fn serialize() -> MutexGuard<'static, ()> {
@@ -17,7 +18,7 @@ const SLICE: u64 = 1_000_000;
 
 #[test]
 fn windowed_histogram_rotates_and_windows_slices() {
-    static H: WindowedHistogram = WindowedHistogram::with_slice_ns("test.rotate", SLICE);
+    static H: Histogram = Histogram::with_slice_ns("test.rotate", SLICE);
     // Epoch 0: two fast observations; epoch 1: one slow one.
     H.record_at(0, 100);
     H.record_at(SLICE / 2, 200);
@@ -29,14 +30,15 @@ fn windowed_histogram_rotates_and_windows_slices() {
     assert_eq!(s.sum, 4300);
     assert_eq!(s.min, Some(100));
     assert_eq!(s.max, Some(4000));
-    // p50 = 2nd of [100, 200, 4000] -> bucket [128,256) -> upper bound 256.
-    assert_eq!(s.p50, Some(256));
-    // p99 lands in the [2048,4096) bucket; the upper bound clamps to the
-    // exact max instead of reading 4096.
+    // p50 = 2nd of [100, 200, 4000] -> bucket [192, 207] -> its largest
+    // value, 207.
+    assert_eq!(s.p50, Some(207));
+    // p99 lands in the [3840, 4095] bucket; the upper bound clamps to the
+    // exact max instead of reading 4095.
     assert_eq!(s.p99, Some(4000));
     // When the tail shares one bucket, clamping pins the quantile to the
     // true max (the small-sample p99 fix from BENCH_serve.json).
-    static NARROW: WindowedHistogram = WindowedHistogram::with_slice_ns("test.narrow", SLICE);
+    static NARROW: Histogram = Histogram::with_slice_ns("test.narrow", SLICE);
     NARROW.record_at(0, 1_100_000);
     NARROW.record_at(0, 1_150_000);
     let n = NARROW.stats_at(0, Window::TenSec);
@@ -54,13 +56,12 @@ fn windowed_histogram_rotates_and_windows_slices() {
     let s = H.stats_at(1000 * SLICE, Window::FiveMin);
     assert_eq!(s.count, 0);
     assert_eq!((s.p50, s.min), (None, None));
-    assert_eq!(H.total_count(), 3);
-    assert_eq!(H.total_sum(), 4300);
+    assert_eq!(H.live_total(), Some((3, 4300)));
 }
 
 #[test]
 fn ring_slot_reuse_discards_expired_epochs() {
-    static H: WindowedHistogram = WindowedHistogram::with_slice_ns("test.reuse", SLICE);
+    static H: Histogram = Histogram::with_slice_ns("test.reuse", SLICE);
     // Epoch 0 and epoch RING_LEN map to the same ring slot; writing the
     // later epoch must evict the earlier one, not merge with it.
     H.record_at(0, 10);
@@ -69,12 +70,12 @@ fn ring_slot_reuse_discards_expired_epochs() {
     let s = H.stats_at(wrapped, Window::FiveMin);
     assert_eq!(s.count, 1);
     assert_eq!(s.min, Some(20));
-    assert_eq!(H.total_count(), 2);
+    assert_eq!(H.live_total(), Some((2, 30)));
 }
 
 #[test]
 fn concurrent_hammer_conserves_counts_across_rotations() {
-    static H: WindowedHistogram = WindowedHistogram::with_slice_ns("test.hammer", SLICE);
+    static H: Histogram = Histogram::with_slice_ns("test.hammer", SLICE);
     const THREADS: u64 = 8;
     const PER_THREAD: u64 = 20_000;
     // Each thread records across epochs 0..40 (interleaved with the other
@@ -98,7 +99,7 @@ fn concurrent_hammer_conserves_counts_across_rotations() {
             }
         });
     });
-    assert_eq!(H.total_count(), THREADS * PER_THREAD);
+    assert_eq!(H.live_total().map(|(n, _)| n), Some(THREADS * PER_THREAD));
     // The 5m window (60 slices) covers all 40 epochs: every record is still
     // in the ring.
     let s = H.stats_at((EPOCHS - 1) * SLICE, Window::FiveMin);
@@ -109,10 +110,10 @@ fn concurrent_hammer_conserves_counts_across_rotations() {
 
 #[test]
 fn windowed_counter_counts_and_rates() {
-    static C: WindowedCounter = WindowedCounter::with_slice_ns("test.counter", SLICE);
+    static C: Counter = Counter::with_slice_ns("test.counter", SLICE);
     C.add_at(0, 5);
     C.add_at(SLICE, 7);
-    assert_eq!(C.total(), 12);
+    assert_eq!(C.live_total(), Some(12));
     let s = C.stats_at(SLICE, Window::TenSec);
     assert_eq!(s.count, 12);
     assert!((s.rate_per_sec - 12.0 / s.window_secs).abs() < 1e-9);
@@ -166,21 +167,31 @@ fn request_log_keeps_k_worst_and_recent_samples() {
 #[test]
 fn disabled_live_metrics_record_nothing() {
     let _guard = serialize();
+    em_obs::set_mode(TraceMode::Off);
     live::set_enabled(false);
-    static H: WindowedHistogram = WindowedHistogram::new("test.disabled_h");
-    static C: WindowedCounter = WindowedCounter::new("test.disabled_c");
+    static H: Histogram = Histogram::new("test.disabled_h");
+    static C: Counter = Counter::new("test.disabled_c");
     H.record(123);
+    H.record_all([4, 5]);
     C.incr();
-    assert_eq!(H.total_count(), 0);
-    assert_eq!(C.total(), 0);
+    assert_eq!((H.count(), C.value()), (0, 0));
+    // No live record ever allocated a window ring...
+    assert_eq!(H.live_total(), None);
+    assert_eq!(C.live_total(), None);
+    // ...and neither metric joined the registry, so turning live telemetry
+    // on later does not surface them until they record.
+    live::set_enabled(true);
+    let text = live::render_metrics();
+    live::set_enabled(false);
+    assert!(!text.contains("test.disabled_"), "{text}");
 }
 
 #[test]
 fn render_metrics_emits_parseable_key_value_lines() {
     let _guard = serialize();
     live::set_enabled(true);
-    static H: WindowedHistogram = WindowedHistogram::new("test.render_h");
-    static C: WindowedCounter = WindowedCounter::new("test.render_c");
+    static H: Histogram = Histogram::new("test.render_h");
+    static C: Counter = Counter::new("test.render_c");
     H.record(1000);
     H.record(3000);
     C.add(4);

@@ -97,9 +97,9 @@ fn histogram_quantiles_clamp_to_observed_range() {
     let path = temp_path("clamp");
     em_obs::set_mode(TraceMode::File(path.to_string_lossy().into_owned()));
     static CLAMP_H: Histogram = Histogram::new("test.clamp");
-    // Both observations land in the [2^20, 2^21) bucket: the raw log2
-    // estimate would read 2097152, but clamping to the exact observed range
-    // pins p50/p99 to the true values.
+    // Both observations land in the [1048576, 1179647] bucket: its upper
+    // bound would read 1179647, but clamping to the exact observed range
+    // pins p50/p99 to the true max.
     CLAMP_H.record(1_100_000);
     CLAMP_H.record(1_150_000);
     assert_eq!(CLAMP_H.observed_range(), Some((1_100_000, 1_150_000)));

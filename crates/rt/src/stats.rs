@@ -1,4 +1,4 @@
-//! Self-instrumentation for the runtime: lock-free counters and log-scale
+//! Self-instrumentation for the runtime: lock-free counters and log-linear
 //! histograms the pool and channel update on their hot paths, plus the
 //! process-wide monotonic timebase every trace record in the workspace
 //! shares.
@@ -49,35 +49,105 @@ pub fn now_ns() -> u64 {
 /// slot (pools that large do not occur in practice).
 pub const MAX_TRACKED_THREADS: usize = 65;
 
-/// A fixed-bucket log2 histogram: bucket 0 holds zeros, bucket `i >= 1`
-/// holds values in `[2^(i-1), 2^i)`. 65 buckets cover the whole `u64`
-/// range; recording is a single relaxed `fetch_add`.
+/// Linear sub-buckets per power of two, as a bit count: 8 of them, so a
+/// bucket is never wider than 1/8 of its smallest value.
+const SUB_BITS: u32 = 3;
+const SUB: usize = 1 << SUB_BITS;
+/// Buckets spanning all of `u64`: one per value below 16, then 8 for each
+/// power of two from 2^4 up to 2^63.
+const BUCKETS: usize = (65 - SUB_BITS as usize) * SUB;
+
+/// The bucket holding `v`. Values below 16 are their own bucket; above,
+/// the leading bit picks a group of 8 and the three bits under it pick the
+/// bucket inside the group.
+#[inline]
+fn bucket_index(v: u64) -> usize {
+    if v < 2 * SUB as u64 {
+        return v as usize;
+    }
+    let shift = 63 - v.leading_zeros() - SUB_BITS;
+    shift as usize * SUB + (v >> shift) as usize
+}
+
+/// Smallest and largest value bucket `i` holds.
+fn bucket_range(i: usize) -> (u64, u64) {
+    if i < 2 * SUB {
+        return (i as u64, i as u64);
+    }
+    let shift = i / SUB - 1;
+    let lo = ((i - shift * SUB) as u64) << shift;
+    (lo, lo + ((1u64 << shift) - 1))
+}
+
+/// A log-linear histogram: values below 16 are exact, larger ones fall in
+/// one of 8 equal sub-buckets per power of two. Exact min, max and sum ride
+/// beside the buckets. Recording is a few relaxed atomics, and a new
+/// histogram is `const`, so it can sit in a `static`. It is the one bucket
+/// core of the workspace: the pool and channel waits here, the trace and
+/// the live windows of every `em-obs` histogram all record into it and
+/// read quantiles through [`LogHistogram::quantile`].
 pub struct LogHistogram {
-    buckets: [AtomicU64; 65],
+    buckets: [AtomicU64; BUCKETS],
+    sum: AtomicU64,
+    min: AtomicU64,
+    max: AtomicU64,
 }
 
 impl LogHistogram {
     /// An empty histogram (usable in `static` position).
     pub const fn new() -> Self {
         LogHistogram {
-            buckets: [const { AtomicU64::new(0) }; 65],
+            buckets: [const { AtomicU64::new(0) }; BUCKETS],
+            sum: AtomicU64::new(0),
+            min: AtomicU64::new(u64::MAX),
+            max: AtomicU64::new(0),
         }
     }
 
     /// Count one observation of `v`.
     #[inline]
     pub fn record(&self, v: u64) {
-        let idx = if v == 0 {
-            0
-        } else {
-            64 - v.leading_zeros() as usize
-        };
-        self.buckets[idx].fetch_add(1, Ordering::Relaxed);
+        self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
+        self.sum.fetch_add(v, Ordering::Relaxed);
+        if v < self.min.load(Ordering::Relaxed) {
+            self.min.fetch_min(v, Ordering::Relaxed);
+        }
+        if v > self.max.load(Ordering::Relaxed) {
+            self.max.fetch_max(v, Ordering::Relaxed);
+        }
+    }
+
+    /// Add every observation of `other` into `self`.
+    pub fn merge(&self, other: &LogHistogram) {
+        for (acc, b) in self.buckets.iter().zip(&other.buckets) {
+            let n = b.load(Ordering::Relaxed);
+            if n != 0 {
+                acc.fetch_add(n, Ordering::Relaxed);
+            }
+        }
+        self.sum
+            .fetch_add(other.sum.load(Ordering::Relaxed), Ordering::Relaxed);
+        self.min
+            .fetch_min(other.min.load(Ordering::Relaxed), Ordering::Relaxed);
+        self.max
+            .fetch_max(other.max.load(Ordering::Relaxed), Ordering::Relaxed);
     }
 
     /// Total observations recorded.
     pub fn count(&self) -> u64 {
         self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()
+    }
+
+    /// Sum of the observed values (wrapping on overflow).
+    pub fn sum(&self) -> u64 {
+        self.sum.load(Ordering::Relaxed)
+    }
+
+    /// Exact observed `(min, max)`, `None` while empty.
+    pub fn range(&self) -> Option<(u64, u64)> {
+        let min = self.min.load(Ordering::Relaxed);
+        let max = self.max.load(Ordering::Relaxed);
+        (min <= max).then_some((min, max))
     }
 
     /// Non-empty buckets as `(lower_bound, count)` pairs.
@@ -87,53 +157,60 @@ impl LogHistogram {
             .enumerate()
             .filter_map(|(i, b)| {
                 let n = b.load(Ordering::Relaxed);
-                if n == 0 {
-                    None
-                } else {
-                    let lower = if i == 0 { 0 } else { 1u64 << (i - 1) };
-                    Some((lower, n))
-                }
+                (n != 0).then(|| (bucket_range(i).0, n))
             })
             .collect()
     }
 
-    /// Approximate quantile (`q` in `[0, 1]`): the lower bound of the bucket
-    /// containing the `q`-th observation, or `None` if empty. Log-bucketed,
-    /// so the answer is within 2x of the true value — plenty for a p50/p99
-    /// utilization report.
+    /// Nearest-rank quantile (`q` in `[0, 1]`), `None` while empty: the
+    /// largest value the bucket of the `ceil(q * count)`-th observation can
+    /// hold, clamped to the exact observed `[min, max]`. The answer is never
+    /// below the true sample and at most 12.5% above it, and a tail that
+    /// shares one bucket reads the true max.
     pub fn quantile(&self, q: f64) -> Option<u64> {
-        let total = self.count();
+        let counts: [u64; BUCKETS] =
+            std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed));
+        let total: u64 = counts.iter().sum();
         if total == 0 {
             return None;
         }
         let rank = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
         let mut seen = 0u64;
-        for (i, b) in self.buckets.iter().enumerate() {
-            seen += b.load(Ordering::Relaxed);
-            if seen >= rank {
-                return Some(if i == 0 { 0 } else { 1u64 << (i - 1) });
-            }
-        }
-        None
+        let i = counts.iter().position(|&n| {
+            seen += n;
+            seen >= rank
+        })?;
+        let hi = bucket_range(i).1;
+        // A record racing this read may have bumped its bucket before its
+        // min/max; skip the clamp rather than clamp to an inverted range.
+        Some(self.range().map_or(hi, |(min, max)| hi.clamp(min, max)))
     }
 
     fn clear(&self) {
         for b in &self.buckets {
             b.store(0, Ordering::Relaxed);
         }
+        self.sum.store(0, Ordering::Relaxed);
+        self.min.store(u64::MAX, Ordering::Relaxed);
+        self.max.store(0, Ordering::Relaxed);
     }
 
-    fn to_json(&self) -> Json {
+    /// The histogram as trace fields: count, p50, p99, exact min/max, and
+    /// the non-empty buckets as `{ge, n}` pairs.
+    pub fn to_json(&self) -> Json {
+        let range = self.range();
         Json::obj([
             ("count", Json::from(self.count())),
+            ("p50", self.quantile(0.50).map_or(Json::Null, Json::from)),
+            ("p99", self.quantile(0.99).map_or(Json::Null, Json::from)),
+            ("min", range.map_or(Json::Null, |(lo, _)| Json::from(lo))),
+            ("max", range.map_or(Json::Null, |(_, hi)| Json::from(hi))),
             (
                 "buckets",
                 Json::arr(self.nonzero_buckets().into_iter().map(|(lower, n)| {
                     Json::obj([("ge", Json::from(lower)), ("n", Json::from(n))])
                 })),
             ),
-            ("p50", self.quantile(0.50).map_or(Json::Null, Json::from)),
-            ("p99", self.quantile(0.99).map_or(Json::Null, Json::from)),
         ])
     }
 }
@@ -263,8 +340,31 @@ mod tests {
         h.record(2);
         h.record(3);
         h.record(1024);
-        assert_eq!(h.count(), 5);
-        assert_eq!(h.nonzero_buckets(), vec![(0, 1), (1, 1), (2, 2), (1024, 1)]);
+        // 1024..=1151 is one eighth of [2^10, 2^11); 1152 opens the next.
+        h.record(1151);
+        h.record(1152);
+        assert_eq!(h.count(), 7);
+        assert_eq!(
+            h.nonzero_buckets(),
+            vec![(0, 1), (1, 1), (2, 1), (3, 1), (1024, 2), (1152, 1)]
+        );
+        assert_eq!(h.sum(), 1 + 2 + 3 + 1024 + 1151 + 1152);
+        assert_eq!(h.range(), Some((0, 1152)));
+    }
+
+    #[test]
+    fn bucket_ranges_tile_the_u64_line() {
+        let mut next = 0u64;
+        for i in 0..BUCKETS {
+            let (lo, hi) = bucket_range(i);
+            assert_eq!(lo, next, "bucket {i} leaves a gap");
+            assert_eq!(bucket_index(lo), i);
+            assert_eq!(bucket_index(hi), i);
+            // Width at most 1/8 of the lower bound once past the exact range.
+            assert!(lo < 16 || (hi - lo) < lo / 8, "bucket {i} too wide");
+            next = hi.wrapping_add(1);
+        }
+        assert_eq!(next, 0, "the last bucket ends at u64::MAX");
     }
 
     #[test]
@@ -278,6 +378,50 @@ mod tests {
         assert_eq!(h.quantile(0.99), Some(4));
         assert_eq!(h.quantile(1.0), Some(1 << 20));
         assert_eq!(LogHistogram::new().quantile(0.5), None);
+        // A quantile reads its bucket's largest value: 100 shares [96, 103].
+        let h = LogHistogram::new();
+        for v in [100, 100, 100, 1000] {
+            h.record(v);
+        }
+        assert_eq!(h.quantile(0.5), Some(103));
+        assert_eq!(h.quantile(0.99), Some(1000));
+    }
+
+    #[test]
+    fn small_sample_batch_latencies_keep_p50_below_p99() {
+        // 14 batch latencies from 2.77 ms to 4.29 ms, 12 of them below
+        // 2^22 ns: a log2 core put p50 and p99 on the same bound.
+        let ns = [
+            2_770_000u64,
+            2_810_000,
+            2_905_000,
+            2_990_000,
+            3_050_000,
+            3_120_000,
+            3_260_000,
+            3_410_000,
+            3_560_000,
+            3_700_000,
+            3_880_000,
+            4_100_000,
+            4_230_000,
+            4_290_000,
+        ];
+        assert_eq!(ns.iter().filter(|&&v| v < 1 << 22).count(), 12);
+        let h = LogHistogram::new();
+        for v in ns {
+            h.record(v);
+        }
+        let nearest_rank = |q: f64| ns[((q * ns.len() as f64).ceil() as usize).max(1) - 1];
+        let (p50, p99) = (h.quantile(0.50).unwrap(), h.quantile(0.99).unwrap());
+        assert!(p50 < p99, "p50 {p50} vs p99 {p99}");
+        for (got, q) in [(p50, 0.50), (p99, 0.99)] {
+            let exact = nearest_rank(q);
+            assert!(
+                got >= exact && (got - exact) as f64 <= 0.125 * exact as f64,
+                "q{q}: {got} vs nearest-rank {exact}"
+            );
+        }
     }
 
     #[test]

@@ -53,7 +53,8 @@ use std::time::Instant;
 
 use crate::store::{crc32, frame, io_err, is_header_prefix, parse_hex8, HEADER_LEN};
 use em_ml::jsonio;
-use em_obs::live::{Gauge, WindowedCounter, WindowedHistogram};
+use em_obs::live::Gauge;
+use em_obs::{Counter, Histogram};
 use em_rt::{Json, StdRng};
 use em_table::{Schema, Table, Value};
 
@@ -69,21 +70,16 @@ pub const DEFAULT_CACHE_SEED: u64 = 0xCA7A_0106;
 /// Bytes per fixed-width offset-table entry: 16 hex digits + newline.
 const IDX_ENTRY: usize = 17;
 
-/// Batched row gathers served (traced runs only).
-static FETCHES: em_obs::Counter = em_obs::Counter::new("serve.catalog_fetches");
-/// Rows decoded from disk by gathers (traced runs only).
-static ROWS_READ: em_obs::Counter = em_obs::Counter::new("serve.catalog_rows_read");
-/// Per-gather latency, ns (traced runs only).
-static FETCH_NS: em_obs::Histogram = em_obs::Histogram::new("serve.catalog_fetch_ns");
-/// Requested rows served from the hot-row cache (traced runs only).
-static CACHE_HITS: em_obs::Counter = em_obs::Counter::new("serve.cache_hits");
-/// Requested rows that missed the hot-row cache (traced runs only).
-static CACHE_MISSES: em_obs::Counter = em_obs::Counter::new("serve.cache_misses");
-/// Windowed mirrors feeding the live `/metrics` registry.
-static W_FETCH_NS: WindowedHistogram = WindowedHistogram::new("serve.catalog_fetch_ns");
-static W_ROWS_READ: WindowedCounter = WindowedCounter::new("serve.catalog_rows_read");
-static W_CACHE_HITS: WindowedCounter = WindowedCounter::new("serve.cache_hits");
-static W_CACHE_MISSES: WindowedCounter = WindowedCounter::new("serve.cache_misses");
+/// Batched row gathers served.
+static FETCHES: Counter = Counter::new("serve.catalog_fetches");
+/// Rows decoded from disk by gathers.
+static ROWS_READ: Counter = Counter::new("serve.catalog_rows_read");
+/// Per-gather latency, ns.
+static FETCH_NS: Histogram = Histogram::new("serve.catalog_fetch_ns");
+/// Requested rows served from the hot-row cache.
+static CACHE_HITS: Counter = Counter::new("serve.cache_hits");
+/// Requested rows that missed the hot-row cache.
+static CACHE_MISSES: Counter = Counter::new("serve.cache_misses");
 /// Committed catalog rows (live-telemetry runs only).
 static G_CATALOG_ROWS: Gauge = Gauge::new("serve.catalog_rows");
 /// Current hot-row cache occupancy (live-telemetry runs only).
@@ -611,15 +607,8 @@ impl CatalogStore {
         ROWS_READ.add(stats.rows_read);
         CACHE_HITS.add(stats.cache_hits);
         CACHE_MISSES.add(misses);
-        let elapsed = started.elapsed().as_nanos() as u64;
-        FETCH_NS.record(elapsed);
-        if em_obs::live::enabled() {
-            W_FETCH_NS.record(elapsed);
-            W_ROWS_READ.add(stats.rows_read);
-            W_CACHE_HITS.add(stats.cache_hits);
-            W_CACHE_MISSES.add(misses);
-            G_HOT_ROWS.set(self.cache.len() as u64);
-        }
+        FETCH_NS.record(started.elapsed().as_nanos() as u64);
+        G_HOT_ROWS.set(self.cache.len() as u64);
         Ok((out, stats))
     }
 

@@ -56,19 +56,19 @@ use em_rt::Json;
 use em_table::{RecordPair, Table};
 use em_text::{intersection_size_sorted, TokenInterner};
 
-/// Catalog records upserted into the index (traced runs only).
+/// Catalog records upserted into the index.
 static UPSERTS: em_obs::Counter = em_obs::Counter::new("serve.index_upserts");
-/// Catalog records removed from the index (traced runs only).
+/// Catalog records removed from the index.
 static REMOVALS: em_obs::Counter = em_obs::Counter::new("serve.index_removals");
-/// Shard compactions triggered by stale-entry debt (traced runs only).
+/// Shard compactions triggered by stale-entry debt.
 static COMPACTIONS: em_obs::Counter = em_obs::Counter::new("serve.index_compactions");
-/// Probe candidates that needed an exact recount (traced runs only).
+/// Probe candidates that needed an exact recount.
 static STALE_RECOUNTS: em_obs::Counter = em_obs::Counter::new("serve.index_stale_recounts");
-/// Query tokens dropped by frequency pruning (traced runs only).
+/// Query tokens dropped by frequency pruning.
 static PRUNED_TOKENS: em_obs::Counter = em_obs::Counter::new("serve.index_pruned_tokens");
-/// Queries whose candidate list was capped to `top_k` (traced runs only).
+/// Queries whose candidate list was capped to `top_k`.
 static CAPPED_QUERIES: em_obs::Counter = em_obs::Counter::new("serve.index_capped_queries");
-/// (query chunk × shard) probe tasks executed (traced runs only).
+/// (query chunk × shard) probe tasks executed.
 static SHARD_PROBES: em_obs::Counter = em_obs::Counter::new("serve.index_shard_probes");
 /// Records currently contributing postings (live-telemetry runs only).
 static G_LIVE: em_obs::live::Gauge = em_obs::live::Gauge::new("serve.index_live");
@@ -397,8 +397,7 @@ impl IncrementalIndex {
 
     /// [`candidates`](Self::candidates) plus the probe's [`ProbeStats`].
     /// The candidate list is bit-identical to `candidates`; the stats ride
-    /// along so serving telemetry can report probe effects without relying
-    /// on the trace-gated counters.
+    /// along so callers can report probe effects per request.
     pub fn candidates_with_stats(
         &self,
         queries: &Table,
@@ -434,7 +433,6 @@ impl IncrementalIndex {
                     let before = ids.len();
                     ids.retain(|&id| self.df[id as usize] as usize <= cap);
                     stats.pruned_tokens += (before - ids.len()) as u64;
-                    PRUNED_TOKENS.add((before - ids.len()) as u64);
                 }
             }
             // Fewer tokens than the threshold can never reach it.
@@ -494,7 +492,6 @@ impl IncrementalIndex {
                         // Retired entries may inflate the count: recount
                         // exactly against the record truth.
                         *task_recounts += 1;
-                        STALE_RECOUNTS.incr();
                         let Some(rec) = &self.records[row] else {
                             continue; // dead row, postings not yet compacted
                         };
@@ -508,7 +505,6 @@ impl IncrementalIndex {
                     }
                 }
             }
-            SHARD_PROBES.incr();
         });
         stats.stale_recounts = recounts.iter().sum();
 
@@ -538,7 +534,6 @@ impl IncrementalIndex {
                         per_query.truncate(k);
                         per_query.sort_unstable_by_key(|&(row, _)| row);
                         stats.capped_queries += 1;
-                        CAPPED_QUERIES.incr();
                     }
                 }
                 out.extend(
@@ -548,6 +543,12 @@ impl IncrementalIndex {
                 );
             }
         }
+        // Once per call, off the parallel body: with live telemetry on,
+        // each record takes its metric's window lock.
+        PRUNED_TOKENS.add(stats.pruned_tokens);
+        CAPPED_QUERIES.add(stats.capped_queries);
+        STALE_RECOUNTS.add(stats.stale_recounts);
+        SHARD_PROBES.add(n_tasks as u64);
         (out, stats)
     }
 

@@ -41,13 +41,13 @@ use crate::IncrementalIndex;
 use em_ml::jsonio;
 use em_rt::Json;
 
-/// WAL records appended (traced runs only).
+/// WAL records appended.
 static APPENDS: em_obs::Counter = em_obs::Counter::new("serve.store_appends");
-/// Snapshots written (traced runs only).
+/// Snapshots written.
 static SNAPSHOTS: em_obs::Counter = em_obs::Counter::new("serve.store_snapshots");
-/// WAL records replayed during recovery (traced runs only).
+/// WAL records replayed during recovery.
 static REPLAYED: em_obs::Counter = em_obs::Counter::new("serve.store_replayed");
-/// Torn final records dropped during recovery (traced runs only).
+/// Torn final records dropped during recovery.
 static TORN_TAILS: em_obs::Counter = em_obs::Counter::new("serve.store_torn_tails");
 /// Operations in the log since the last snapshot (live-telemetry runs only).
 static G_WAL_RECORDS: em_obs::live::Gauge = em_obs::live::Gauge::new("serve.wal_records");

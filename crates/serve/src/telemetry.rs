@@ -7,8 +7,8 @@
 //! a bind address (`EM_METRICS=127.0.0.1:9184`; port `0` picks an
 //! ephemeral port, readable back via [`MetricsServer::addr`]). Starting
 //! the server flips the global live-telemetry switch on
-//! ([`em_obs::live::set_enabled`]), which is what makes the windowed
-//! serving metrics start moving.
+//! ([`em_obs::live::set_enabled`]), which is what makes the windows of
+//! every `em_obs::Counter` / `em_obs::Histogram` start moving.
 //!
 //! Routes (plain text, one connection per request):
 //!
@@ -44,10 +44,11 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use em_obs::live::{self, Gauge, WindowedCounter};
+use em_obs::live::{self, Gauge};
+use em_obs::Counter;
 
 /// `/metrics` scrapes served.
-static SCRAPES: WindowedCounter = WindowedCounter::new("em.scrapes");
+static SCRAPES: Counter = Counter::new("em.scrapes");
 /// Resident set size of this process, from `/proc/self/status`.
 static G_RSS: Gauge = Gauge::new("em.rss_kb");
 /// Peak resident set size of this process.

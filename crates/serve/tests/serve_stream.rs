@@ -417,7 +417,7 @@ fn live_telemetry_on_vs_off_leaves_streams_bit_identical() {
     assert_outputs_bit_identical(&baseline, &live, "live telemetry on vs off");
 
     // The endpoint really observed the live run: every batch landed in the
-    // windowed registry.
+    // live windows.
     let (code, body) = em_serve::http_get(server.addr(), "/metrics").expect("GET /metrics");
     assert_eq!(code, 200);
     assert!(

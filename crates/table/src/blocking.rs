@@ -16,7 +16,7 @@ use crate::pairs::RecordPair;
 use crate::table::Table;
 use std::collections::HashMap;
 
-/// Candidate pairs emitted by blocking (all blockers, traced runs only).
+/// Candidate pairs emitted by blocking (all blockers).
 static PAIRS_EMITTED: em_obs::Counter = em_obs::Counter::new("blocking.pairs_emitted");
 
 /// A blocker produces the candidate pairs the matcher will score.

@@ -107,9 +107,10 @@ EM_THREADS=8 cargo run -q --release --offline -p em-bench --bin serve_demo
 
 echo "== metrics endpoint smoke test (EM_METRICS, 1 and 8 threads) =="
 # With EM_METRICS set, serve_demo serves /metrics and /healthz while it
-# streams, cross-checks the windowed batch-latency quantiles against the
-# post-hoc trace histogram, and still asserts bit-identical output — at
-# both pool sizes, so the endpoint provably never feeds back into results.
+# streams, asserts that the windowed batch-latency p50/p99 equal the
+# post-hoc trace histogram's (one declaration feeds both), and still
+# asserts bit-identical output — at both pool sizes, so the endpoint
+# provably never feeds back into results.
 EM_METRICS=127.0.0.1:0 EM_THREADS=1 cargo run -q --release --offline -p em-bench --bin serve_demo
 EM_METRICS=127.0.0.1:0 EM_THREADS=8 cargo run -q --release --offline -p em-bench --bin serve_demo
 
