@@ -24,8 +24,8 @@ mod space;
 
 pub use config::{Configuration, ParamValue};
 pub use runner::{
-    run_search, run_search_async, run_search_async_report, run_search_parallel,
-    run_search_with_initial, AsyncSearchReport, Budget, SearchAlgorithm, SearchHistory, Trial,
+    run_search, run_search_async, run_search_async_report, run_search_with_initial,
+    AsyncSearchReport, Budget, SearchAlgorithm, SearchHistory, Trial,
 };
 pub use search::{RandomSearch, SmacParams, SmacSearch, TpeParams, TpeSearch};
 pub use space::{Condition, ConfigSpace, Domain, Param};

@@ -203,82 +203,12 @@ pub fn run_search_with_initial(
     history
 }
 
-/// Batched-parallel search: each step asks `algo` for a batch of up to
-/// `batch` configurations and evaluates them concurrently on the shared
-/// `em-rt` worker pool, recording results in suggestion order. Deterministic
-/// for a fixed seed and evaluation budget regardless of thread count (the
-/// trajectory differs from `batch = 1`, which sees feedback after every
-/// single evaluation — `batch = 1` reproduces [`run_search`] exactly).
-pub fn run_search_parallel(
-    space: &ConfigSpace,
-    algo: &mut dyn SearchAlgorithm,
-    objective: &(dyn Fn(&Configuration) -> f64 + Sync),
-    budget: Budget,
-    seed: u64,
-    initial: &[Configuration],
-    batch: usize,
-) -> SearchHistory {
-    let batch = batch.max(1);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut history = SearchHistory::default();
-    let start = Instant::now();
-    let exhausted = |history: &SearchHistory, start: &Instant| match budget {
-        Budget::Evaluations(n) => history.len() >= n,
-        Budget::WallClock(d) => start.elapsed() >= d,
-    };
-    let remaining = |history: &SearchHistory| match budget {
-        Budget::Evaluations(n) => n.saturating_sub(history.len()),
-        Budget::WallClock(_) => batch,
-    };
-    let evaluate_batch = |configs: &[Configuration]| -> Vec<f64> {
-        let mut scores = vec![f64::NEG_INFINITY; configs.len()];
-        let writer = em_rt::SliceWriter::new(&mut scores);
-        em_rt::parallel_for_chunked(configs.len(), 0, 1, |i| {
-            // Safety: each candidate index is handed out exactly once.
-            unsafe { writer.write(i, objective(&configs[i])) };
-        });
-        scores
-    };
-    let warm: Vec<Configuration> = initial.iter().take(remaining(&history)).cloned().collect();
-    for config in &warm {
-        assert!(
-            space.validate(config).is_ok(),
-            "warm-start configuration is invalid for this space"
-        );
-    }
-    for (config, score) in warm.iter().zip(evaluate_batch(&warm)) {
-        history.push(config.clone(), score);
-    }
-    loop {
-        if exhausted(&history, &start) {
-            break;
-        }
-        let k = remaining(&history).min(batch).max(1);
-        let configs = algo.suggest_batch(space, &history, &mut rng, k);
-        assert!(!configs.is_empty(), "suggest_batch returned no candidates");
-        for config in &configs {
-            debug_assert!(
-                space.validate(config).is_ok(),
-                "search algorithm produced an invalid configuration"
-            );
-        }
-        let scores = evaluate_batch(&configs);
-        for (config, score) in configs.into_iter().zip(scores) {
-            if exhausted(&history, &start) {
-                break;
-            }
-            history.push(config, score);
-        }
-    }
-    history
-}
-
 /// Outcome of [`run_search_async_report`]: the history plus per-worker
-/// evaluation counts (empty when the serial fallback ran).
+/// evaluation counts (empty when the inline path ran).
 #[derive(Debug, Clone)]
 pub struct AsyncSearchReport {
-    /// The search trajectory, identical to [`run_search_parallel`]'s for the
-    /// same inputs.
+    /// The search trajectory, identical at any pool width for the same
+    /// inputs.
     pub history: SearchHistory,
     /// Evaluations completed by each dedicated worker thread.
     pub evals_per_worker: Vec<usize>,
@@ -291,15 +221,16 @@ pub struct AsyncSearchReport {
 /// wave of suggestions. See [`run_search_async_report`] for the worker
 /// accounting variant.
 ///
-/// The trajectory is **identical to [`run_search_parallel`]** for the same
-/// `(space, algo, budget, seed, initial, batch)` by construction: the
-/// coordinator makes the same `suggest_batch` calls against the same
-/// committed history and the same RNG stream, and evaluation results are
-/// committed in suggestion order no matter which worker finished first. The
-/// difference is mechanical: evaluations run on dedicated channel-fed
-/// threads (leaving the shared pool free for nested parallelism inside the
-/// objective, e.g. forest fits) with scores streaming back as they finish,
-/// instead of a fork-join `parallel_for` per batch.
+/// The trajectory depends only on `(space, algo, budget, seed, initial,
+/// batch)`, **never on the pool width**: the coordinator makes the same
+/// `suggest_batch` calls against the same committed history and the same
+/// RNG stream with or without workers, and evaluation results are committed
+/// in suggestion order no matter which worker finished first. At pool width
+/// 1 there are no workers and each round is evaluated inline on the caller
+/// thread; that inline path is the oracle the worker path is tested
+/// against. Workers are dedicated channel-fed threads, which leaves the
+/// shared pool free for nested parallelism inside the objective (e.g.
+/// forest fits).
 pub fn run_search_async(
     space: &ConfigSpace,
     algo: &mut dyn SearchAlgorithm,
@@ -316,10 +247,11 @@ pub fn run_search_async(
 /// worker thread completed (for scheduling/starvation diagnostics).
 ///
 /// Worker count is `min(batch, em_rt::threads() - 1)` — one slot is left
-/// for the coordinator. When that is zero (`EM_THREADS=1`, or `batch = 0`)
-/// the search runs inline on the caller thread and still produces the exact
-/// same history, which is what makes the 1-vs-N-thread determinism harness
-/// able to cover this path.
+/// for the coordinator. When that is zero (a pool width of 1) the search
+/// runs inline on the caller thread and still produces the exact same
+/// history and the same `search.eval_start` / `search.eval_finish` events
+/// (with `worker` 0), which is what makes the 1-vs-N-thread determinism
+/// harness able to cover this path.
 pub fn run_search_async_report(
     space: &ConfigSpace,
     algo: &mut dyn SearchAlgorithm,
@@ -338,9 +270,12 @@ pub fn run_search_async_report(
         Budget::Evaluations(n) => history.len() >= n,
         Budget::WallClock(d) => start.elapsed() >= d,
     };
+    // Evaluations left; a wall-clock budget has no count, so like the
+    // sequential runner it offers every warm start and lets the deadline
+    // decide how many are committed.
     let remaining = |history: &SearchHistory| match budget {
         Budget::Evaluations(n) => n.saturating_sub(history.len()),
-        Budget::WallClock(_) => batch,
+        Budget::WallClock(_) => usize::MAX,
     };
     let warm: Vec<Configuration> = initial.iter().take(remaining(&history)).cloned().collect();
     for config in &warm {
@@ -351,16 +286,16 @@ pub fn run_search_async_report(
     }
 
     if n_workers == 0 {
-        // Serial fallback: the identical suggest/commit sequence, evaluated
-        // inline (the objective is pure, so scoring a suggestion before or
-        // after its batch-mates cannot change any committed value).
+        // Inline path: the identical suggest/commit sequence, evaluated on
+        // the caller thread (the objective is pure, so scoring a suggestion
+        // before or after its batch-mates cannot change any committed value).
         let mut round = warm;
         loop {
             for config in round.drain(..) {
                 if exhausted(&history, &start) {
                     break;
                 }
-                let score = objective(&config);
+                let score = traced_eval(objective, history.len(), 0, &config);
                 history.push(config, score);
             }
             if exhausted(&history, &start) {
@@ -386,20 +321,7 @@ pub fn run_search_async_report(
             let results = result_tx.clone();
             s.spawn(move || {
                 while let Some((ix, config)) = jobs.recv() {
-                    em_obs::event("search.eval_start", || {
-                        vec![
-                            ("trial", em_rt::Json::from(ix)),
-                            ("worker", em_rt::Json::from(w)),
-                        ]
-                    });
-                    let score = objective(&config);
-                    em_obs::event("search.eval_finish", || {
-                        vec![
-                            ("trial", em_rt::Json::from(ix)),
-                            ("worker", em_rt::Json::from(w)),
-                            ("score", em_rt::Json::from(score)),
-                        ]
-                    });
+                    let score = traced_eval(objective, ix, w, &config);
                     if results.send((ix, w, score)).is_err() {
                         break;
                     }
@@ -457,6 +379,31 @@ pub fn run_search_async_report(
         history,
         evals_per_worker,
     }
+}
+
+/// Score `config` as trial `trial` on async worker `worker`, bracketed by
+/// the `search.eval_start` / `search.eval_finish` trace events.
+fn traced_eval(
+    objective: &(dyn Fn(&Configuration) -> f64 + Sync),
+    trial: usize,
+    worker: usize,
+    config: &Configuration,
+) -> f64 {
+    em_obs::event("search.eval_start", || {
+        vec![
+            ("trial", em_rt::Json::from(trial)),
+            ("worker", em_rt::Json::from(worker)),
+        ]
+    });
+    let score = objective(config);
+    em_obs::event("search.eval_finish", || {
+        vec![
+            ("trial", em_rt::Json::from(trial)),
+            ("worker", em_rt::Json::from(worker)),
+            ("score", em_rt::Json::from(score)),
+        ]
+    });
+    score
 }
 
 #[cfg(test)]

@@ -1,17 +1,22 @@
-//! Regression tests for the asynchronous SMBO runner: its trajectory must
-//! match batch mode exactly for the same seed, every dedicated worker must
-//! get work (no starvation), and the serial fallback must reproduce the
-//! same history — which is what makes the runner thread-count-deterministic.
+//! Regression tests for the asynchronous SMBO runner. The pool width is
+//! the only serial/parallel switch: at width 1 the runner evaluates inline
+//! on the caller thread, and that inline path is the oracle its worker path
+//! must match exactly for the same seed — which is what makes the runner
+//! thread-count-deterministic. Every dedicated worker must get work (no
+//! starvation), warm starts survive a wall-clock budget, and both paths
+//! trace the same evaluation events.
 
 use em_automl::{
-    run_search_async, run_search_async_report, run_search_parallel, Budget, ConfigSpace,
-    Configuration, Domain, SmacSearch, TpeSearch,
+    run_search_async, run_search_async_report, Budget, ConfigSpace, Configuration, Domain,
+    ParamValue, RandomSearch, SmacSearch, TpeSearch,
 };
+use em_rt::Json;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
+use std::time::Duration;
 
-/// These tests mutate the process-global `em_rt::set_threads` knob, so they
-/// must not interleave with each other.
+/// These tests mutate the process-global `em_rt::set_threads` knob and the
+/// trace mode, so they must not interleave with each other.
 fn serialize() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
     LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
@@ -56,7 +61,8 @@ fn build_space() -> ConfigSpace {
 }
 
 /// Constant-time rigged objective: a deterministic function of the
-/// configuration alone, so batch and async runs are comparable eval-by-eval.
+/// configuration alone, so inline and worker runs are comparable
+/// eval-by-eval.
 fn toy_objective(c: &Configuration) -> f64 {
     let x = c.get_float("x").unwrap();
     let bonus = match c.get_str("model") {
@@ -75,97 +81,166 @@ fn assert_same_history(a: &em_automl::SearchHistory, b: &em_automl::SearchHistor
     }
 }
 
-#[test]
-fn async_visits_the_same_configurations_as_batch_mode() {
-    let _guard = serialize();
+/// `f` run at pool width 1 (the inline path, the oracle) and then at the
+/// wide width: 4, or `EM_THREADS` when the environment sets it (only then
+/// is `set_threads` left alone, since it would override the variable).
+/// Unless `EM_THREADS=1` asks for a one-thread process, the wide run must
+/// really have workers, or the comparison would pass trivially.
+fn inline_and_wide<T>(f: impl Fn() -> T) -> (T, T) {
     if std::env::var("EM_THREADS").is_err() {
         em_rt::set_threads(4);
     }
+    let wide = em_rt::threads();
+    if std::env::var("EM_THREADS").as_deref() != Ok("1") {
+        assert!(
+            em_rt::pool_workers() > 0,
+            "the wide run has no pool workers"
+        );
+    }
+    em_rt::set_threads(1);
+    let inline = f();
+    em_rt::set_threads(wide);
+    (inline, f())
+}
+
+#[test]
+fn worker_path_visits_the_same_configurations_as_the_inline_path() {
+    let _guard = serialize();
     let space = build_space();
     for seed in [0u64, 7, 1234] {
         for batch in [2usize, 4, 8] {
-            let batched = run_search_parallel(
-                &space,
-                &mut SmacSearch::default(),
-                &toy_objective,
-                Budget::Evaluations(24),
-                seed,
-                &[],
-                batch,
-            );
-            let asynced = run_search_async(
-                &space,
-                &mut SmacSearch::default(),
-                &toy_objective,
-                Budget::Evaluations(24),
-                seed,
-                &[],
-                batch,
-            );
+            let (inline, workers) = inline_and_wide(|| {
+                run_search_async(
+                    &space,
+                    &mut SmacSearch::default(),
+                    &toy_objective,
+                    Budget::Evaluations(24),
+                    seed,
+                    &[],
+                    batch,
+                )
+            });
             // Not merely the same set: the same configurations with the
             // same scores in the same commit order.
-            assert_same_history(&batched, &asynced);
+            assert_same_history(&inline, &workers);
         }
     }
 }
 
 #[test]
-fn async_matches_batch_mode_for_tpe_too() {
+fn worker_path_matches_the_inline_path_for_tpe_too() {
     let _guard = serialize();
-    if std::env::var("EM_THREADS").is_err() {
-        em_rt::set_threads(4);
-    }
     let space = build_space();
-    let batched = run_search_parallel(
-        &space,
-        &mut TpeSearch::default(),
-        &toy_objective,
-        Budget::Evaluations(20),
-        3,
-        &[],
-        4,
-    );
-    let asynced = run_search_async(
-        &space,
-        &mut TpeSearch::default(),
-        &toy_objective,
-        Budget::Evaluations(20),
-        3,
-        &[],
-        4,
-    );
-    assert_same_history(&batched, &asynced);
+    let (inline, workers) = inline_and_wide(|| {
+        run_search_async(
+            &space,
+            &mut TpeSearch::default(),
+            &toy_objective,
+            Budget::Evaluations(20),
+            3,
+            &[],
+            4,
+        )
+    });
+    assert_same_history(&inline, &workers);
 }
 
 #[test]
 fn serial_fallback_reproduces_the_async_history() {
     let _guard = serialize();
-    // EM_THREADS=1 drives worker count to zero; the inline fallback must
-    // produce the exact same trajectory as the threaded run.
+    // A one-thread pool drives worker count to zero; the inline fallback
+    // must produce the exact same trajectory as the threaded run.
     let space = build_space();
-    let saved = em_rt::threads();
-    em_rt::set_threads(1);
-    let serial = run_search_async(
-        &space,
-        &mut SmacSearch::default(),
-        &toy_objective,
-        Budget::Evaluations(16),
-        11,
-        &[],
-        4,
-    );
-    em_rt::set_threads(saved.max(4));
-    let threaded = run_search_async(
-        &space,
-        &mut SmacSearch::default(),
-        &toy_objective,
-        Budget::Evaluations(16),
-        11,
-        &[],
-        4,
-    );
-    em_rt::set_threads(saved);
+    let (serial, threaded) = inline_and_wide(|| {
+        run_search_async(
+            &space,
+            &mut SmacSearch::default(),
+            &toy_objective,
+            Budget::Evaluations(16),
+            11,
+            &[],
+            4,
+        )
+    });
     assert_same_history(&serial, &threaded);
+}
+
+#[test]
+fn wall_clock_budget_commits_every_warm_start() {
+    let _guard = serialize();
+    // Like the sequential runner, a wall-clock budget evaluates every warm
+    // start before the deadline can stop the search, at any width; the
+    // batch size (2 here) does not cap them.
+    let space = build_space();
+    let warm: Vec<Configuration> = (0..5)
+        .map(|i| {
+            Configuration::from_map([
+                ("model".to_string(), ParamValue::Cat("gbm".into())),
+                (
+                    "gbm:lr".to_string(),
+                    ParamValue::Float(0.1 * (i + 1) as f64),
+                ),
+                ("x".to_string(), ParamValue::Float(i as f64 / 5.0)),
+            ])
+        })
+        .collect();
+    let (inline, workers) = inline_and_wide(|| {
+        run_search_async(
+            &space,
+            &mut RandomSearch,
+            &toy_objective,
+            Budget::WallClock(Duration::from_millis(50)),
+            0,
+            &warm,
+            2,
+        )
+    });
+    for history in [&inline, &workers] {
+        assert!(history.len() >= warm.len());
+        for (trial, config) in history.trials().iter().zip(&warm) {
+            assert_eq!(&trial.config, config);
+        }
+    }
+}
+
+#[test]
+fn every_evaluation_emits_one_eval_start_and_finish() {
+    let _guard = serialize();
+    // The inline path and the worker path write the same trace events: one
+    // `search.eval_start` and one `search.eval_finish` per trial.
+    let space = build_space();
+    let path = std::env::temp_dir().join(format!("em-async-trace-{}.jsonl", std::process::id()));
+    let traced = || {
+        em_obs::set_mode(em_obs::TraceMode::File(path.to_string_lossy().into_owned()));
+        let history = run_search_async(
+            &space,
+            &mut SmacSearch::default(),
+            &toy_objective,
+            Budget::Evaluations(12),
+            2,
+            &[],
+            4,
+        );
+        em_obs::flush();
+        em_obs::set_mode(em_obs::TraceMode::Off);
+        let text = std::fs::read_to_string(&path).expect("trace file written");
+        let records = em_obs::report::parse_trace(&text).expect("trace parses");
+        (history.len(), records)
+    };
+    let (inline, workers) = inline_and_wide(traced);
+    let _ = std::fs::remove_file(&path);
+    for (trials, records) in [inline, workers] {
+        assert_eq!(trials, 12);
+        for name in ["search.eval_start", "search.eval_finish"] {
+            let mut seen: Vec<usize> = records
+                .iter()
+                .filter(|r| r.get("event").and_then(Json::as_str) == Some(name))
+                .map(|r| r.get("trial").and_then(Json::as_f64).expect("trial field") as usize)
+                .collect();
+            seen.sort_unstable();
+            assert_eq!(seen, (0..trials).collect::<Vec<_>>(), "{name}");
+        }
+    }
 }
 
 #[test]

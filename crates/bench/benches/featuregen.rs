@@ -1,12 +1,9 @@
 //! Benchmarks for feature generation throughput (the cost of paper §III-B):
 //! Magellan's rule-based scheme vs AutoML-EM's exhaustive scheme, per pair
-//! and in parallel batches, on an easy (short-string) and a hard (long-text)
-//! benchmark. The batch benchmarks compare the shared `em-rt` pool (direct
-//! disjoint-slice writes) against the old per-call `thread::scope` strategy
-//! (fresh OS threads + mutex-guarded row vectors + final assembly copy).
+//! and in parallel batches on the shared `em-rt` pool, on an easy
+//! (short-string) and a hard (long-text) benchmark.
 
 use automl_em::{FeatureGenerator, FeatureScheme};
-use em_bench::baseline::generate_scope_baseline;
 use em_bench::timing::Harness;
 use em_data::Benchmark;
 use em_table::RecordPair;
@@ -16,8 +13,7 @@ fn main() {
     if std::env::var("EM_THREADS").is_err() {
         em_rt::set_threads(4);
     }
-    let threads = em_rt::threads();
-    eprintln!("running with {threads} threads");
+    eprintln!("running with {} threads", em_rt::threads());
 
     let mut h = Harness::new("featuregen");
     for (label, benchmark) in [
@@ -38,18 +34,6 @@ fn main() {
             h.bench(
                 &format!("featuregen/{label}/{scheme_label}/batch_pool"),
                 || generator.generate(&ds.table_a, &ds.table_b, black_box(&pairs)),
-            );
-            h.bench(
-                &format!("featuregen/{label}/{scheme_label}/batch_scope_baseline"),
-                || {
-                    generate_scope_baseline(
-                        &generator,
-                        &ds.table_a,
-                        &ds.table_b,
-                        black_box(&pairs),
-                        threads,
-                    )
-                },
             );
         }
     }

@@ -1,9 +1,8 @@
 //! Benchmarks for the ML substrate's hot paths: tree and forest training,
 //! prediction, and the vote-fraction confidence used by Algorithm 1. The
-//! forest-fit benchmarks compare the shared `em-rt` pool against the old
-//! per-call `thread::scope` strategy (fresh OS threads on every fit).
+//! forest-fit benchmarks compare the shared `em-rt` pool at full width
+//! against a one-thread pool.
 
-use em_bench::baseline::fit_trees_scope_baseline;
 use em_bench::timing::Harness;
 use em_ml::{
     Classifier, DecisionTree, ForestParams, Matrix, MaxFeatures, RandomForestClassifier, TreeParams,
@@ -30,8 +29,8 @@ fn dataset(n: usize, d: usize, seed: u64) -> (Matrix, Vec<usize>) {
 }
 
 fn main() {
-    // Explicit thread count so the pool-vs-spawn comparison is stable across
-    // machines; EM_THREADS (read by em-rt) still wins if set.
+    // Explicit thread count so the pool-vs-serial comparison is stable
+    // across machines, unless the environment sets EM_THREADS.
     if std::env::var("EM_THREADS").is_err() {
         em_rt::set_threads(4);
     }
@@ -58,17 +57,13 @@ fn main() {
         rf.fit(black_box(&x), black_box(&y), 2, None);
         rf
     });
-    h.bench("forest/fit_50trees_2000x40_scope_baseline", || {
-        fit_trees_scope_baseline(black_box(&x), black_box(&y), 2, &params, threads)
-    });
+    em_rt::set_threads(1);
     h.bench("forest/fit_50trees_2000x40_serial", || {
-        let mut rf = RandomForestClassifier::new(ForestParams {
-            n_jobs: 1,
-            ..params.clone()
-        });
+        let mut rf = RandomForestClassifier::new(params.clone());
         rf.fit(black_box(&x), black_box(&y), 2, None);
         rf
     });
+    em_rt::set_threads(threads);
     let mut rf = RandomForestClassifier::new(params);
     rf.fit(&x, &y, 2, None);
     h.bench("forest/predict_proba_2000", || {

@@ -1,11 +1,11 @@
 //! Benchmarks for the AutoML engine itself (search overhead, excluding
 //! objective cost): configuration sampling, surrogate-guided suggestion, a
-//! full small search on a cheap analytic objective, and the batched-parallel
+//! full small search on a cheap analytic objective, and the batched async
 //! runner against the sequential one.
 
 use automl_em::{build_space, ModelSpace, SpaceOptions};
 use em_automl::{
-    run_search, run_search_parallel, Budget, Configuration, RandomSearch, SmacSearch, TpeSearch,
+    run_search, run_search_async, Budget, Configuration, RandomSearch, SmacSearch, TpeSearch,
 };
 use em_bench::timing::Harness;
 use em_rt::StdRng;
@@ -85,7 +85,7 @@ fn main() {
         .best_score()
     });
     h.bench("search/64_evals_cheap_objective/smac_batch8", || {
-        run_search_parallel(
+        run_search_async(
             &all_space,
             &mut SmacSearch::default(),
             &objective,

@@ -1,15 +1,16 @@
 //! Acceptance benchmark for the remaining hot paths moved onto the shared
 //! `em-rt` pool: blocking candidate generation, stratified k-fold
 //! cross-validation, permutation feature importances, and benchmark dataset
-//! synthesis — serial (`jobs = 1`) vs pooled — plus the async SMBO runner
-//! against the fork-join batch runner on the same workload. Writes
+//! synthesis — on a one-thread pool vs the full width, flipped with
+//! `em_rt::set_threads` — plus the async SMBO runner's inline path (pool
+//! width 1) against its worker path on the same workload. Writes
 //! `BENCH_hotpaths.json` (override the path with the first CLI argument).
 //!
 //! Thread count comes from `EM_THREADS` when set, else defaults to 4 so the
 //! serial-vs-pool comparison is stable across machines; the host's actual
 //! `available_parallelism` is recorded alongside the numbers.
 
-use em_automl::{run_search_async, run_search_parallel, Budget, SmacSearch};
+use em_automl::{run_search_async, Budget, SmacSearch};
 use em_bench::timing::{fmt_ns, Harness};
 use em_ml::{Classifier, ForestParams, Matrix, RandomForestClassifier, Splitter};
 use em_rt::{Json, StdRng};
@@ -31,6 +32,22 @@ fn dataset(n: usize, d: usize, seed: u64) -> (Matrix, Vec<usize>) {
     (Matrix::from_rows(&rows), y)
 }
 
+/// Time `f` as `{name}/{serial}` on a one-thread pool, then as
+/// `{name}/{pool}` at `threads`: the pool width is the only serial/parallel
+/// switch.
+fn serial_vs_pool<T>(
+    h: &mut Harness,
+    name: &str,
+    [serial, pool]: [&str; 2],
+    threads: usize,
+    mut f: impl FnMut() -> T,
+) {
+    em_rt::set_threads(1);
+    h.bench(&format!("{name}/{serial}"), &mut f);
+    em_rt::set_threads(threads);
+    h.bench(&format!("{name}/{pool}"), f);
+}
+
 fn main() {
     let out_path = std::env::args()
         .nth(1)
@@ -41,6 +58,13 @@ fn main() {
     let threads = em_rt::threads();
     let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
     eprintln!("threads = {threads}, host cores = {cores}");
+    // Build the pool at full width before any one-thread row runs, so the
+    // pool rows really have workers.
+    assert!(
+        threads == 1 || em_rt::pool_workers() > 0,
+        "the pool rows need pool workers"
+    );
+    const SERIAL_POOL: [&str; 2] = ["serial", "pool"];
 
     let mut h = Harness::new("bench_hotpaths");
 
@@ -51,12 +75,13 @@ fn main() {
         attribute: attr,
         min_overlap: 2,
     };
-    h.bench("blocking_overlap_dblp_scholar/serial", || {
-        blocker.candidates_with_jobs(&ds.table_a, &ds.table_b, 1)
-    });
-    h.bench("blocking_overlap_dblp_scholar/pool", || {
-        blocker.candidates_with_jobs(&ds.table_a, &ds.table_b, threads)
-    });
+    serial_vs_pool(
+        &mut h,
+        "blocking_overlap_dblp_scholar",
+        SERIAL_POOL,
+        threads,
+        || blocker.candidates(&ds.table_a, &ds.table_b),
+    );
 
     // -- feature generation: uncached &str path vs the interned cache ---------
     // Table-II features over the full Fodors-Zagats candidate set. cold =
@@ -76,32 +101,33 @@ fn main() {
         generator.n_features()
     );
     h.bench("featuregen_fodors_table2/uncached", || {
-        generator.generate_with_jobs(&fz.table_a, &fz.table_b, &fz_pairs, threads)
+        generator.generate(&fz.table_a, &fz.table_b, &fz_pairs)
     });
     h.bench("featuregen_fodors_table2/cached_cold", || {
         let mut cache = generator.cached(&fz.table_a, &fz.table_b);
-        cache.generate_with_jobs(&fz.table_a, &fz.table_b, &fz_pairs, threads)
+        cache.generate(&fz.table_a, &fz.table_b, &fz_pairs)
     });
     let mut warm = generator.cached(&fz.table_a, &fz.table_b);
-    let _ = warm.generate_with_jobs(&fz.table_a, &fz.table_b, &fz_pairs, threads);
+    let _ = warm.generate(&fz.table_a, &fz.table_b, &fz_pairs);
     h.bench("featuregen_fodors_table2/cached_warm", || {
-        warm.generate_with_jobs(&fz.table_a, &fz.table_b, &fz_pairs, threads)
+        warm.generate(&fz.table_a, &fz.table_b, &fz_pairs)
     });
 
     // -- 5-fold cross-validation of the default forest pipeline --------------
     let (x, y) = dataset(600, 12, 1);
     let config = automl_em::EmPipelineConfig::default_random_forest(0);
-    h.bench("cross_val_f1_5fold_600x12/serial", || {
-        config.cross_val_f1_with_jobs(&x, &y, 5, 0, 1)
-    });
-    h.bench("cross_val_f1_5fold_600x12/pool", || {
-        config.cross_val_f1_with_jobs(&x, &y, 5, 0, threads)
-    });
+    serial_vs_pool(
+        &mut h,
+        "cross_val_f1_5fold_600x12",
+        SERIAL_POOL,
+        threads,
+        || config.cross_val_f1(&x, &y, 5, 0),
+    );
     // Same CV under the EM_BINNED=on override: every forest fit inside the
     // default pipeline routes through the binned engine, no config changes.
     std::env::set_var("EM_BINNED", "on");
     h.bench("cross_val_f1_5fold_600x12/pool_binned", || {
-        config.cross_val_f1_with_jobs(&x, &y, 5, 0, threads)
+        config.cross_val_f1(&x, &y, 5, 0)
     });
     std::env::remove_var("EM_BINNED");
 
@@ -110,12 +136,11 @@ fn main() {
     // to a single thread (no tree-level jobs, no subtree tasks) so they
     // compare the split engines alone; the pool row adds per-tree and
     // per-node parallelism on top of the binned engine.
-    let forest_fit = |splitter: Splitter, n_jobs: usize| {
+    let forest_fit = |splitter: Splitter| {
         let mut rf = RandomForestClassifier::new(ForestParams {
             n_estimators: 30,
             splitter,
             seed: 9,
-            n_jobs,
             ..ForestParams::default()
         });
         rf.fit(&x, &y, 2, None);
@@ -123,38 +148,41 @@ fn main() {
     };
     em_rt::set_threads(1);
     h.bench("forest_fit_600x12/exact_1thread", || {
-        forest_fit(Splitter::Best, 1)
+        forest_fit(Splitter::Best)
     });
-    h.bench("forest_fit_600x12/binned_1thread", || {
-        forest_fit(Splitter::Binned, 1)
-    });
-    em_rt::set_threads(threads);
-    h.bench("forest_fit_600x12/binned_pool", || {
-        forest_fit(Splitter::Binned, 0)
-    });
+    serial_vs_pool(
+        &mut h,
+        "forest_fit_600x12",
+        ["binned_1thread", "binned_pool"],
+        threads,
+        || forest_fit(Splitter::Binned),
+    );
 
     // -- permutation importances over 12 columns ------------------------------
     let fitted = config.fit(&x, &y);
     let names: Vec<String> = (0..x.ncols()).map(|i| format!("f{i}")).collect();
-    h.bench("permutation_importance_12cols/serial", || {
-        fitted.permutation_importances_with_jobs(&x, &y, &names, 2, 0, 1)
-    });
-    h.bench("permutation_importance_12cols/pool", || {
-        fitted.permutation_importances_with_jobs(&x, &y, &names, 2, 0, threads)
-    });
+    serial_vs_pool(
+        &mut h,
+        "permutation_importance_12cols",
+        SERIAL_POOL,
+        threads,
+        || fitted.permutation_importances(&x, &y, &names, 2, 0),
+    );
 
     // -- benchmark synthesis (per-entity tasks) -------------------------------
-    h.bench("datagen_dblp_scholar_halfscale/serial", || {
-        em_data::Benchmark::DblpScholar.generate_scaled_with_jobs(0, 0.5, 1)
-    });
-    h.bench("datagen_dblp_scholar_halfscale/pool", || {
-        em_data::Benchmark::DblpScholar.generate_scaled_with_jobs(0, 0.5, threads)
-    });
+    serial_vs_pool(
+        &mut h,
+        "datagen_dblp_scholar_halfscale",
+        SERIAL_POOL,
+        threads,
+        || em_data::Benchmark::DblpScholar.generate_scaled(0, 0.5),
+    );
 
-    // -- async SMBO vs fork-join batch mode -----------------------------------
-    // The objective fits a small forest so evaluations cost something real;
-    // both runners see the same space, seed, budget, and batch, and produce
-    // the same trajectory — the comparison is pure scheduling overhead.
+    // -- async SMBO: inline path vs worker path -------------------------------
+    // The objective fits a small forest so evaluations cost something real.
+    // At pool width 1 the runner evaluates inline on the caller thread; at
+    // full width it feeds dedicated workers over a channel. Same space,
+    // seed, budget, batch and trajectory.
     let (sx, sy) = dataset(240, 8, 2);
     let space = automl_em::build_space(automl_em::SpaceOptions::default());
     let objective = |c: &em_automl::Configuration| -> f64 {
@@ -162,28 +190,23 @@ fn main() {
         let f = pipeline.fit(&sx, &sy);
         f.f1(&sx, &sy)
     };
-    h.bench("smbo_16evals_batch4/batch_pool", || {
-        run_search_parallel(
-            &space,
-            &mut SmacSearch::default(),
-            &objective,
-            Budget::Evaluations(16),
-            0,
-            &[],
-            4,
-        )
-    });
-    h.bench("smbo_16evals_batch4/async_workers", || {
-        run_search_async(
-            &space,
-            &mut SmacSearch::default(),
-            &objective,
-            Budget::Evaluations(16),
-            0,
-            &[],
-            4,
-        )
-    });
+    serial_vs_pool(
+        &mut h,
+        "smbo_16evals_batch4",
+        ["inline", "async_workers"],
+        threads,
+        || {
+            run_search_async(
+                &space,
+                &mut SmacSearch::default(),
+                &objective,
+                Budget::Evaluations(16),
+                0,
+                &[],
+                4,
+            )
+        },
+    );
 
     // -- report ---------------------------------------------------------------
     let median = |name: &str| -> f64 {
@@ -256,9 +279,10 @@ fn main() {
         ),
         (
             "smbo_16evals_batch4",
-            "batch_pool",
+            "inline",
             "async_workers",
-            "SMAC, 16 evaluations, batch 4, small-forest objective",
+            "SMAC, 16 evaluations, batch 4, small-forest objective: the \
+             async runner's inline path (pool width 1) vs its worker path",
         ),
     ] {
         let base = median(&format!("{name}/{baseline}"));
@@ -286,12 +310,13 @@ fn main() {
         (
             "note",
             Json::from(
-                "serial = jobs 1 on the caller thread; pool = the shared em-rt \
-                 worker pool. Every pair is bit-identical output by \
+                "serial = the same call on a one-thread pool \
+                 (em_rt::set_threads(1)); pool = the shared em-rt worker \
+                 pool at full width. Every pair is bit-identical output by \
                  construction (see crates/core/tests/determinism.rs); the \
-                 async SMBO row compares the channel-fed worker runner \
-                 against the fork-join batch runner on an identical \
-                 trajectory; the featuregen rows compare the uncached &str \
+                 async SMBO row compares the runner's inline path against \
+                 its channel-fed workers on an identical trajectory; the \
+                 featuregen rows compare the uncached &str \
                  path against the interned FeatureCache (EM_FEATCACHE \
                  toggles the same paths inside PreparedDataset::prepare). \
                  Speedups > 1 assume a multi-core host; \

@@ -2,7 +2,6 @@
 //! figure) and the micro-benchmarks: tiny CLI parsing, table printing, the
 //! in-repo timing harness, and the paper's published reference numbers.
 
-pub mod baseline;
 pub mod serve_scale;
 pub mod timing;
 

@@ -79,6 +79,11 @@ impl FittedEmPipeline {
     /// Permutation importances on raw (pre-pipeline) features: for each
     /// column, shuffle it `repeats` times and average the F1 drop against
     /// the unshuffled baseline. Negative drops clamp to zero.
+    ///
+    /// Columns are independent pool tasks. Each column shuffles with its own
+    /// `derive_seed(seed, col)` RNG stream, so the permutations — and the
+    /// report — depend only on `(seed, col)`, never on pool width or
+    /// scheduling order.
     pub fn permutation_importances(
         &self,
         x: &Matrix,
@@ -87,25 +92,6 @@ impl FittedEmPipeline {
         repeats: usize,
         seed: u64,
     ) -> FeatureImportanceReport {
-        self.permutation_importances_with_jobs(x, y, feature_names, repeats, seed, 0)
-    }
-
-    /// [`permutation_importances`] with an explicit `em-rt` job cap
-    /// (0 = full pool).
-    ///
-    /// Columns are independent pool tasks. Each column shuffles with its own
-    /// `derive_seed(seed, col)` RNG stream, so the permutations — and the
-    /// report — depend only on `(seed, col)`, never on thread count or
-    /// scheduling order.
-    pub fn permutation_importances_with_jobs(
-        &self,
-        x: &Matrix,
-        y: &[usize],
-        feature_names: &[String],
-        repeats: usize,
-        seed: u64,
-        jobs: usize,
-    ) -> FeatureImportanceReport {
         assert_eq!(x.ncols(), feature_names.len(), "name/column mismatch");
         assert!(repeats > 0, "repeats must be positive");
         let baseline = f1_score(y, &self.predict(x));
@@ -113,7 +99,7 @@ impl FittedEmPipeline {
         let mut scores = vec![0.0f64; x.ncols()];
         {
             let writer = em_rt::SliceWriter::new(&mut scores);
-            em_rt::parallel_for_chunked(x.ncols(), jobs, 1, |col| {
+            em_rt::parallel_for_chunked(x.ncols(), 0, 1, |col| {
                 let mut rng = StdRng::seed_from_u64(em_rt::derive_seed(seed, col as u64));
                 let mut drop_sum = 0.0;
                 for _ in 0..repeats {

@@ -100,7 +100,7 @@ impl AttrCache {
     /// distinct missing keys (first-appearance order), parallel compute,
     /// serial insert. Entries touched by the batch (hit or inserted) are
     /// stamped with `epoch` so cap eviction never removes them mid-batch.
-    fn fill_memo(&mut self, pairs: &[RecordPair], jobs: usize, epoch: u64) {
+    fn fill_memo(&mut self, pairs: &[RecordPair], epoch: u64) {
         let mut missing: Vec<u64> = Vec::new();
         let mut missing_set: HashSet<u64> = HashSet::new();
         let (mut hits, mut misses) = (0u64, 0u64);
@@ -127,7 +127,7 @@ impl AttrCache {
         let k = self.sims.len();
         let mut flat = vec![0.0f64; missing.len() * k];
         let writer = em_rt::SliceWriter::new(flat.as_mut_slice());
-        let jobs = if missing.len() < 64 { 1 } else { jobs };
+        let jobs = if missing.len() < 64 { 1 } else { 0 };
         em_rt::parallel_for(missing.len(), jobs, |m| {
             // Safety: each missing-key index is handed out exactly once and
             // the row slices `[m * k, (m + 1) * k)` are pairwise disjoint.
@@ -172,9 +172,11 @@ pub struct FeatureCache {
 
 impl FeatureCache {
     /// Build profiles for every string attribute of the table pair, on the
-    /// shared pool ([`Self::with_jobs`] with the pool's thread count).
+    /// shared pool. The parallel part (tokenizing drafts) is order-free;
+    /// value ids and token ids come from serial passes, so the cache's
+    /// internal state is identical at any pool width.
     pub fn new(generator: FeatureGenerator, a: &Table, b: &Table) -> Self {
-        Self::with_jobs(generator, a, b, 0)
+        Self::build(generator, Some(a), Some(b))
     }
 
     /// A serving-side cache: the right side is bound to `catalog` up front
@@ -182,7 +184,7 @@ impl FeatureCache {
     /// is rebound to each incoming query batch via [`Self::rebind_left`].
     /// Avoids materializing a throwaway empty query table.
     pub fn for_serving(generator: FeatureGenerator, catalog: &Table) -> Self {
-        Self::build(generator, None, Some(catalog), 0)
+        Self::build(generator, None, Some(catalog))
     }
 
     /// A fully unbound cache: neither side is profiled up front. The
@@ -191,25 +193,12 @@ impl FeatureCache {
     /// ([`Self::rebind_left`] / [`Self::rebind_right`]); profiles and memo
     /// entries accumulate across batches exactly as in the bound paths.
     pub fn unbound(generator: FeatureGenerator) -> Self {
-        Self::build(generator, None, None, 0)
-    }
-
-    /// [`Self::new`] with an explicit worker cap (0 = the pool's
-    /// [`em_rt::threads`] count). The parallel part (tokenizing drafts) is
-    /// order-free; value ids and token ids come from serial passes, so the
-    /// cache's internal state is identical for every `jobs` value.
-    pub fn with_jobs(generator: FeatureGenerator, a: &Table, b: &Table, jobs: usize) -> Self {
-        Self::build(generator, Some(a), Some(b), jobs)
+        Self::build(generator, None, None)
     }
 
     /// Shared constructor: either side may start unbound (no rows mapped,
     /// no profiles built) and be bound later with the rebind methods.
-    fn build(
-        generator: FeatureGenerator,
-        a: Option<&Table>,
-        b: Option<&Table>,
-        jobs: usize,
-    ) -> Self {
+    fn build(generator: FeatureGenerator, a: Option<&Table>, b: Option<&Table>) -> Self {
         let _span = em_obs::span!("featcache.build");
         let mut interner = TokenInterner::new();
         // Group the planned string features by attribute, in spec order.
@@ -251,7 +240,7 @@ impl FeatureCache {
                 // Parallel: tokenize each distinct value into a draft.
                 let mut drafts: Vec<Option<ProfileDraft>> = vec![None; values.len()];
                 let writer = em_rt::SliceWriter::new(drafts.as_mut_slice());
-                let draft_jobs = if values.len() < 64 { 1 } else { jobs };
+                let draft_jobs = if values.len() < 64 { 1 } else { 0 };
                 em_rt::parallel_for(values.len(), draft_jobs, |v| {
                     // Safety: each value index is handed out exactly once.
                     let slot = unsafe { &mut writer.slice_mut(v, 1)[0] };
@@ -413,18 +402,6 @@ impl FeatureCache {
     /// calls, so later batches (other folds, blocking candidates, the
     /// active-learning pool) reuse earlier work.
     pub fn generate(&mut self, a: &Table, b: &Table, pairs: &[RecordPair]) -> Matrix {
-        self.generate_with_jobs(a, b, pairs, 0)
-    }
-
-    /// [`Self::generate`] with an explicit worker cap (0 = the pool's
-    /// [`em_rt::threads`] count).
-    pub fn generate_with_jobs(
-        &mut self,
-        a: &Table,
-        b: &Table,
-        pairs: &[RecordPair],
-        jobs: usize,
-    ) -> Matrix {
         let _span = em_obs::span!("featcache.generate");
         assert_eq!(a.len(), self.n_left, "left table changed since build");
         assert_eq!(b.len(), self.n_right, "right table changed since build");
@@ -437,13 +414,13 @@ impl FeatureCache {
         self.epoch += 1;
         let epoch = self.epoch;
         for ac in &mut self.attrs {
-            ac.fill_memo(pairs, jobs, epoch);
+            ac.fill_memo(pairs, epoch);
         }
         self.evict_to_cap();
         let attrs = &self.attrs;
         let specs = self.generator.specs();
         let writer = em_rt::SliceWriter::new(out.as_mut_slice());
-        let jobs = if n < 64 { 1 } else { jobs };
+        let jobs = if n < 64 { 1 } else { 0 };
         em_rt::parallel_for(n, jobs, |r| {
             // Safety: each row index is handed out exactly once, and row
             // slices `[r * d, (r + 1) * d)` are pairwise disjoint.

@@ -229,25 +229,12 @@ impl FeatureGenerator {
     }
 
     /// Compute the feature matrix for a batch of pairs, in parallel on the
-    /// shared `em-rt` worker pool ([`Self::generate_with_jobs`] with the
-    /// pool's default thread count).
-    pub fn generate(&self, a: &Table, b: &Table, pairs: &[RecordPair]) -> Matrix {
-        self.generate_with_jobs(a, b, pairs, 0)
-    }
-
-    /// [`Self::generate`] with an explicit worker cap (0 = the pool's
-    /// [`em_rt::threads`] count). Each worker steals chunks of pair indices
+    /// shared `em-rt` worker pool. Each worker steals chunks of pair indices
     /// off a shared counter and writes its rows directly into the disjoint
     /// row slices of the output matrix — no lock, no intermediate per-chunk
     /// buffers. Row `r` depends only on `pairs[r]`, so the result is
-    /// bit-identical for every `jobs` value.
-    pub fn generate_with_jobs(
-        &self,
-        a: &Table,
-        b: &Table,
-        pairs: &[RecordPair],
-        jobs: usize,
-    ) -> Matrix {
+    /// bit-identical at any pool width.
+    pub fn generate(&self, a: &Table, b: &Table, pairs: &[RecordPair]) -> Matrix {
         let _span = em_obs::span!("featuregen.generate");
         let n = pairs.len();
         let d = self.specs.len();
@@ -255,7 +242,7 @@ impl FeatureGenerator {
         if n == 0 || d == 0 {
             return out;
         }
-        let jobs = if n < 64 { 1 } else { jobs };
+        let jobs = if n < 64 { 1 } else { 0 };
         let writer = em_rt::SliceWriter::new(out.as_mut_slice());
         em_rt::parallel_for(n, jobs, |r| {
             // Safety: each row index is handed out exactly once, and row

@@ -205,29 +205,17 @@ impl EmPipelineConfig {
     /// Mean F1 over a stratified k-fold cross-validation — a more stable
     /// alternative to the paper's single hold-out for comparing pipelines on
     /// small datasets.
-    pub fn cross_val_f1(&self, x: &Matrix, y: &[usize], k: usize, seed: u64) -> f64 {
-        self.cross_val_f1_with_jobs(x, y, k, seed, 0)
-    }
-
-    /// [`cross_val_f1`] with an explicit `em-rt` job cap (0 = full pool).
     ///
     /// Folds are independent pool tasks; each fold's score lands in its own
     /// slot and the slots are summed in fold order, so the result is
-    /// bit-identical to the serial loop for any `jobs`.
-    pub fn cross_val_f1_with_jobs(
-        &self,
-        x: &Matrix,
-        y: &[usize],
-        k: usize,
-        seed: u64,
-        jobs: usize,
-    ) -> f64 {
+    /// bit-identical to the serial loop at any pool width.
+    pub fn cross_val_f1(&self, x: &Matrix, y: &[usize], k: usize, seed: u64) -> f64 {
         let _span = em_obs::span!("pipeline.cross_val");
         let folds = em_ml::stratified_k_fold(y, k, seed);
         let mut scores = vec![0.0f64; folds.len()];
         {
             let writer = em_rt::SliceWriter::new(&mut scores);
-            em_rt::parallel_for_chunked(folds.len(), jobs, 1, |f| {
+            em_rt::parallel_for_chunked(folds.len(), 0, 1, |f| {
                 let (train_idx, test_idx) = &folds[f];
                 let xt = x.select_rows(train_idx);
                 let yt: Vec<usize> = train_idx.iter().map(|&i| y[i]).collect();

@@ -17,11 +17,14 @@
 //! 9. `em-weak` labeling-function application and label-model EM fitting
 //!    (parallel E-step), bit-identical votes/posteriors at any pool size.
 //!
-//! This harness gets its own process (integration-test binary), so it can
-//! size the global pool without interfering with other tests. `verify.sh`
-//! additionally runs the whole tier-1 suite under `EM_THREADS=1` and
-//! `EM_THREADS=8`; inside the `EM_THREADS=8` run these tests compare
-//! 1-thread against 8-thread execution in-process.
+//! Every check flips the pool width with `em_rt::set_threads`, the only
+//! serial/parallel switch: the same call runs once on a one-thread pool and
+//! once at the wide width (4, or `EM_THREADS` when the environment sets
+//! it). This harness gets its own process (integration-test binary), so it
+//! can size the global pool without interfering with other tests.
+//! `verify.sh` additionally runs the whole tier-1 suite under
+//! `EM_THREADS=1` and `EM_THREADS=8`; inside the `EM_THREADS=8` run these
+//! tests compare 1-thread against 8-thread execution in-process.
 
 use automl_em::{EmPipelineConfig, FeatureCache, FeatureGenerator, FeatureScheme};
 use em_ml::{
@@ -37,12 +40,31 @@ fn serialize() -> MutexGuard<'static, ()> {
     LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// Force a multi-worker pool even on single-core CI hosts (EM_THREADS still
-/// wins if the environment sets it).
+/// Make the wide width 4 threads even on single-core CI hosts, unless the
+/// environment sets `EM_THREADS`: its value is then the wide width, so
+/// `set_threads`, which overrides the variable, is left alone.
 fn ensure_pool() {
     if std::env::var("EM_THREADS").is_err() {
         em_rt::set_threads(4);
     }
+}
+
+/// `f` run on a one-thread pool, then at the wide width ([`ensure_pool`]).
+/// Unless `EM_THREADS=1` asks for a one-thread process, the wide run must
+/// really have pool workers, or the comparison would pass trivially.
+fn serial_and_wide<T>(f: impl Fn() -> T) -> (T, T) {
+    ensure_pool();
+    let wide = em_rt::threads();
+    if std::env::var("EM_THREADS").as_deref() != Ok("1") {
+        assert!(
+            em_rt::pool_workers() > 0,
+            "the wide run has no pool workers"
+        );
+    }
+    em_rt::set_threads(1);
+    let serial = f();
+    em_rt::set_threads(wide);
+    (serial, f())
 }
 
 /// Small labeled feature data with an informative column, a noisy column, a
@@ -75,15 +97,14 @@ fn feature_matrix_and_forest_are_thread_count_invariant() {
     );
 
     // Feature matrix: serial vs pooled, bit for bit (NaN = missing cell).
-    let serial = generator.generate_with_jobs(&ds.table_a, &ds.table_b, &pairs, 1);
-    let pooled = generator.generate_with_jobs(&ds.table_a, &ds.table_b, &pairs, em_rt::threads());
+    let (serial, pooled) = serial_and_wide(|| generator.generate(&ds.table_a, &ds.table_b, &pairs));
     assert_eq!(serial.nrows(), pooled.nrows());
     assert_eq!(serial.ncols(), pooled.ncols());
     for (a, b) in serial.as_slice().iter().zip(pooled.as_slice()) {
         assert_eq!(a.to_bits(), b.to_bits());
     }
 
-    // Forest: 1 job vs many jobs, identical predictions and probabilities.
+    // Forest: 1 thread vs many, identical predictions and probabilities.
     // Trees reject NaN, so impute the missing cells first (mean, like the
     // pipeline's default preprocessor).
     let (_, serial) = em_ml::preprocess::SimpleImputer::fit_transform(
@@ -91,18 +112,15 @@ fn feature_matrix_and_forest_are_thread_count_invariant() {
         &serial,
     );
     let labels: Vec<usize> = ds.pairs.iter().map(|p| usize::from(p.label)).collect();
-    let fit = |n_jobs: usize| {
+    let (rf1, rfn) = serial_and_wide(|| {
         let mut rf = RandomForestClassifier::new(ForestParams {
             n_estimators: 31,
             seed: 41,
-            n_jobs,
             ..ForestParams::default()
         });
         rf.fit(&serial, &labels, 2, None);
         rf
-    };
-    let rf1 = fit(1);
-    let rfn = fit(em_rt::threads());
+    });
     assert_eq!(rf1.predict(&serial), rfn.predict(&serial));
     let (p1, pn) = (rf1.predict_proba(&serial), rfn.predict_proba(&serial));
     for (a, b) in p1.as_slice().iter().zip(pn.as_slice()) {
@@ -135,25 +153,28 @@ fn cached_featuregen_is_thread_count_invariant() {
 
     // Serial build + serial memo fill vs pooled build + pooled fill: the
     // interner ids, memo contents, and output matrix must all agree bit for
-    // bit, and both must match the uncached `&str` path.
-    let uncached = generator.generate_with_jobs(&ds.table_a, &ds.table_b, &pairs, 1);
-    let mut serial = FeatureCache::with_jobs(generator.clone(), &ds.table_a, &ds.table_b, 1);
-    let mut pooled = FeatureCache::with_jobs(
-        generator.clone(),
-        &ds.table_a,
-        &ds.table_b,
-        em_rt::threads(),
-    );
-    assert_eq!(serial.interned_tokens(), pooled.interned_tokens());
-    let from_serial = serial.generate_with_jobs(&ds.table_a, &ds.table_b, &pairs, 1);
-    let from_pooled = pooled.generate_with_jobs(&ds.table_a, &ds.table_b, &pairs, em_rt::threads());
-    bitwise_eq(&uncached, &from_serial);
-    bitwise_eq(&uncached, &from_pooled);
-    assert_eq!(serial.memo_len(), pooled.memo_len());
-
-    // Re-running against a warm memo changes nothing.
-    let warm = pooled.generate_with_jobs(&ds.table_a, &ds.table_b, &pairs, em_rt::threads());
-    bitwise_eq(&uncached, &warm);
+    // bit, and both must match the uncached `&str` path. Re-running against
+    // a warm memo changes nothing.
+    let (serial, pooled) = serial_and_wide(|| {
+        let uncached = generator.generate(&ds.table_a, &ds.table_b, &pairs);
+        let mut cache = FeatureCache::new(generator.clone(), &ds.table_a, &ds.table_b);
+        let cold = cache.generate(&ds.table_a, &ds.table_b, &pairs);
+        let warm = cache.generate(&ds.table_a, &ds.table_b, &pairs);
+        (
+            uncached,
+            cache.interned_tokens(),
+            cache.memo_len(),
+            cold,
+            warm,
+        )
+    });
+    let uncached = &serial.0;
+    bitwise_eq(uncached, &pooled.0);
+    assert_eq!(serial.1, pooled.1);
+    assert_eq!(serial.2, pooled.2);
+    for from_cache in [&serial.3, &pooled.3, &serial.4, &pooled.4] {
+        bitwise_eq(uncached, from_cache);
+    }
 }
 
 #[test]
@@ -210,8 +231,7 @@ fn blocking_candidates_are_thread_count_invariant() {
         attribute: attr,
         min_overlap: 2,
     };
-    let serial = blocker.candidates_with_jobs(&ds.table_a, &ds.table_b, 1);
-    let pooled = blocker.candidates_with_jobs(&ds.table_a, &ds.table_b, em_rt::threads());
+    let (serial, pooled) = serial_and_wide(|| blocker.candidates(&ds.table_a, &ds.table_b));
     assert!(!serial.is_empty());
     assert_eq!(serial, pooled);
 }
@@ -222,8 +242,7 @@ fn cross_val_f1_is_thread_count_invariant() {
     ensure_pool();
     let (x, y) = toy_data();
     let config = EmPipelineConfig::default_random_forest(3);
-    let serial = config.cross_val_f1_with_jobs(&x, &y, 5, 9, 1);
-    let pooled = config.cross_val_f1_with_jobs(&x, &y, 5, 9, em_rt::threads());
+    let (serial, pooled) = serial_and_wide(|| config.cross_val_f1(&x, &y, 5, 9));
     assert_eq!(serial.to_bits(), pooled.to_bits());
 }
 
@@ -234,8 +253,8 @@ fn permutation_importances_are_thread_count_invariant() {
     let (x, y) = toy_data();
     let fitted = EmPipelineConfig::default_random_forest(5).fit(&x, &y);
     let names: Vec<String> = (0..4).map(|i| format!("f{i}")).collect();
-    let serial = fitted.permutation_importances_with_jobs(&x, &y, &names, 3, 17, 1);
-    let pooled = fitted.permutation_importances_with_jobs(&x, &y, &names, 3, 17, em_rt::threads());
+    let (serial, pooled) =
+        serial_and_wide(|| fitted.permutation_importances(&x, &y, &names, 3, 17));
     assert_eq!(serial.entries.len(), pooled.entries.len());
     for (a, b) in serial.entries.iter().zip(&pooled.entries) {
         assert_eq!(a.0, b.0);
@@ -252,8 +271,7 @@ fn benchmark_synthesis_is_thread_count_invariant() {
         em_data::Benchmark::DblpScholar,
         em_data::Benchmark::AbtBuy,
     ] {
-        let serial = b.generate_scaled_with_jobs(13, 0.1, 1);
-        let pooled = b.generate_scaled_with_jobs(13, 0.1, em_rt::threads());
+        let (serial, pooled) = serial_and_wide(|| b.generate_scaled(13, 0.1));
         assert_eq!(serial.table_a, pooled.table_a, "{}", serial.name);
         assert_eq!(serial.table_b, pooled.table_b, "{}", serial.name);
         assert_eq!(serial.pairs, pooled.pairs, "{}", serial.name);
@@ -271,7 +289,7 @@ fn results_are_identical_with_tracing_on_and_off() {
     let (x, y) = toy_data();
     let run = || {
         let config = EmPipelineConfig::default_random_forest(7);
-        let f1 = config.cross_val_f1_with_jobs(&x, &y, 5, 3, em_rt::threads());
+        let f1 = config.cross_val_f1(&x, &y, 5, 3);
         let fitted = config.fit(&x, &y);
         (f1, fitted.predict(&x))
     };
@@ -319,19 +337,16 @@ fn binned_forest_is_thread_count_invariant() {
     let _guard = serialize();
     ensure_pool();
     let (x, y) = binned_tree_data(900, 6, 31);
-    let fit = |n_jobs: usize| {
+    let (rf1, rfn) = serial_and_wide(|| {
         let mut rf = RandomForestClassifier::new(ForestParams {
             n_estimators: 15,
             splitter: Splitter::Binned,
             seed: 43,
-            n_jobs,
             ..ForestParams::default()
         });
         rf.fit(&x, &y, 2, None);
         rf
-    };
-    let rf1 = fit(1);
-    let rfn = fit(em_rt::threads());
+    });
     assert_eq!(rf1.predict(&x), rfn.predict(&x));
     let (p1, pn) = (rf1.predict_proba(&x), rfn.predict_proba(&x));
     for (a, b) in p1.as_slice().iter().zip(pn.as_slice()) {
@@ -342,11 +357,6 @@ fn binned_forest_is_thread_count_invariant() {
 #[test]
 fn binned_subtree_tasking_is_thread_count_invariant() {
     let _guard = serialize();
-    if std::env::var("EM_THREADS").is_ok() {
-        // The env pins the pool size for the whole process; the 1-vs-8 flip
-        // below needs the knob free (verify.sh runs this suite both ways).
-        return;
-    }
     // Large single tree: the root partitions ~800/800, well past the
     // spawn threshold, so with >1 threads whole subtrees run as pool tasks.
     // Fitting with a 1-thread pool takes the pure-recursion path instead;
@@ -357,12 +367,8 @@ fn binned_subtree_tasking_is_thread_count_invariant() {
         seed: 13,
         ..TreeParams::default()
     };
-    let fit = || DecisionTree::fit_classifier(&x, &y, 2, None, params.clone());
-    em_rt::set_threads(1);
-    let serial = fit();
-    em_rt::set_threads(8);
-    let pooled = fit();
-    em_rt::set_threads(4);
+    let (serial, pooled) =
+        serial_and_wide(|| DecisionTree::fit_classifier(&x, &y, 2, None, params.clone()));
     assert!(serial.n_nodes() > 64, "tree should be non-trivial");
     assert_eq!(serial.n_nodes(), pooled.n_nodes());
     assert_eq!(
@@ -420,15 +426,9 @@ fn em_binned_override_unifies_engines() {
 fn async_smbo_trajectory_is_thread_count_invariant() {
     let _guard = serialize();
     // End-to-end: the full AutoML-EM driver with async candidate
-    // evaluation, run once with a 1-thread pool (serial fallback) and once
+    // evaluation, run once with a 1-thread pool (the inline path) and once
     // with a multi-worker pool — same seed, identical trajectory, including
     // the forest fits nested inside each objective evaluation.
-    if std::env::var("EM_THREADS").is_ok() {
-        // The env pins the pool size for the whole process; the in-process
-        // 1-vs-N comparison below needs to flip it, so defer to the runs
-        // where the knob is free (verify.sh runs this suite both ways).
-        return;
-    }
     let ds = em_data::Benchmark::FodorsZagats.generate_scaled(2, 0.2);
     let prep = automl_em::PreparedDataset::prepare(&ds, FeatureScheme::AutoMlEm, 2);
     let (xt, yt) = prep.train();
@@ -442,11 +442,7 @@ fn async_smbo_trajectory_is_thread_count_invariant() {
         });
         driver.fit(&xt, &yt, &xv, &yv)
     };
-    em_rt::set_threads(1);
-    let serial = run();
-    em_rt::set_threads(8);
-    let pooled = run();
-    em_rt::set_threads(4);
+    let (serial, pooled) = serial_and_wide(run);
     assert_eq!(serial.history.len(), pooled.history.len());
     for (a, b) in serial.history.trials().iter().zip(pooled.history.trials()) {
         assert_eq!(a.config, b.config);
@@ -462,12 +458,6 @@ fn async_smbo_trajectory_is_thread_count_invariant() {
 #[test]
 fn weak_lf_application_and_label_model_are_thread_count_invariant() {
     let _guard = serialize();
-    if std::env::var("EM_THREADS").is_ok() {
-        // The env pins the pool size for the whole process; the in-process
-        // 1-vs-8 flip below needs the knob free (verify.sh runs this suite
-        // both ways).
-        return;
-    }
     let ds = em_data::Benchmark::FodorsZagats.generate_scaled(5, 0.3);
     let pairs: Vec<RecordPair> = ds.pairs.iter().map(|p| p.pair).collect();
     let lfs = em_weak::LfSet::similarity_battery(&ds.table_a, &ds.table_b, 0.7, 0.2);
@@ -481,11 +471,7 @@ fn weak_lf_application_and_label_model_are_thread_count_invariant() {
         )
         .expect("battery compiles against its own schema")
     };
-    em_rt::set_threads(1);
-    let serial = run();
-    em_rt::set_threads(8);
-    let pooled = run();
-    em_rt::set_threads(4);
+    let (serial, pooled) = serial_and_wide(run);
     // Votes go through FeatureCache (parallel profile drafting + memo
     // fill); the label model's E-step is a parallel_for. Both must be bit
     // stable.

@@ -271,19 +271,14 @@ impl Benchmark {
 
     /// Generate at `scale` × the paper's size (0 < scale ≤ 1). Tests and
     /// quick experiment runs use small scales; the full harness uses 1.0.
-    pub fn generate_scaled(&self, seed: u64, scale: f64) -> EmDataset {
-        self.generate_scaled_with_jobs(seed, scale, 0)
-    }
-
-    /// [`generate_scaled`] with an explicit `em-rt` job cap (0 = full pool).
     ///
     /// Entity synthesis is one pool task per entity: entity `e` draws from
     /// its own `derive_seed(seed, e)` RNG stream and writes into its own
     /// row slot, so the dataset depends only on `(seed, scale)` and is
-    /// bit-identical for every `jobs`. Negative-pair sampling runs serially
+    /// bit-identical at any pool width. Negative-pair sampling runs serially
     /// on a separate `derive_seed(seed, u64::MAX)` stream (a reserved index
     /// no entity can reach).
-    pub fn generate_scaled_with_jobs(&self, seed: u64, scale: f64, jobs: usize) -> EmDataset {
+    pub fn generate_scaled(&self, seed: u64, scale: f64) -> EmDataset {
         assert!(scale > 0.0 && scale <= 1.0, "scale must be in (0, 1]");
         let profile = self.profile();
         let positives = ((profile.positives as f64 * scale).round() as usize).max(8);
@@ -300,7 +295,7 @@ impl Benchmark {
         let mut rows: Vec<Option<RowPair>> = vec![None; positives];
         {
             let writer = em_rt::SliceWriter::new(&mut rows);
-            em_rt::parallel_for(positives, jobs, |e| {
+            em_rt::parallel_for(positives, 0, |e| {
                 let mut rng = StdRng::seed_from_u64(em_rt::derive_seed(seed, e as u64));
                 let (family, member) = family_of(e);
                 let rec_a = domain_a.base_record(family, member, &mut rng);

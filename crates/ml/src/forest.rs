@@ -40,8 +40,6 @@ pub struct ForestParams {
     pub min_impurity_decrease: f64,
     /// Base RNG seed; tree `t` uses `seed + t`.
     pub seed: u64,
-    /// Worker threads (0 = use available parallelism).
-    pub n_jobs: usize,
 }
 
 impl Default for ForestParams {
@@ -58,14 +56,13 @@ impl Default for ForestParams {
             bootstrap: true,
             min_impurity_decrease: 0.0,
             seed: 0,
-            n_jobs: 0,
         }
     }
 }
 
 /// Train `n` trees on the shared `em-rt` worker pool with per-tree seeds and
 /// optional bootstrap. Tree `t` is fully determined by `params.seed` and `t`,
-/// so predictions are bit-identical for any `n_jobs`.
+/// so predictions are bit-identical at any pool width.
 fn fit_trees(
     x: &Matrix,
     y: &[usize],
@@ -83,7 +80,7 @@ fn fit_trees(
         .then(|| crate::binned::bin_matrix(x, params.n_bins));
     let mut results: Vec<Option<DecisionTree>> = vec![None; n_trees];
     let writer = em_rt::SliceWriter::new(&mut results);
-    em_rt::parallel_for_chunked(n_trees, params.n_jobs, 1, |t| {
+    em_rt::parallel_for_chunked(n_trees, 0, 1, |t| {
         let tree_params = TreeParams {
             criterion: params.criterion,
             max_depth: params.max_depth,
@@ -391,11 +388,12 @@ impl ForestParams {
                 jsonio::num(self.min_impurity_decrease),
             ),
             ("seed", jsonio::u64_str(self.seed)),
-            ("n_jobs", Json::from(self.n_jobs)),
         ])
     }
 
-    /// Inverse of [`ForestParams::to_json`].
+    /// Inverse of [`ForestParams::to_json`]. Fields it does not read are
+    /// ignored: older artifacts also carry a per-forest thread count, which
+    /// never affected the fitted trees.
     pub fn from_json(j: &Json) -> Result<Self, String> {
         Ok(ForestParams {
             n_estimators: jsonio::as_usize(jsonio::field(j, "n_estimators")?)?,
@@ -417,7 +415,6 @@ impl ForestParams {
             bootstrap: jsonio::as_bool(jsonio::field(j, "bootstrap")?)?,
             min_impurity_decrease: jsonio::as_f64(jsonio::field(j, "min_impurity_decrease")?)?,
             seed: jsonio::as_u64(jsonio::field(j, "seed")?)?,
-            n_jobs: jsonio::as_usize(jsonio::field(j, "n_jobs")?)?,
         })
     }
 }
@@ -509,7 +506,7 @@ impl RandomForestRegressor {
         let mut results: Vec<Option<DecisionTree>> = vec![None; n_trees];
         let writer = em_rt::SliceWriter::new(&mut results);
         let params = &self.params;
-        em_rt::parallel_for_chunked(n_trees, params.n_jobs, 1, |t| {
+        em_rt::parallel_for_chunked(n_trees, 0, 1, |t| {
             let tree_params = TreeParams {
                 criterion: Criterion::Mse,
                 max_depth: params.max_depth,
@@ -801,14 +798,29 @@ mod tests {
 
     #[test]
     fn single_job_matches_parallel() {
+        // The pool width is the only serial/parallel switch: fit on a
+        // one-thread pool, then at the wide width (4 unless `EM_THREADS`
+        // sets it), which must really have workers unless `EM_THREADS=1`.
         let (x, y) = clusters(100, 6);
-        let mut par = small_forest(11);
-        let mut ser = RandomForestClassifier::new(ForestParams {
-            n_jobs: 1,
-            ..par.params.clone()
-        });
-        par.fit(&x, &y, 2, None);
-        ser.fit(&x, &y, 2, None);
+        let wide = match std::env::var("EM_THREADS") {
+            Ok(_) => em_rt::threads(),
+            Err(_) => 4,
+        };
+        let fit = |width: usize| {
+            em_rt::set_threads(width);
+            let mut rf = small_forest(11);
+            rf.fit(&x, &y, 2, None);
+            rf
+        };
+        let par = fit(wide);
+        if std::env::var("EM_THREADS").as_deref() != Ok("1") {
+            assert!(
+                em_rt::pool_workers() > 0,
+                "the wide fit had no pool workers"
+            );
+        }
+        let ser = fit(1);
+        em_rt::set_threads(wide);
         assert_eq!(par.predict_proba(&x), ser.predict_proba(&x));
     }
 }

@@ -1,7 +1,8 @@
 //! A persistent, process-global worker pool with scoped parallel iteration.
 //!
-//! One pool exists per process, lazily initialized on first use and sized
-//! from [`set_threads`], the `EM_THREADS` environment variable, or
+//! One pool exists per process, lazily initialized by the first parallel
+//! section that runs on more than one thread (or by [`pool_workers`]) and
+//! sized from [`set_threads`], the `EM_THREADS` environment variable, or
 //! `std::thread::available_parallelism()`, in that order of precedence.
 //! Worker threads are spawned once and block on a condvar between jobs, so
 //! repeated small parallel sections (the hundreds of forest fits of a SMAC
@@ -30,8 +31,9 @@ use std::sync::{Condvar, Mutex, OnceLock};
 static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
 /// Set the pool's thread count programmatically. Takes full effect when
-/// called before the first parallel section; afterwards it still caps the
-/// number of participating workers per job (never grows the pool).
+/// called before the pool is built (see the module docs); afterwards it
+/// still caps the number of participating workers per job (never grows the
+/// pool). `set_threads(1)` runs every later section inline.
 pub fn set_threads(n: usize) {
     THREAD_OVERRIDE.store(n, Ordering::Relaxed);
 }
@@ -230,9 +232,18 @@ pub fn parallel_for_chunked<F: Fn(usize) + Sync>(n: usize, jobs: usize, chunk: u
         return;
     }
     let jobs = effective_jobs(jobs).min(n);
-    let p = pool();
     let stats_on = stats::enabled();
-    if jobs <= 1 || p.n_workers == 0 {
+    // Run inline on one thread, on a pool without workers, or when the pool
+    // is occupied (a nested section, or a concurrent top-level one: the
+    // machine is already saturated). The one-thread case is decided before
+    // touching the pool, so a serial section never sizes it.
+    let claimed = (jobs > 1).then(pool).filter(|p| {
+        p.n_workers > 0
+            && p.busy
+                .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
+                .is_ok()
+    });
+    let Some(p) = claimed else {
         if stats_on {
             stats::POOL_INLINE.fetch_add(1, Ordering::Relaxed);
         }
@@ -240,21 +251,7 @@ pub fn parallel_for_chunked<F: Fn(usize) + Sync>(n: usize, jobs: usize, chunk: u
             f(i);
         }
         return;
-    }
-    if p.busy
-        .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
-        .is_err()
-    {
-        // Pool occupied: nested section (or a concurrent top-level one).
-        // The machine is already saturated — run inline.
-        if stats_on {
-            stats::POOL_INLINE.fetch_add(1, Ordering::Relaxed);
-        }
-        for i in 0..n {
-            f(i);
-        }
-        return;
-    }
+    };
     if stats_on {
         stats::POOL_JOBS.fetch_add(1, Ordering::Relaxed);
     }

@@ -2,15 +2,43 @@
 //!
 //! `tests/fixtures/artifact_pre_binned.json` was saved *before*
 //! `TreeParams::splitter`/`n_bins` were serialized (no such fields anywhere
-//! in the document). Loading it must succeed — absent fields default to the
-//! exact engine — and the stored pipeline must reproduce the match
-//! probabilities recorded at save time bit for bit.
+//! in the document), and while forest parameters still carried a per-forest
+//! thread count. Loading it must succeed — absent fields default to the
+//! exact engine, the thread count is ignored — and the stored pipeline must
+//! reproduce the match probabilities recorded at save time bit for bit.
 
 use em_rt::Json;
 use em_serve::ModelArtifact;
 
 fn fixture_path(name: &str) -> String {
     format!("{}/tests/fixtures/{name}", env!("CARGO_MANIFEST_DIR"))
+}
+
+/// Every key `ForestParams::to_json` writes, in order.
+const FOREST_PARAM_KEYS: [&str; 11] = [
+    "n_estimators",
+    "criterion",
+    "max_depth",
+    "min_samples_split",
+    "min_samples_leaf",
+    "max_features",
+    "splitter",
+    "n_bins",
+    "bootstrap",
+    "min_impurity_decrease",
+    "seed",
+];
+
+/// The keys of the stored forest's parameters (`pipeline.model.params`).
+fn forest_param_keys(doc: &Json) -> Vec<String> {
+    let params = doc
+        .get("pipeline")
+        .and_then(|p| p.get("model"))
+        .and_then(|m| m.get("params"));
+    match params {
+        Some(Json::Obj(fields)) => fields.iter().map(|(k, _)| k.clone()).collect(),
+        other => panic!("artifact has no forest params: {other:?}"),
+    }
 }
 
 #[test]
@@ -65,6 +93,7 @@ fn pre_binned_artifact_loads_and_predicts_bit_exact() {
         .to_string_lossy()
         .into_owned();
     artifact.save(&path).unwrap();
+    let resaved = std::fs::read_to_string(&path).unwrap();
     let upgraded = ModelArtifact::load(&path).expect("re-saved artifact loads");
     let _ = std::fs::remove_file(&path);
     let reproba = upgraded.pipeline.predict_match_proba(&x);
@@ -81,5 +110,21 @@ fn pre_binned_artifact_loads_and_predicts_bit_exact() {
     assert!(
         !old_doc.contains("n_bins") && !old_doc.contains("binned"),
         "fixture must be a pre-binned artifact"
+    );
+
+    // The fixture's forest params carry exactly one key the current format
+    // no longer writes — the per-forest thread count, which never affected
+    // the trees — and re-saving writes exactly the current keys, so it is
+    // gone from the upgraded document.
+    let legacy_only: Vec<String> = forest_param_keys(&Json::parse(&old_doc).unwrap())
+        .into_iter()
+        .filter(|k| !FOREST_PARAM_KEYS.contains(&k.as_str()))
+        .collect();
+    assert_eq!(legacy_only.len(), 1, "legacy-only keys: {legacy_only:?}");
+    let resaved_keys = forest_param_keys(&Json::parse(&resaved).unwrap());
+    assert_eq!(resaved_keys, FOREST_PARAM_KEYS);
+    assert!(
+        !resaved.contains(&format!("\"{}\"", legacy_only[0])),
+        "the re-saved document still has the legacy key"
     );
 }

@@ -28,8 +28,9 @@ fn serialize() -> MutexGuard<'static, ()> {
     LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// Force a multi-worker pool even on single-core CI hosts (EM_THREADS
-/// still wins if the environment sets it).
+/// Force a multi-worker pool even on single-core CI hosts, unless the
+/// environment sets `EM_THREADS`: `set_threads` would override it, so it is
+/// only called when the variable is unset.
 fn ensure_pool() {
     if std::env::var("EM_THREADS").is_err() {
         em_rt::set_threads(4);
@@ -308,6 +309,13 @@ fn store_backed_stream_is_thread_count_invariant() {
     let batches = batches_of(&ds.table_a, 5);
     let dir = temp_dir("threads");
 
+    // Asking for 8 threads builds the pool at that width unless an earlier
+    // section already did; either way the wide run must have workers.
+    em_rt::set_threads(8);
+    assert!(
+        em_rt::pool_workers() > 0,
+        "the 8-thread run needs pool workers"
+    );
     em_rt::set_threads(1);
     let single = run_store_backed(&artifact, &dir, &ds.table_b, &attr, &batches, None);
     let mut mem_single =

@@ -28,8 +28,9 @@ fn serialize() -> MutexGuard<'static, ()> {
     LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// Force a multi-worker pool even on single-core CI hosts (EM_THREADS still
-/// wins if the environment sets it).
+/// Force a multi-worker pool even on single-core CI hosts, unless the
+/// environment sets `EM_THREADS`: `set_threads` would override it, so it is
+/// only called when the variable is unset.
 fn ensure_pool() {
     if std::env::var("EM_THREADS").is_err() {
         em_rt::set_threads(4);

@@ -22,15 +22,9 @@ static PAIRS_EMITTED: em_obs::Counter = em_obs::Counter::new("blocking.pairs_emi
 /// A blocker produces the candidate pairs the matcher will score.
 pub trait Blocker {
     /// Generate candidate pairs between tables `a` and `b`.
+    /// Implementations that run on the shared `em-rt` pool must return the
+    /// same pairs in the same order at any pool width.
     fn candidates(&self, a: &Table, b: &Table) -> Vec<RecordPair>;
-
-    /// [`Blocker::candidates`] with an explicit worker cap for the shared
-    /// `em-rt` pool (0 = the pool's [`em_rt::threads`] count, 1 = serial).
-    /// Implementations must return the same pairs in the same order for
-    /// every `jobs` value; the default ignores `jobs` and runs serially.
-    fn candidates_with_jobs(&self, a: &Table, b: &Table, _jobs: usize) -> Vec<RecordPair> {
-        self.candidates(a, b)
-    }
 }
 
 /// Left-table records per parallel shard. Small enough to balance skewed
@@ -40,50 +34,36 @@ const SHARD_SIZE: usize = 256;
 
 /// Probe every left record in `0..n_left` through `probe(record, out)`,
 /// sharded over the pool, and return the concatenation of all shard buffers
-/// in record order — exactly the serial output, for any `jobs`.
-///
-/// Public so index-backed candidate generation outside this crate (the
-/// `em-serve` incremental blocking index) shares the same deterministic
-/// sharding discipline as the built-in blockers.
-pub fn sharded_probe<F>(n_left: usize, jobs: usize, probe: F) -> Vec<RecordPair>
+/// in record order — exactly the serial output, at any pool width.
+fn sharded_probe<F>(n_left: usize, probe: F) -> Vec<RecordPair>
 where
     F: Fn(usize, &mut Vec<RecordPair>) + Sync,
 {
-    sharded_probe_scratch(n_left, jobs, || (), |i, (), out| probe(i, out))
+    sharded_probe_scratch(n_left, || (), |i, (), out| probe(i, out))
 }
 
 /// [`sharded_probe`] with per-shard scratch state: `make_scratch` runs once
-/// per shard (once total on the serial path) so probes can reuse buffers
-/// without allocating per record. Scratch must not influence output values
-/// — it exists purely so the hot loop is allocation-free.
-pub fn sharded_probe_scratch<S, M, F>(
-    n_left: usize,
-    jobs: usize,
-    make_scratch: M,
-    probe: F,
-) -> Vec<RecordPair>
+/// per shard so probes can reuse buffers without allocating per record.
+/// Scratch must not influence output values — it exists purely so the hot
+/// loop is allocation-free.
+fn sharded_probe_scratch<S, M, F>(n_left: usize, make_scratch: M, probe: F) -> Vec<RecordPair>
 where
     M: Fn() -> S + Sync,
     F: Fn(usize, &mut S, &mut Vec<RecordPair>) + Sync,
 {
     let _span = em_obs::span!("blocking.candidates");
-    let out = sharded_probe_inner(n_left, jobs, make_scratch, probe);
+    let out = sharded_probe_inner(n_left, make_scratch, probe);
     PAIRS_EMITTED.add(out.len() as u64);
     out
 }
 
-fn sharded_probe_inner<S, M, F>(
-    n_left: usize,
-    jobs: usize,
-    make_scratch: M,
-    probe: F,
-) -> Vec<RecordPair>
+fn sharded_probe_inner<S, M, F>(n_left: usize, make_scratch: M, probe: F) -> Vec<RecordPair>
 where
     M: Fn() -> S + Sync,
     F: Fn(usize, &mut S, &mut Vec<RecordPair>) + Sync,
 {
     let n_shards = n_left.div_ceil(SHARD_SIZE);
-    if n_shards <= 1 || jobs == 1 {
+    if n_shards <= 1 {
         let mut out = Vec::new();
         let mut scratch = make_scratch();
         for i in 0..n_left {
@@ -93,7 +73,7 @@ where
     }
     let mut shards: Vec<Vec<RecordPair>> = vec![Vec::new(); n_shards];
     let writer = em_rt::SliceWriter::new(&mut shards);
-    em_rt::parallel_for(n_shards, jobs, |s| {
+    em_rt::parallel_for(n_shards, 0, |s| {
         // Safety: each shard index is handed out exactly once, so this is
         // the only thread touching slot `s`.
         let buf = unsafe { &mut writer.slice_mut(s, 1)[0] };
@@ -122,10 +102,6 @@ pub struct AttrEquivalenceBlocker {
 
 impl Blocker for AttrEquivalenceBlocker {
     fn candidates(&self, a: &Table, b: &Table) -> Vec<RecordPair> {
-        self.candidates_with_jobs(a, b, 0)
-    }
-
-    fn candidates_with_jobs(&self, a: &Table, b: &Table, jobs: usize) -> Vec<RecordPair> {
         let col_a = a
             .schema()
             .index_of(&self.attribute)
@@ -140,7 +116,7 @@ impl Blocker for AttrEquivalenceBlocker {
                 index.entry(key).or_default().push(rec.index());
             }
         }
-        sharded_probe(a.len(), jobs, |i, out| {
+        sharded_probe(a.len(), |i, out| {
             if let Some(key) = a.record(i).get(col_a).to_display_string() {
                 if let Some(rights) = index.get(&key) {
                     out.extend(rights.iter().map(|&r| RecordPair::new(i, r)));
@@ -187,10 +163,6 @@ fn lowercase_into(word: &str, buf: &mut String) {
 
 impl Blocker for OverlapBlocker {
     fn candidates(&self, a: &Table, b: &Table) -> Vec<RecordPair> {
-        self.candidates_with_jobs(a, b, 0)
-    }
-
-    fn candidates_with_jobs(&self, a: &Table, b: &Table, jobs: usize) -> Vec<RecordPair> {
         let col_a = a
             .schema()
             .index_of(&self.attribute)
@@ -220,7 +192,7 @@ impl Blocker for OverlapBlocker {
                 }
             }
         }
-        sharded_probe_scratch(a.len(), jobs, OverlapScratch::default, |i, scr, out| {
+        sharded_probe_scratch(a.len(), OverlapScratch::default, |i, scr, out| {
             let Some(s) = a.record(i).get(col_a).to_display_string() else {
                 return;
             };
@@ -260,18 +232,8 @@ impl Blocker for OverlapBlocker {
 /// customers" scenario): runs the blocker on `(t, t)` and keeps only one
 /// orientation of each pair (`left < right`), dropping self-pairs.
 pub fn self_join_candidates(blocker: &dyn Blocker, t: &Table) -> Vec<RecordPair> {
-    self_join_candidates_with_jobs(blocker, t, 0)
-}
-
-/// [`self_join_candidates`] with an explicit worker cap (0 = the pool's
-/// [`em_rt::threads`] count, 1 = serial).
-pub fn self_join_candidates_with_jobs(
-    blocker: &dyn Blocker,
-    t: &Table,
-    jobs: usize,
-) -> Vec<RecordPair> {
     let mut out: Vec<RecordPair> = blocker
-        .candidates_with_jobs(t, t, jobs)
+        .candidates(t, t)
         .into_iter()
         .filter(|p| p.left < p.right)
         .collect();
@@ -453,13 +415,29 @@ mod tests {
         let equiv = AttrEquivalenceBlocker {
             attribute: "city".into(),
         };
+        // The pool width is the only serial/parallel switch: compare a
+        // one-thread pool against the default width (4 unless `EM_THREADS`
+        // sets it), 2 and 8. Asking for 8 first builds the pool at that
+        // width, so the wide runs must really have workers (unless
+        // `EM_THREADS=1` asks for a one-thread process).
+        let default = match std::env::var("EM_THREADS") {
+            Ok(_) => em_rt::threads(),
+            Err(_) => 4,
+        };
+        em_rt::set_threads(8);
+        if std::env::var("EM_THREADS").as_deref() != Ok("1") {
+            assert!(em_rt::pool_workers() > 0, "the wide runs need pool workers");
+        }
         for blocker in [&overlap as &dyn Blocker, &equiv] {
-            let serial = blocker.candidates_with_jobs(&a, &b, 1);
+            em_rt::set_threads(1);
+            let serial = blocker.candidates(&a, &b);
             assert!(!serial.is_empty());
-            for jobs in [0, 2, 8] {
-                assert_eq!(serial, blocker.candidates_with_jobs(&a, &b, jobs));
+            for width in [default, 2, 8] {
+                em_rt::set_threads(width);
+                assert_eq!(serial, blocker.candidates(&a, &b));
             }
         }
+        em_rt::set_threads(default);
     }
 
     #[test]

@@ -23,8 +23,7 @@ mod types;
 mod value;
 
 pub use blocking::{
-    self_join_candidates, self_join_candidates_with_jobs, sharded_probe, sharded_probe_scratch,
-    AttrEquivalenceBlocker, Blocker, BlockingStats, OverlapBlocker,
+    self_join_candidates, AttrEquivalenceBlocker, Blocker, BlockingStats, OverlapBlocker,
 };
 pub use csv::{parse_csv, read_csv_file, write_csv};
 pub use pairs::{LabeledPair, PairStats, RecordPair};

@@ -8,8 +8,9 @@
 use em_rt::StdRng;
 use em_table::{
     infer_column_type, parse_csv, write_csv, AttrEquivalenceBlocker, Blocker, OverlapBlocker,
-    Schema, Table, Value,
+    RecordPair, Schema, Table, Value,
 };
+use std::sync::{Mutex, MutexGuard};
 
 const CASES: u64 = 256;
 
@@ -163,8 +164,29 @@ fn random_blocking_table(rng: &mut StdRng, rows: usize) -> Table {
     t
 }
 
+/// The blocking tests flip the process-global pool width — the only
+/// serial/parallel switch — so they must not interleave. Each starts by
+/// asking for the widest width it uses, which builds the pool with workers
+/// (unless `EM_THREADS=1` asks for a one-thread process).
+fn wide_pool() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    let guard = LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    em_rt::set_threads(8);
+    if std::env::var("EM_THREADS").as_deref() != Ok("1") {
+        assert!(em_rt::pool_workers() > 0, "the wide runs need pool workers");
+    }
+    guard
+}
+
+/// `blocker`'s candidates with the pool at `width` threads.
+fn candidates_at(width: usize, blocker: &dyn Blocker, a: &Table, b: &Table) -> Vec<RecordPair> {
+    em_rt::set_threads(width);
+    blocker.candidates(a, b)
+}
+
 #[test]
 fn parallel_blocking_matches_serial_exactly() {
+    let _guard = wide_pool();
     // Fewer, larger cases: left tables of up to ~600 records span multiple
     // 256-record shards, so chunk boundaries are genuinely exercised.
     check_cases(24, |rng| {
@@ -180,10 +202,10 @@ fn parallel_blocking_matches_serial_exactly() {
             attribute: "key".into(),
         };
         for blocker in [&overlap as &dyn Blocker, &equiv] {
-            let serial = blocker.candidates_with_jobs(&a, &b, 1);
-            for jobs in [2, 3, 8] {
+            let serial = candidates_at(1, blocker, &a, &b);
+            for width in [2, 3, 8] {
                 // Exact match — same pairs, same order, no permutation.
-                assert_eq!(serial, blocker.candidates_with_jobs(&a, &b, jobs));
+                assert_eq!(serial, candidates_at(width, blocker, &a, &b));
             }
         }
     });
@@ -191,6 +213,7 @@ fn parallel_blocking_matches_serial_exactly() {
 
 #[test]
 fn parallel_blocking_neither_drops_nor_duplicates_pairs() {
+    let _guard = wide_pool();
     check_cases(24, |rng| {
         let rows_a = rng.random_range(200..=600usize);
         let rows_b = rng.random_range(1..=60usize);
@@ -200,13 +223,13 @@ fn parallel_blocking_neither_drops_nor_duplicates_pairs() {
             attribute: "key".into(),
             min_overlap: 1,
         };
-        let parallel = blocker.candidates_with_jobs(&a, &b, 8);
+        let parallel = candidates_at(8, &blocker, &a, &b);
         // No pair duplicated across chunk boundaries...
         let unique: std::collections::HashSet<(usize, usize)> =
             parallel.iter().map(|p| (p.left, p.right)).collect();
         assert_eq!(unique.len(), parallel.len());
         // ...and none dropped: every serial pair is present.
-        for pair in blocker.candidates_with_jobs(&a, &b, 1) {
+        for pair in candidates_at(1, &blocker, &a, &b) {
             assert!(unique.contains(&(pair.left, pair.right)));
         }
     });

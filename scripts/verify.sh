@@ -125,6 +125,11 @@ cargo run -q --release --offline -p em-bench --bin bench_serve_scale -- \
     --sizes 10000 --ops 2000 --out "$SCALE_OUT"
 rm -f "$SCALE_OUT"
 
+echo "== benchmark package self-tests (ledger/, its own cargo workspace) =="
+# ledger/Cargo.toml declares its own [workspace], so nothing above compiles
+# it: this is what catches a workspace API change that breaks the benchmark.
+cargo test -q --release --offline --manifest-path ledger/Cargo.toml
+
 if [ "$SOAK" = 1 ]; then
     echo "== soak: 60s mixed serving workload at 100k records (--soak) =="
     # Sustained churn against the persistent sharded index: periodic
