@@ -21,14 +21,14 @@
 //!   its parent's (`derive_seed`), and importances merge in fixed pre-order,
 //!   so the fitted tree is bit-identical at any `EM_THREADS`.
 //!
-//! Small nodes fall back to the exact sorted scan (`exact_best_threshold`):
-//! below `cutoff` samples, zeroing and walking `max_bins` bins costs more
-//! than sorting the node outright.
+//! Small nodes fall back to the exact scan (`best_threshold_sorted`, after
+//! sorting the node): below `cutoff` samples, zeroing and walking
+//! `max_bins` bins costs more than sorting the node outright.
 
 use crate::matrix::Matrix;
 use crate::tree::{
-    exact_best_threshold, impurity_from_counts, midpoint, variance_from_sums, Node, Target,
-    TreeParams,
+    best_threshold_sorted, impurity_from_counts, midpoint, node_stats, variance_from_sums, Node,
+    Target, TreeParams,
 };
 use em_rt::{SliceRandom, StdRng};
 use std::sync::{Arc, Mutex};
@@ -40,10 +40,10 @@ const SPAWN_MIN: usize = 256;
 static HIST_SUBTRACTIONS: em_obs::Counter = em_obs::Counter::new("tree.hist_subtractions");
 static SUBTREE_TASKS: em_obs::Counter = em_obs::Counter::new("tree.subtree_tasks");
 
-/// Quantile-bin `x` for the binned engine, once. Ensembles call this on the
-/// base matrix and hand each member a [`BinnedMatrix::gather`] (bootstrap) or
-/// clone (shared rows) so the per-feature sorts are paid once per fit, not
-/// once per tree.
+/// Quantile-bin `x` for the binned engine, once. Ensembles bin the base
+/// matrix (through `tree::SplitPrep`) and each member gets a
+/// [`BinnedMatrix::gather`] (bootstrap) or clone (shared rows), so the
+/// per-feature sorts are paid once per fit, not once per tree.
 pub(crate) fn bin_matrix(x: &Matrix, n_bins: usize) -> BinnedMatrix {
     let _span = em_obs::span!("tree.binning");
     BinnedMatrix::build(x, n_bins.clamp(2, 256))
@@ -51,15 +51,14 @@ pub(crate) fn bin_matrix(x: &Matrix, n_bins: usize) -> BinnedMatrix {
 
 /// Fit a tree with the binned engine. Returns the node array (same pre-order
 /// layout as the exact builder) and the unnormalized per-feature importances.
-/// `prebinned`, when given, must be the binning of exactly `x`'s rows.
+/// `bm` must be the binning of exactly `x`'s rows.
 pub(crate) fn fit_binned(
     x: &Matrix,
     target: &Target<'_>,
     w: &[f64],
     params: &TreeParams,
-    prebinned: Option<BinnedMatrix>,
+    bm: BinnedMatrix,
 ) -> (Vec<Node>, Vec<f64>) {
-    let bm = prebinned.unwrap_or_else(|| bin_matrix(x, params.n_bins));
     debug_assert_eq!(bm.codes.len(), x.nrows() * x.ncols());
     let d = x.ncols();
     let sw = match target {
@@ -90,7 +89,7 @@ pub(crate) fn fit_binned(
         },
         bm,
     };
-    let idx: Vec<usize> = (0..x.nrows()).collect();
+    let idx: Vec<u32> = (0..x.nrows() as u32).collect();
     let root_hist = (idx.len() >= ctx.cutoff).then(|| ctx.scan_hist(&idx));
     let (root, imp_list) = ctx.build(idx, root_hist, 0, params.seed);
     let mut nodes = Vec::new();
@@ -234,7 +233,7 @@ struct HistBuf {
 /// ranges), so acquisition never pays a full clear.
 struct Scratch {
     hists: Mutex<Vec<Vec<f64>>>,
-    idxs: Mutex<Vec<Vec<usize>>>,
+    idxs: Mutex<Vec<Vec<u32>>>,
     hist_len: usize,
     stride: usize,
     sw: usize,
@@ -267,11 +266,11 @@ impl Scratch {
         self.hists.lock().unwrap().push(h.buf);
     }
 
-    fn acquire_idx(&self) -> Vec<usize> {
+    fn acquire_idx(&self) -> Vec<u32> {
         self.idxs.lock().unwrap().pop().unwrap_or_default()
     }
 
-    fn release_idx(&self, mut v: Vec<usize>) {
+    fn release_idx(&self, mut v: Vec<u32>) {
         v.clear();
         self.idxs.lock().unwrap().push(v);
     }
@@ -311,75 +310,6 @@ enum BNode {
 /// Importance contributions in pre-order: `(feature, node_weight * gain)`.
 type ImpList = Vec<(usize, f64)>;
 
-/// Everything one sample-order pass over a node yields: the exact engine's
-/// `node_stats` outputs plus the raw totals the histogram boundary scan
-/// needs, so no per-feature totals accumulation is required.
-struct NodeStats {
-    impurity: f64,
-    leaf_dist: Vec<f64>,
-    /// `Σ w[i]` in sample order — bitwise the exact engine's `total_w`.
-    total_w: f64,
-    /// Classification: raw weighted class counts. Regression:
-    /// `[Σw, Σwt, Σwt²]`. (In the lossless integer regime these equal the
-    /// bin-order histogram sums bit for bit.)
-    totals: Vec<f64>,
-}
-
-/// Mirror of `tree::node_stats` (same accumulation order, so lossless fits
-/// stay bit-identical to the exact engine) that also returns the totals.
-fn node_stats_totals(
-    target: &Target<'_>,
-    w: &[f64],
-    idx: &[usize],
-    criterion: crate::tree::Criterion,
-) -> NodeStats {
-    match target {
-        Target::Classes { y, n_classes } => {
-            let mut counts = vec![0.0f64; *n_classes];
-            let mut tw = 0.0f64;
-            for &i in idx {
-                counts[y[i]] += w[i];
-                tw += w[i];
-            }
-            let total: f64 = counts.iter().sum();
-            let impurity = impurity_from_counts(&counts, total, criterion);
-            let leaf_dist = if total > 0.0 {
-                counts.iter().map(|c| c / total).collect()
-            } else {
-                vec![1.0 / *n_classes as f64; *n_classes]
-            };
-            NodeStats {
-                impurity,
-                leaf_dist,
-                total_w: tw,
-                totals: counts,
-            }
-        }
-        Target::Values(t) => {
-            let mut sw = 0.0;
-            let mut sum = 0.0;
-            let mut sum_sq = 0.0;
-            for &i in idx {
-                sw += w[i];
-                sum += w[i] * t[i];
-                sum_sq += w[i] * t[i] * t[i];
-            }
-            let mean = if sw > 0.0 { sum / sw } else { 0.0 };
-            let var = if sw > 0.0 {
-                (sum_sq / sw - mean * mean).max(0.0)
-            } else {
-                0.0
-            };
-            NodeStats {
-                impurity: var,
-                leaf_dist: vec![mean],
-                total_w: sw,
-                totals: vec![sw, sum, sum_sq],
-            }
-        }
-    }
-}
-
 impl Ctx<'_> {
     /// Grow one node. `hist` is `Some` when the node runs the binned engine
     /// (`None` ⇒ this whole subtree uses the exact scan — node sizes only
@@ -388,13 +318,13 @@ impl Ctx<'_> {
     /// depend on which thread builds which subtree.
     fn build(
         &self,
-        idx: Vec<usize>,
+        idx: Vec<u32>,
         hist: Option<HistBuf>,
         depth: usize,
         seed: u64,
     ) -> (BNode, ImpList) {
         let p = self.params;
-        let stats = node_stats_totals(self.target, self.w, &idx, p.criterion);
+        let stats = node_stats(self.target, self.w, &idx, p.criterion);
         let (impurity, leaf_dist) = (stats.impurity, stats.leaf_dist);
         let stop = idx.len() < p.min_samples_split
             || p.max_depth.is_some_and(|d| depth >= d)
@@ -436,7 +366,7 @@ impl Ctx<'_> {
         let mut left_idx = self.scratch.acquire_idx();
         let mut right_idx = self.scratch.acquire_idx();
         for &i in &idx {
-            if self.x.get(i, feature) <= threshold {
+            if self.x.get(i as usize, feature) <= threshold {
                 left_idx.push(i);
             } else {
                 right_idx.push(i);
@@ -498,7 +428,7 @@ impl Ctx<'_> {
         )
     }
 
-    fn leaf(&self, idx: Vec<usize>, hist: Option<HistBuf>, dist: Vec<f64>) -> (BNode, ImpList) {
+    fn leaf(&self, idx: Vec<u32>, hist: Option<HistBuf>, dist: Vec<f64>) -> (BNode, ImpList) {
         self.scratch.release_idx(idx);
         if let Some(h) = hist {
             self.scratch.release_hist(h);
@@ -509,7 +439,7 @@ impl Ctx<'_> {
     /// Histogram of `idx`: one sequential pass in index order (each node's
     /// histogram is owned by a single task — no parallel accumulation, no
     /// order divergence).
-    fn scan_hist(&self, idx: &[usize]) -> HistBuf {
+    fn scan_hist(&self, idx: &[u32]) -> HistBuf {
         let mut h = self.scratch.acquire_hist();
         let codes = &self.bm.codes;
         let d = self.d;
@@ -524,6 +454,7 @@ impl Ctx<'_> {
         match self.target {
             Target::Classes { y, .. } => {
                 for &i in idx {
+                    let i = i as usize;
                     let wi = self.w[i];
                     let yi = y[i];
                     for (f, &c) in codes[i * d..(i + 1) * d].iter().enumerate() {
@@ -536,6 +467,7 @@ impl Ctx<'_> {
             }
             Target::Values(t) => {
                 for &i in idx {
+                    let i = i as usize;
                     let wi = self.w[i];
                     let wt = wi * t[i];
                     let wt2 = wi * t[i] * t[i];
@@ -560,8 +492,8 @@ impl Ctx<'_> {
     fn child_hists(
         &self,
         parent: Option<HistBuf>,
-        left: &[usize],
-        right: &[usize],
+        left: &[u32],
+        right: &[u32],
     ) -> (Option<HistBuf>, Option<HistBuf>) {
         let Some(parent) = parent else {
             return (None, None);
@@ -759,21 +691,27 @@ impl Ctx<'_> {
         best
     }
 
-    /// Exact-fallback split search for small nodes — the CART scan verbatim.
+    /// Exact-fallback split search for small nodes: a stable sort of the
+    /// node's ascending rows per feature, then the CART scan.
     fn best_split_exact(
         &self,
-        idx: &[usize],
+        idx: &[u32],
         features: &[usize],
         parent_imp: f64,
         total_w: f64,
     ) -> Option<(usize, f64, f64)> {
         let mut best: Option<(usize, f64, f64)> = None;
+        let mut order: Vec<u32> = Vec::with_capacity(idx.len());
         for &f in features {
-            if let Some((threshold, gain)) = exact_best_threshold(
+            order.clear();
+            order.extend_from_slice(idx);
+            let value = |i: u32| self.x.get(i as usize, f);
+            order.sort_by(|&a, &b| value(a).partial_cmp(&value(b)).expect("NaN feature"));
+            if let Some((threshold, gain)) = best_threshold_sorted(
                 self.x,
                 self.target,
                 self.w,
-                idx,
+                &order,
                 f,
                 parent_imp,
                 total_w,

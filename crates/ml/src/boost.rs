@@ -4,7 +4,7 @@
 
 use crate::jsonio;
 use crate::matrix::Matrix;
-use crate::tree::{Criterion, DecisionTree, MaxFeatures, Splitter, TreeParams};
+use crate::tree::{Criterion, DecisionTree, MaxFeatures, SplitPrep, Splitter, TreeParams};
 use crate::Classifier;
 use em_rt::Json;
 
@@ -75,10 +75,9 @@ impl Classifier for AdaBoostClassifier {
         };
         normalize(&mut w);
         let k = n_classes as f64;
-        // Stages reweight samples but never change the rows, so one binning
-        // serves every weak learner.
-        let prebinned = (self.params.splitter.effective() == Splitter::Binned)
-            .then(|| crate::binned::bin_matrix(x, self.params.n_bins));
+        // Stages reweight samples but never change the rows, so one ranking
+        // (or binning) serves every weak learner.
+        let prep = SplitPrep::new(x, self.params.splitter, self.params.n_bins);
         for t in 0..self.params.n_estimators {
             let tree_params = TreeParams {
                 criterion: Criterion::Gini,
@@ -89,13 +88,13 @@ impl Classifier for AdaBoostClassifier {
                 seed: self.params.seed.wrapping_add(t as u64),
                 ..TreeParams::default()
             };
-            let tree = DecisionTree::fit_classifier_prebinned(
+            let tree = DecisionTree::fit_classifier_prepared(
                 x,
                 y,
                 n_classes,
                 Some(&w),
                 tree_params,
-                prebinned.clone(),
+                prep.tree(None),
             );
             let pred = tree.predict(x);
             let err: f64 = pred
@@ -334,9 +333,9 @@ impl Classifier for GradientBoostingClassifier {
         let mut f = vec![self.init_score; n];
         let mut rng = em_rt::StdRng::seed_from_u64(self.params.seed);
         // Stages refit on new residuals over the same rows (or a subsample
-        // of them), so one binning of the base matrix serves every stage.
-        let prebinned = (self.params.splitter.effective() == Splitter::Binned)
-            .then(|| crate::binned::bin_matrix(x, self.params.n_bins));
+        // of them), so one ranking (or binning) of the base matrix serves
+        // every stage.
+        let prep = SplitPrep::new(x, self.params.splitter, self.params.n_bins);
         for t in 0..self.params.n_estimators {
             // Negative gradient of logistic loss: residual = y - p.
             let residual: Vec<f64> = f
@@ -368,9 +367,13 @@ impl Classifier for GradientBoostingClassifier {
                 seed: self.params.seed.wrapping_add(t as u64),
                 ..TreeParams::default()
             };
-            let pb = prebinned.as_ref().map(|b| b.gather(&rows));
-            let mut tree =
-                DecisionTree::fit_regressor_prebinned(&xs, &rs, Some(&ws), tree_params, pb);
+            let mut tree = DecisionTree::fit_regressor_prepared(
+                &xs,
+                &rs,
+                Some(&ws),
+                tree_params,
+                prep.tree(Some(&rows)),
+            );
             // Newton step per leaf: gamma = sum(res) / sum(p (1 - p)).
             let mut leaf_num: std::collections::HashMap<usize, f64> =
                 std::collections::HashMap::new();

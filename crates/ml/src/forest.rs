@@ -7,7 +7,9 @@
 
 use crate::jsonio;
 use crate::matrix::Matrix;
-use crate::tree::{Criterion, DecisionTree, MaxFeatures, Splitter, TreeParams};
+use crate::tree::{
+    Criterion, DecisionTree, MaxFeatures, SplitPrep, Splitter, TreeParams, TreePrep,
+};
 use crate::Classifier;
 use em_rt::Json;
 use em_rt::StdRng;
@@ -60,29 +62,29 @@ impl Default for ForestParams {
     }
 }
 
-/// Train `n` trees on the shared `em-rt` worker pool with per-tree seeds and
-/// optional bootstrap. Tree `t` is fully determined by `params.seed` and `t`,
-/// so predictions are bit-identical at any pool width.
+/// Train `params.n_estimators` trees on the shared `em-rt` worker pool with
+/// per-tree seeds and optional bootstrap. Tree `t` is fully determined by
+/// `params.seed` and `t`, so predictions are bit-identical at any pool
+/// width. `fit_member` fits one tree on base rows `rows` (a bootstrap
+/// draw), or on all of them when `None`, with its share of the forest's
+/// [`SplitPrep`].
 fn fit_trees(
     x: &Matrix,
-    y: &[usize],
-    n_classes: usize,
-    sample_weight: Option<&[f64]>,
     params: &ForestParams,
+    criterion: Criterion,
+    fit_member: impl Fn(TreeParams, Option<&[usize]>, TreePrep<'_>) -> DecisionTree + Sync,
 ) -> Vec<DecisionTree> {
-    let _span = em_obs::span!("forest.fit");
     let n = x.nrows();
     let n_trees = params.n_estimators.max(1);
-    // Bin the base matrix once for the whole forest: bootstrap resamples
-    // only repeat base rows, so each tree gathers its code rows instead of
-    // re-sorting every feature.
-    let prebinned = (params.splitter.effective() == Splitter::Binned)
-        .then(|| crate::binned::bin_matrix(x, params.n_bins));
+    // Rank (or bin) the base matrix once for the whole forest: bootstrap
+    // resamples only repeat base rows, so each tree takes its order from
+    // the base instead of re-sorting every feature.
+    let prep = SplitPrep::new(x, params.splitter, params.n_bins);
     let mut results: Vec<Option<DecisionTree>> = vec![None; n_trees];
     let writer = em_rt::SliceWriter::new(&mut results);
     em_rt::parallel_for_chunked(n_trees, 0, 1, |t| {
         let tree_params = TreeParams {
-            criterion: params.criterion,
+            criterion,
             max_depth: params.max_depth,
             min_samples_split: params.min_samples_split,
             min_samples_leaf: params.min_samples_leaf,
@@ -90,35 +92,13 @@ fn fit_trees(
             splitter: params.splitter,
             n_bins: params.n_bins,
             min_impurity_decrease: params.min_impurity_decrease,
-            seed: params
-                .seed
-                .wrapping_add(t as u64)
-                .wrapping_mul(0x9E37_79B9_7F4A_7C15),
+            seed: tree_seed(params.seed, t),
         };
         let tree = if params.bootstrap {
-            let mut rng = StdRng::seed_from_u64(tree_params.seed ^ BOOTSTRAP_SALT);
-            let idx: Vec<usize> = (0..n).map(|_| rng.random_range(0..n)).collect();
-            let xb = x.select_rows(&idx);
-            let yb: Vec<usize> = idx.iter().map(|&i| y[i]).collect();
-            let wb: Option<Vec<f64>> = sample_weight.map(|w| idx.iter().map(|&i| w[i]).collect());
-            let pb = prebinned.as_ref().map(|b| b.gather(&idx));
-            DecisionTree::fit_classifier_prebinned(
-                &xb,
-                &yb,
-                n_classes,
-                wb.as_deref(),
-                tree_params,
-                pb,
-            )
+            let idx = bootstrap_rows(tree_params.seed, n);
+            fit_member(tree_params, Some(&idx), prep.tree(Some(&idx)))
         } else {
-            DecisionTree::fit_classifier_prebinned(
-                x,
-                y,
-                n_classes,
-                sample_weight,
-                tree_params,
-                prebinned.clone(),
-            )
+            fit_member(tree_params, None, prep.tree(None))
         };
         // Safety: `parallel_for` hands out each index exactly once.
         unsafe { writer.write(t, Some(tree)) };
@@ -127,6 +107,45 @@ fn fit_trees(
         .into_iter()
         .map(|t| t.expect("all trees trained"))
         .collect()
+}
+
+/// [`fit_trees`] for the two classifiers.
+fn fit_classifier_trees(
+    x: &Matrix,
+    y: &[usize],
+    n_classes: usize,
+    sample_weight: Option<&[f64]>,
+    params: &ForestParams,
+) -> Vec<DecisionTree> {
+    let _span = em_obs::span!("forest.fit");
+    fit_trees(x, params, params.criterion, |tree_params, rows, prep| {
+        let Some(idx) = rows else {
+            return DecisionTree::fit_classifier_prepared(
+                x,
+                y,
+                n_classes,
+                sample_weight,
+                tree_params,
+                prep,
+            );
+        };
+        let xb = x.select_rows(idx);
+        let yb: Vec<usize> = idx.iter().map(|&i| y[i]).collect();
+        let wb: Option<Vec<f64>> = sample_weight.map(|w| idx.iter().map(|&i| w[i]).collect());
+        DecisionTree::fit_classifier_prepared(&xb, &yb, n_classes, wb.as_deref(), tree_params, prep)
+    })
+}
+
+/// Tree `t`'s seed in a forest seeded with `seed`.
+fn tree_seed(seed: u64, t: usize) -> u64 {
+    seed.wrapping_add(t as u64)
+        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+}
+
+/// The bootstrap draw of `n` rows for the tree seeded with `tree_seed`.
+fn bootstrap_rows(tree_seed: u64, n: usize) -> Vec<usize> {
+    let mut rng = StdRng::seed_from_u64(tree_seed ^ BOOTSTRAP_SALT);
+    (0..n).map(|_| rng.random_range(0..n)).collect()
 }
 
 /// Salt mixed into per-tree seeds so the bootstrap RNG and the split RNG
@@ -192,16 +211,10 @@ impl RandomForestClassifier {
         let mut votes = vec![vec![0.0f64; self.n_classes]; n];
         let mut seen = vec![false; n];
         for (t, tree) in self.trees.iter().enumerate() {
-            // Reconstruct tree t's bootstrap draw (same arithmetic as fit).
-            let tree_seed = self
-                .params
-                .seed
-                .wrapping_add(t as u64)
-                .wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            let mut rng = StdRng::seed_from_u64(tree_seed ^ BOOTSTRAP_SALT);
+            // Reconstruct tree t's bootstrap draw.
             let mut in_bag = vec![false; n];
-            for _ in 0..n {
-                in_bag[rng.random_range(0..n)] = true;
+            for i in bootstrap_rows(tree_seed(self.params.seed, t), n) {
+                in_bag[i] = true;
             }
             for (i, row) in x.rows_iter().enumerate() {
                 if !in_bag[i] {
@@ -261,7 +274,7 @@ impl RandomForestClassifier {
 impl Classifier for RandomForestClassifier {
     fn fit(&mut self, x: &Matrix, y: &[usize], n_classes: usize, sample_weight: Option<&[f64]>) {
         self.n_classes = n_classes;
-        self.trees = fit_trees(x, y, n_classes, sample_weight, &self.params);
+        self.trees = fit_classifier_trees(x, y, n_classes, sample_weight, &self.params);
     }
 
     fn predict_proba(&self, x: &Matrix) -> Matrix {
@@ -323,7 +336,7 @@ impl ExtraTreesClassifier {
 impl Classifier for ExtraTreesClassifier {
     fn fit(&mut self, x: &Matrix, y: &[usize], n_classes: usize, sample_weight: Option<&[f64]>) {
         self.n_classes = n_classes;
-        self.trees = fit_trees(x, y, n_classes, sample_weight, &self.params);
+        self.trees = fit_classifier_trees(x, y, n_classes, sample_weight, &self.params);
     }
 
     fn predict_proba(&self, x: &Matrix) -> Matrix {
@@ -499,51 +512,25 @@ impl RandomForestRegressor {
     /// Fit on continuous targets (trees train on the shared `em-rt` pool).
     pub fn fit(&mut self, x: &Matrix, targets: &[f64]) {
         let _span = em_obs::span!("forest.fit_regressor");
-        let n = x.nrows();
-        let n_trees = self.params.n_estimators.max(1);
-        let prebinned = (self.params.splitter.effective() == Splitter::Binned)
-            .then(|| crate::binned::bin_matrix(x, self.params.n_bins));
-        let mut results: Vec<Option<DecisionTree>> = vec![None; n_trees];
-        let writer = em_rt::SliceWriter::new(&mut results);
-        let params = &self.params;
-        em_rt::parallel_for_chunked(n_trees, 0, 1, |t| {
-            let tree_params = TreeParams {
-                criterion: Criterion::Mse,
-                max_depth: params.max_depth,
-                min_samples_split: params.min_samples_split,
-                min_samples_leaf: params.min_samples_leaf,
-                max_features: params.max_features,
-                splitter: params.splitter,
-                n_bins: params.n_bins,
-                min_impurity_decrease: params.min_impurity_decrease,
-                seed: params
-                    .seed
-                    .wrapping_add(t as u64)
-                    .wrapping_mul(0x9E37_79B9_7F4A_7C15),
-            };
-            let tree = if params.bootstrap {
-                let mut rng = StdRng::seed_from_u64(tree_params.seed ^ BOOTSTRAP_SALT);
-                let idx: Vec<usize> = (0..n).map(|_| rng.random_range(0..n)).collect();
-                let xb = x.select_rows(&idx);
+        self.trees = fit_trees(
+            x,
+            &self.params,
+            Criterion::Mse,
+            |tree_params, rows, prep| {
+                let Some(idx) = rows else {
+                    return DecisionTree::fit_regressor_prepared(
+                        x,
+                        targets,
+                        None,
+                        tree_params,
+                        prep,
+                    );
+                };
+                let xb = x.select_rows(idx);
                 let tb: Vec<f64> = idx.iter().map(|&i| targets[i]).collect();
-                let pb = prebinned.as_ref().map(|b| b.gather(&idx));
-                DecisionTree::fit_regressor_prebinned(&xb, &tb, None, tree_params, pb)
-            } else {
-                DecisionTree::fit_regressor_prebinned(
-                    x,
-                    targets,
-                    None,
-                    tree_params,
-                    prebinned.clone(),
-                )
-            };
-            // Safety: `parallel_for` hands out each index exactly once.
-            unsafe { writer.write(t, Some(tree)) };
-        });
-        self.trees = results
-            .into_iter()
-            .map(|t| t.expect("all trees trained"))
-            .collect();
+                DecisionTree::fit_regressor_prepared(&xb, &tb, None, tree_params, prep)
+            },
+        );
     }
 
     /// Mean prediction across trees.

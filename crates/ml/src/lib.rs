@@ -31,6 +31,7 @@ pub mod linear;
 pub mod matrix;
 pub mod metrics;
 pub mod preprocess;
+mod presort;
 pub mod split;
 pub mod stats;
 pub mod tree;

@@ -9,8 +9,6 @@
 use crate::jsonio;
 use crate::matrix::Matrix;
 use em_rt::Json;
-use em_rt::SliceRandom;
-use em_rt::StdRng;
 
 /// Split-quality criterion.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -101,7 +99,7 @@ impl Splitter {
     ///
     /// The override affects only which engine runs; `TreeParams` keeps (and
     /// serializes) the splitter that was requested.
-    pub(crate) fn effective(self) -> Splitter {
+    fn effective(self) -> Splitter {
         if self == Splitter::Random {
             return self;
         }
@@ -192,6 +190,41 @@ pub(crate) enum Target<'a> {
     Values(&'a [f64]),
 }
 
+/// What a fit prepares once so that no tree re-sorts a column per node:
+/// the dense ranks for the exact engine, the quantile binning for the
+/// binned one, nothing for random thresholds. Ensembles build one per fit
+/// and hand each member its [`SplitPrep::tree`] share.
+pub(crate) enum SplitPrep {
+    Ranked(crate::presort::Ranks),
+    Binned(crate::binned::BinnedMatrix),
+    Unordered,
+}
+
+impl SplitPrep {
+    /// Prepare `x` for `splitter`. This is where the `EM_BINNED` override
+    /// picks the engine, once per fit.
+    pub(crate) fn new(x: &Matrix, splitter: Splitter, n_bins: usize) -> SplitPrep {
+        match splitter.effective() {
+            Splitter::Best => SplitPrep::Ranked(crate::presort::Ranks::build(x)),
+            Splitter::Binned => SplitPrep::Binned(crate::binned::bin_matrix(x, n_bins)),
+            Splitter::Random => SplitPrep::Unordered,
+        }
+    }
+
+    /// The share of a member tree whose `x` holds base rows `rows`, in
+    /// order and with repeats (bootstrap, subsample), or every base row
+    /// when `None`.
+    pub(crate) fn tree<'a>(&'a self, rows: Option<&'a [usize]>) -> TreePrep<'a> {
+        TreePrep { prep: self, rows }
+    }
+}
+
+/// One member tree's share of a [`SplitPrep`].
+pub(crate) struct TreePrep<'a> {
+    prep: &'a SplitPrep,
+    rows: Option<&'a [usize]>,
+}
+
 impl DecisionTree {
     /// Fit a classification tree.
     ///
@@ -207,64 +240,39 @@ impl DecisionTree {
         sample_weight: Option<&[f64]>,
         params: TreeParams,
     ) -> Self {
-        assert_ne!(
-            params.criterion,
-            Criterion::Mse,
-            "use fit_regressor for MSE"
-        );
-        assert_eq!(x.nrows(), y.len(), "X/y length mismatch");
-        assert!(!x.has_nan(), "NaN features: impute before fitting trees");
-        assert!(y.iter().all(|&c| c < n_classes), "label out of range");
-        Self::fit_inner(
-            x,
-            Target::Classes { y, n_classes },
-            sample_weight,
-            params,
-            None,
-        )
+        check_classifier_inputs(x, y, n_classes, &params);
+        let prep = SplitPrep::new(x, params.splitter, params.n_bins);
+        let target = Target::Classes { y, n_classes };
+        Self::fit_inner(x, target, sample_weight, params, prep.tree(None))
     }
 
-    /// [`DecisionTree::fit_classifier`] with a pre-computed binning of `x`
-    /// (ignored unless the binned engine runs). Ensembles use this to pay
-    /// the per-feature binning sorts once per fit instead of once per tree.
-    pub(crate) fn fit_classifier_prebinned(
+    /// [`DecisionTree::fit_classifier`] on an ensemble's per-fit
+    /// preparation, so the column sorts are paid once per fit instead of
+    /// once per tree.
+    pub(crate) fn fit_classifier_prepared(
         x: &Matrix,
         y: &[usize],
         n_classes: usize,
         sample_weight: Option<&[f64]>,
         params: TreeParams,
-        prebinned: Option<crate::binned::BinnedMatrix>,
+        prep: TreePrep<'_>,
     ) -> Self {
-        assert_ne!(
-            params.criterion,
-            Criterion::Mse,
-            "use fit_regressor for MSE"
-        );
-        assert_eq!(x.nrows(), y.len(), "X/y length mismatch");
-        assert!(!x.has_nan(), "NaN features: impute before fitting trees");
-        assert!(y.iter().all(|&c| c < n_classes), "label out of range");
-        Self::fit_inner(
-            x,
-            Target::Classes { y, n_classes },
-            sample_weight,
-            params,
-            prebinned,
-        )
+        check_classifier_inputs(x, y, n_classes, &params);
+        let target = Target::Classes { y, n_classes };
+        Self::fit_inner(x, target, sample_weight, params, prep)
     }
 
-    /// [`DecisionTree::fit_regressor`] with a pre-computed binning of `x`
-    /// (ignored unless the binned engine runs).
-    pub(crate) fn fit_regressor_prebinned(
+    /// [`DecisionTree::fit_regressor`] on an ensemble's per-fit preparation.
+    pub(crate) fn fit_regressor_prepared(
         x: &Matrix,
         targets: &[f64],
         sample_weight: Option<&[f64]>,
         mut params: TreeParams,
-        prebinned: Option<crate::binned::BinnedMatrix>,
+        prep: TreePrep<'_>,
     ) -> Self {
         params.criterion = Criterion::Mse;
-        assert_eq!(x.nrows(), targets.len(), "X/y length mismatch");
-        assert!(!x.has_nan(), "NaN features: impute before fitting trees");
-        Self::fit_inner(x, Target::Values(targets), sample_weight, params, prebinned)
+        check_regressor_inputs(x, targets);
+        Self::fit_inner(x, Target::Values(targets), sample_weight, params, prep)
     }
 
     /// Fit a regression tree (criterion is forced to MSE).
@@ -278,9 +286,15 @@ impl DecisionTree {
         mut params: TreeParams,
     ) -> Self {
         params.criterion = Criterion::Mse;
-        assert_eq!(x.nrows(), targets.len(), "X/y length mismatch");
-        assert!(!x.has_nan(), "NaN features: impute before fitting trees");
-        Self::fit_inner(x, Target::Values(targets), sample_weight, params, None)
+        check_regressor_inputs(x, targets);
+        let prep = SplitPrep::new(x, params.splitter, params.n_bins);
+        Self::fit_inner(
+            x,
+            Target::Values(targets),
+            sample_weight,
+            params,
+            prep.tree(None),
+        )
     }
 
     fn fit_inner(
@@ -288,10 +302,9 @@ impl DecisionTree {
         target: Target<'_>,
         sample_weight: Option<&[f64]>,
         params: TreeParams,
-        prebinned: Option<crate::binned::BinnedMatrix>,
+        prep: TreePrep<'_>,
     ) -> Self {
         let n = x.nrows();
-        assert!(n > 0, "cannot fit a tree on zero samples");
         let default_w;
         let w: &[f64] = match sample_weight {
             Some(w) => {
@@ -307,220 +320,32 @@ impl DecisionTree {
             Target::Classes { n_classes, .. } => *n_classes,
             Target::Values(_) => 0,
         };
-        let mut tree = DecisionTree {
-            params: params.clone(),
-            nodes: Vec::new(),
+        // The preparation, not `params.splitter`, names the engine: it has
+        // already applied the `EM_BINNED` override, and `TreeParams` keeps
+        // (and serializes) the splitter that was requested.
+        let (nodes, importances) = match prep.prep {
+            SplitPrep::Binned(bm) => {
+                BINNED_FITS.incr();
+                let bm = prep.rows.map_or_else(|| bm.clone(), |rows| bm.gather(rows));
+                crate::binned::fit_binned(x, &target, w, &params, bm)
+            }
+            SplitPrep::Ranked(ranks) => {
+                EXACT_FITS.incr();
+                let sorted = ranks.sorted_rows(prep.rows, n);
+                crate::presort::grow(x, &target, w, &params, Some(sorted))
+            }
+            SplitPrep::Unordered => {
+                EXACT_FITS.incr();
+                crate::presort::grow(x, &target, w, &params, None)
+            }
+        };
+        NODES.add(nodes.len() as u64);
+        DecisionTree {
+            params,
+            nodes,
             n_classes,
             n_features: x.ncols(),
-            importances: vec![0.0; x.ncols()],
-        };
-        // `EM_BINNED` swaps the split engine without touching the stored
-        // (and serialized) hyperparameters.
-        let splitter = params.splitter.effective();
-        if splitter == Splitter::Binned {
-            BINNED_FITS.incr();
-            let (nodes, importances) =
-                crate::binned::fit_binned(x, &target, w, &tree.params, prebinned);
-            tree.nodes = nodes;
-            tree.importances = importances;
-        } else {
-            EXACT_FITS.incr();
-            let mut rng = StdRng::seed_from_u64(params.seed);
-            let idx: Vec<usize> = (0..n).collect();
-            tree.build(x, &target, w, idx, 0, &mut rng, splitter);
-        }
-        NODES.add(tree.nodes.len() as u64);
-        tree
-    }
-
-    /// Recursively grow the tree; returns the new node's index.
-    #[allow(clippy::too_many_arguments)]
-    fn build(
-        &mut self,
-        x: &Matrix,
-        target: &Target<'_>,
-        w: &[f64],
-        idx: Vec<usize>,
-        depth: usize,
-        rng: &mut StdRng,
-        splitter: Splitter,
-    ) -> usize {
-        let (impurity, leaf_dist) = self.node_stats(target, w, &idx);
-        let stop = idx.len() < self.params.min_samples_split
-            || self.params.max_depth.is_some_and(|d| depth >= d)
-            || impurity <= 1e-12;
-        if !stop {
-            if let Some((feature, threshold, gain)) =
-                self.best_split(x, target, w, &idx, rng, splitter)
-            {
-                if gain >= self.params.min_impurity_decrease.max(1e-12) {
-                    let (left_idx, right_idx): (Vec<usize>, Vec<usize>) =
-                        idx.iter().partition(|&&i| x.get(i, feature) <= threshold);
-                    if left_idx.len() >= self.params.min_samples_leaf
-                        && right_idx.len() >= self.params.min_samples_leaf
-                    {
-                        // Mean-decrease-in-impurity accounting: gains are
-                        // weighted by the node's sample mass, matching
-                        // sklearn's `feature_importances_`.
-                        let node_w: f64 = idx.iter().map(|&i| w[i]).sum();
-                        self.importances[feature] += node_w * gain;
-                        // Reserve a slot so children see stable parent index.
-                        let my = self.nodes.len();
-                        self.nodes.push(Node::Leaf { dist: Vec::new() });
-                        let left = self.build(x, target, w, left_idx, depth + 1, rng, splitter);
-                        let right = self.build(x, target, w, right_idx, depth + 1, rng, splitter);
-                        self.nodes[my] = Node::Split {
-                            feature,
-                            threshold,
-                            left,
-                            right,
-                        };
-                        return my;
-                    }
-                }
-            }
-        }
-        let my = self.nodes.len();
-        self.nodes.push(Node::Leaf { dist: leaf_dist });
-        my
-    }
-
-    /// Impurity and leaf payload for a node's sample set.
-    fn node_stats(&self, target: &Target<'_>, w: &[f64], idx: &[usize]) -> (f64, Vec<f64>) {
-        node_stats(target, w, idx, self.params.criterion)
-    }
-
-    /// Search candidate features for the best split.
-    /// Returns `(feature, threshold, weighted impurity decrease)`.
-    fn best_split(
-        &self,
-        x: &Matrix,
-        target: &Target<'_>,
-        w: &[f64],
-        idx: &[usize],
-        rng: &mut StdRng,
-        splitter: Splitter,
-    ) -> Option<(usize, f64, f64)> {
-        let d = x.ncols();
-        let k = self.params.max_features.resolve(d);
-        let mut features: Vec<usize> = (0..d).collect();
-        if k < d {
-            features.shuffle(rng);
-            features.truncate(k);
-        }
-        let (parent_imp, _) = self.node_stats(target, w, idx);
-        let total_w: f64 = idx.iter().map(|&i| w[i]).sum();
-        if total_w <= 0.0 {
-            return None;
-        }
-        let mut best: Option<(usize, f64, f64)> = None;
-        for &f in &features {
-            let candidate = match splitter {
-                Splitter::Best | Splitter::Binned => exact_best_threshold(
-                    x,
-                    target,
-                    w,
-                    idx,
-                    f,
-                    parent_imp,
-                    total_w,
-                    self.params.min_samples_leaf,
-                    self.params.criterion,
-                ),
-                Splitter::Random => {
-                    self.random_threshold_for(x, target, w, idx, f, parent_imp, total_w, rng)
-                }
-            };
-            if let Some((threshold, gain)) = candidate {
-                if best.is_none_or(|(_, _, g)| gain > g) {
-                    best = Some((f, threshold, gain));
-                }
-            }
-        }
-        best
-    }
-
-    /// Extra-trees: a single uniform threshold in the node's value range.
-    /// One fused pass accumulates both children's statistics — no partition
-    /// vectors, no second sweep — with the identical accumulation order (and
-    /// therefore bit-identical gains) as partitioning followed by
-    /// [`node_stats`].
-    #[allow(clippy::too_many_arguments)]
-    fn random_threshold_for(
-        &self,
-        x: &Matrix,
-        target: &Target<'_>,
-        w: &[f64],
-        idx: &[usize],
-        f: usize,
-        parent_imp: f64,
-        total_w: f64,
-        rng: &mut StdRng,
-    ) -> Option<(f64, f64)> {
-        let mut lo = f64::INFINITY;
-        let mut hi = f64::NEG_INFINITY;
-        for &i in idx {
-            let v = x.get(i, f);
-            lo = lo.min(v);
-            hi = hi.max(v);
-        }
-        if hi <= lo {
-            return None;
-        }
-        let threshold = rng.random_range(lo..hi);
-        let min_leaf = self.params.min_samples_leaf;
-        match target {
-            Target::Classes { y, n_classes } => {
-                let mut left_counts = vec![0.0f64; *n_classes];
-                let mut right_counts = vec![0.0f64; *n_classes];
-                let (mut lw, mut rw) = (0.0f64, 0.0f64);
-                let (mut n_left, mut n_right) = (0usize, 0usize);
-                for &i in idx {
-                    if x.get(i, f) <= threshold {
-                        left_counts[y[i]] += w[i];
-                        lw += w[i];
-                        n_left += 1;
-                    } else {
-                        right_counts[y[i]] += w[i];
-                        rw += w[i];
-                        n_right += 1;
-                    }
-                }
-                if n_left < min_leaf || n_right < min_leaf {
-                    return None;
-                }
-                let left_total: f64 = left_counts.iter().sum();
-                let right_total: f64 = right_counts.iter().sum();
-                let imp_l = impurity_from_counts(&left_counts, left_total, self.params.criterion);
-                let imp_r = impurity_from_counts(&right_counts, right_total, self.params.criterion);
-                let gain = parent_imp - (lw * imp_l + rw * imp_r) / total_w;
-                Some((threshold, gain))
-            }
-            Target::Values(t) => {
-                let (mut lw, mut lsum, mut lsq) = (0.0f64, 0.0f64, 0.0f64);
-                let (mut rw, mut rsum, mut rsq) = (0.0f64, 0.0f64, 0.0f64);
-                let (mut n_left, mut n_right) = (0usize, 0usize);
-                for &i in idx {
-                    if x.get(i, f) <= threshold {
-                        lw += w[i];
-                        lsum += w[i] * t[i];
-                        lsq += w[i] * t[i] * t[i];
-                        n_left += 1;
-                    } else {
-                        rw += w[i];
-                        rsum += w[i] * t[i];
-                        rsq += w[i] * t[i] * t[i];
-                        n_right += 1;
-                    }
-                }
-                if n_left < min_leaf || n_right < min_leaf {
-                    return None;
-                }
-                let imp_l = variance_from_sums(lw, lsum, lsq);
-                let imp_r = variance_from_sums(rw, rsum, rsq);
-                let gain = parent_imp - (lw * imp_l + rw * imp_r) / total_w;
-                Some((threshold, gain))
-            }
+            importances,
         }
     }
 
@@ -771,8 +596,12 @@ impl DecisionTree {
         ])
     }
 
-    /// Inverse of [`DecisionTree::to_json`]. Child indices are validated so
-    /// a corrupt artifact fails here rather than panicking at predict time.
+    /// Inverse of [`DecisionTree::to_json`]. The node array is validated
+    /// so a corrupt artifact fails here rather than panicking or looping
+    /// at predict time: both builders write pre-order arrays, so every
+    /// child index must exceed its parent's (no cycles, `apply` always
+    /// ends at a leaf), every split feature must exist, and every leaf
+    /// must carry `n_classes` probabilities (one value for regression).
     pub fn from_json(j: &Json) -> Result<Self, String> {
         let nodes: Vec<Node> = jsonio::field(j, "nodes")?
             .as_arr()
@@ -780,21 +609,42 @@ impl DecisionTree {
             .iter()
             .map(node_from_json)
             .collect::<Result<_, _>>()?;
-        for node in &nodes {
-            if let Node::Split { left, right, .. } = node {
-                if *left >= nodes.len() || *right >= nodes.len() {
-                    return Err("tree node child index out of range".to_string());
-                }
-            }
-        }
         if nodes.is_empty() {
             return Err("tree has no nodes".to_string());
+        }
+        let n_classes = jsonio::as_usize(jsonio::field(j, "n_classes")?)?;
+        let n_features = jsonio::as_usize(jsonio::field(j, "n_features")?)?;
+        let leaf_len = n_classes.max(1);
+        for (i, node) in nodes.iter().enumerate() {
+            match node {
+                Node::Split {
+                    feature,
+                    left,
+                    right,
+                    ..
+                } => {
+                    if *left <= i || *right <= i || *left >= nodes.len() || *right >= nodes.len() {
+                        return Err(format!("tree node {i}: child index out of order"));
+                    }
+                    if *feature >= n_features {
+                        return Err(format!("tree node {i}: feature {feature} of {n_features}"));
+                    }
+                }
+                Node::Leaf { dist } => {
+                    if dist.len() != leaf_len {
+                        return Err(format!(
+                            "tree node {i}: leaf holds {} values, expected {leaf_len}",
+                            dist.len()
+                        ));
+                    }
+                }
+            }
         }
         Ok(DecisionTree {
             params: TreeParams::from_json(jsonio::field(j, "params")?)?,
             nodes,
-            n_classes: jsonio::as_usize(jsonio::field(j, "n_classes")?)?,
-            n_features: jsonio::as_usize(jsonio::field(j, "n_features")?)?,
+            n_classes,
+            n_features,
             importances: jsonio::f64_vec(jsonio::field(j, "importances")?)?,
         })
     }
@@ -805,34 +655,83 @@ static EXACT_FITS: em_obs::Counter = em_obs::Counter::new("tree.exact_fits");
 static BINNED_FITS: em_obs::Counter = em_obs::Counter::new("tree.binned_fits");
 static NODES: em_obs::Counter = em_obs::Counter::new("tree.nodes");
 
-/// Impurity and leaf payload for a sample set (free-function form shared by
-/// the exact builder and the binned engine in `crate::binned`).
+/// Fit-time input checks, run before any per-fit preparation.
+fn check_classifier_inputs(x: &Matrix, y: &[usize], n_classes: usize, params: &TreeParams) {
+    assert_ne!(
+        params.criterion,
+        Criterion::Mse,
+        "use fit_regressor for MSE"
+    );
+    assert_eq!(x.nrows(), y.len(), "X/y length mismatch");
+    check_features(x);
+    assert!(y.iter().all(|&c| c < n_classes), "label out of range");
+}
+
+fn check_regressor_inputs(x: &Matrix, targets: &[f64]) {
+    assert_eq!(x.nrows(), targets.len(), "X/y length mismatch");
+    check_features(x);
+}
+
+fn check_features(x: &Matrix) {
+    assert!(x.nrows() > 0, "cannot fit a tree on zero samples");
+    // Both engines index a tree's rows as `u32`.
+    assert!(
+        u32::try_from(x.nrows()).is_ok(),
+        "too many rows for one tree"
+    );
+    assert!(!x.has_nan(), "NaN features: impute before fitting trees");
+}
+
+/// One pass over a node's rows, in the order given (ascending, in every
+/// caller): impurity and leaf payload, plus the totals the split scans
+/// start from.
+pub(crate) struct NodeStats {
+    pub(crate) impurity: f64,
+    pub(crate) leaf_dist: Vec<f64>,
+    /// `Σ w[i]` over the rows.
+    pub(crate) total_w: f64,
+    /// Classification: raw weighted class counts. Regression:
+    /// `[Σw, Σwt, Σwt²]`. (In the binned engine's lossless integer regime
+    /// these equal the bin-order histogram sums bit for bit.)
+    pub(crate) totals: Vec<f64>,
+}
+
+/// [`NodeStats`] of `rows`, shared by both split engines.
 pub(crate) fn node_stats(
     target: &Target<'_>,
     w: &[f64],
-    idx: &[usize],
+    rows: &[u32],
     criterion: Criterion,
-) -> (f64, Vec<f64>) {
+) -> NodeStats {
     match target {
         Target::Classes { y, n_classes } => {
             let mut counts = vec![0.0f64; *n_classes];
-            for &i in idx {
+            let mut tw = 0.0f64;
+            for &i in rows {
+                let i = i as usize;
                 counts[y[i]] += w[i];
+                tw += w[i];
             }
             let total: f64 = counts.iter().sum();
-            let imp = impurity_from_counts(&counts, total, criterion);
-            let dist = if total > 0.0 {
+            let impurity = impurity_from_counts(&counts, total, criterion);
+            let leaf_dist = if total > 0.0 {
                 counts.iter().map(|c| c / total).collect()
             } else {
                 vec![1.0 / *n_classes as f64; *n_classes]
             };
-            (imp, dist)
+            NodeStats {
+                impurity,
+                leaf_dist,
+                total_w: tw,
+                totals: counts,
+            }
         }
         Target::Values(t) => {
             let mut sw = 0.0;
             let mut sum = 0.0;
             let mut sum_sq = 0.0;
-            for &i in idx {
+            for &i in rows {
+                let i = i as usize;
                 sw += w[i];
                 sum += w[i] * t[i];
                 sum_sq += w[i] * t[i] * t[i];
@@ -843,49 +742,51 @@ pub(crate) fn node_stats(
             } else {
                 0.0
             };
-            (var, vec![mean])
+            NodeStats {
+                impurity: var,
+                leaf_dist: vec![mean],
+                total_w: sw,
+                totals: vec![sw, sum, sum_sq],
+            }
         }
     }
 }
 
-/// Exhaustive scan over sorted values of feature `f` — the CART inner loop.
-/// Free-function form so the binned engine can fall back to it verbatim for
-/// small nodes.
+/// The CART inner loop: every threshold between distinct values of
+/// feature `f`, over the node's rows `order` sorted by `(value, row)`. The
+/// presorted engine passes its node segment; the binned engine's
+/// small-node fallback sorts first.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn exact_best_threshold(
+pub(crate) fn best_threshold_sorted(
     x: &Matrix,
     target: &Target<'_>,
     w: &[f64],
-    idx: &[usize],
+    order: &[u32],
     f: usize,
     parent_imp: f64,
     total_w: f64,
     min_leaf: usize,
     criterion: Criterion,
 ) -> Option<(f64, f64)> {
-    let mut order: Vec<usize> = idx.to_vec();
-    order.sort_by(|&a, &b| x.get(a, f).partial_cmp(&x.get(b, f)).expect("NaN feature"));
     let n = order.len();
+    let mut v_here = x.get(order[0] as usize, f);
+    let mut best: Option<(f64, f64)> = None;
     match target {
         Target::Classes { y, n_classes } => {
             let mut left_counts = vec![0.0f64; *n_classes];
             let mut right_counts = vec![0.0f64; *n_classes];
-            for &i in &order {
-                right_counts[y[i]] += w[i];
+            for &i in order {
+                right_counts[y[i as usize]] += w[i as usize];
             }
             let mut left_w = 0.0;
-            let mut best: Option<(f64, f64)> = None;
             for pos in 0..n - 1 {
-                let i = order[pos];
+                let i = order[pos] as usize;
                 left_counts[y[i]] += w[i];
                 right_counts[y[i]] -= w[i];
                 left_w += w[i];
-                let v_here = x.get(i, f);
-                let v_next = x.get(order[pos + 1], f);
-                if v_here == v_next {
-                    continue;
-                }
-                if pos + 1 < min_leaf || n - pos - 1 < min_leaf {
+                let v_next = x.get(order[pos + 1] as usize, f);
+                let v = std::mem::replace(&mut v_here, v_next);
+                if v == v_next || pos + 1 < min_leaf || n - pos - 1 < min_leaf {
                     continue;
                 }
                 let right_w = total_w - left_w;
@@ -893,48 +794,44 @@ pub(crate) fn exact_best_threshold(
                 let imp_r = impurity_from_counts(&right_counts, right_w, criterion);
                 let gain = parent_imp - (left_w * imp_l + right_w * imp_r) / total_w;
                 if best.is_none_or(|(_, g)| gain > g) {
-                    best = Some((midpoint(v_here, v_next), gain));
+                    best = Some((midpoint(v, v_next), gain));
                 }
             }
-            best
         }
         Target::Values(t) => {
             let mut left_w = 0.0;
             let mut left_sum = 0.0;
             let mut left_sq = 0.0;
             let (mut right_w, mut right_sum, mut right_sq) = (0.0, 0.0, 0.0);
-            for &i in &order {
+            for &i in order {
+                let i = i as usize;
                 right_w += w[i];
                 right_sum += w[i] * t[i];
                 right_sq += w[i] * t[i] * t[i];
             }
-            let mut best: Option<(f64, f64)> = None;
             for pos in 0..n - 1 {
-                let i = order[pos];
+                let i = order[pos] as usize;
                 left_w += w[i];
                 left_sum += w[i] * t[i];
                 left_sq += w[i] * t[i] * t[i];
                 right_w -= w[i];
                 right_sum -= w[i] * t[i];
                 right_sq -= w[i] * t[i] * t[i];
-                let v_here = x.get(i, f);
-                let v_next = x.get(order[pos + 1], f);
-                if v_here == v_next {
-                    continue;
-                }
-                if pos + 1 < min_leaf || n - pos - 1 < min_leaf {
+                let v_next = x.get(order[pos + 1] as usize, f);
+                let v = std::mem::replace(&mut v_here, v_next);
+                if v == v_next || pos + 1 < min_leaf || n - pos - 1 < min_leaf {
                     continue;
                 }
                 let imp_l = variance_from_sums(left_w, left_sum, left_sq);
                 let imp_r = variance_from_sums(right_w, right_sum, right_sq);
                 let gain = parent_imp - (left_w * imp_l + right_w * imp_r) / total_w;
                 if best.is_none_or(|(_, g)| gain > g) {
-                    best = Some((midpoint(v_here, v_next), gain));
+                    best = Some((midpoint(v, v_next), gain));
                 }
             }
-            best
         }
     }
+    best
 }
 
 pub(crate) fn midpoint(a: f64, b: f64) -> f64 {
@@ -1169,5 +1066,43 @@ mod tests {
         };
         let t = DecisionTree::fit_classifier(&x, &y, 2, None, p);
         assert_eq!(t.n_nodes(), 1);
+    }
+
+    /// A tree document over one feature and two classes with `nodes`.
+    fn tree_doc(nodes: &str) -> Json {
+        let params = TreeParams::default().to_json().render();
+        let text = format!(
+            r#"{{"params": {params}, "n_classes": 2, "n_features": 1,
+                "importances": [1], "nodes": {nodes}}}"#
+        );
+        Json::parse(&text).unwrap()
+    }
+
+    #[test]
+    fn corrupt_node_arrays_are_rejected_at_load() {
+        let ok =
+            tree_doc(r#"[{"f": 0, "t": 0.5, "l": 1, "r": 2}, {"dist": [1, 0]}, {"dist": [0, 1]}]"#);
+        let tree = DecisionTree::from_json(&ok).expect("a well-formed tree loads");
+        let x = Matrix::from_rows(&[vec![0.0], vec![1.0]]);
+        assert_eq!(tree.predict(&x), vec![0, 1]);
+        for (what, nodes) in [
+            // `predict_proba` would loop forever on rows going left.
+            (
+                "a split whose child is itself",
+                r#"[{"f": 0, "t": 0.5, "l": 0, "r": 1}, {"dist": [1, 0]}]"#,
+            ),
+            // `apply` would index past the row.
+            (
+                "a split on a feature the tree does not have",
+                r#"[{"f": 7, "t": 0.5, "l": 1, "r": 2}, {"dist": [1, 0]}, {"dist": [0, 1]}]"#,
+            ),
+            // `predict_proba` would copy one value into a two-class row.
+            ("a leaf with one class of two", r#"[{"dist": [1]}]"#),
+        ] {
+            assert!(
+                DecisionTree::from_json(&tree_doc(nodes)).is_err(),
+                "{what} loaded"
+            );
+        }
     }
 }

@@ -37,6 +37,12 @@ if command -v flock >/dev/null 2>&1; then
     flock 9
 fi
 
+# An exported EM_BINNED would route every exact fit through the binned
+# engine, and the exact-engine golden and lossless-equality tests skip
+# under it: the default runs below must not inherit it. The override runs
+# set it explicitly.
+unset EM_BINNED
+
 echo "== checking that all workspace dependencies are path-only =="
 # Inside any [dependencies]-like section, a quoted version number (e.g.
 # `rand = "0.10"` or `version = "1"`) means a registry lookup; every entry
