@@ -112,8 +112,8 @@ impl Harness {
         }
     }
 
-    /// Measure `f`, batching iterations up to ~[`TARGET_SAMPLE_NS`] per
-    /// sample, and record the result under `name`.
+    /// Measure `f`, batching iterations up to ~20 ms per sample, and record
+    /// the result under `name`.
     pub fn bench<T>(&mut self, name: &str, mut f: impl FnMut() -> T) -> &BenchResult {
         let iters = calibrate(&mut f);
         for _ in 0..WARMUP_SAMPLES {

@@ -49,12 +49,13 @@ impl Json {
         out
     }
 
-    /// Parse a JSON document. Rejects trailing garbage; numbers parse as
-    /// `f64` (the only numeric type this value carries).
+    /// Parse a JSON document. Rejects trailing garbage and arrays/objects
+    /// nested more than [`MAX_DEPTH`] deep; numbers parse as `f64` (the
+    /// only numeric type this value carries).
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing data at byte {pos}"));
@@ -189,8 +190,18 @@ fn expect(bytes: &[u8], pos: &mut usize, token: &str) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so without a cap a few kilobytes of `[` would
+/// overflow the stack; the deepest document this workspace writes (a model
+/// artifact) nests 8 levels.
+pub const MAX_DEPTH: usize = 128;
+
+/// Parse one value whose enclosing arrays/objects number `depth`.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
+    if depth == MAX_DEPTH && matches!(bytes.get(*pos), Some(b'[' | b'{')) {
+        return Err(format!("nesting deeper than {MAX_DEPTH} at byte {pos}"));
+    }
     match bytes.get(*pos) {
         None => Err("unexpected end of input".to_string()),
         Some(b'n') => expect(bytes, pos, "null").map(|()| Json::Null),
@@ -206,7 +217,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -231,7 +242,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 let key = parse_string(bytes, pos)?;
                 skip_ws(bytes, pos);
                 expect(bytes, pos, ":")?;
-                fields.push((key, parse_value(bytes, pos)?));
+                fields.push((key, parse_value(bytes, pos, depth + 1)?));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -441,6 +452,18 @@ mod tests {
         assert!(Json::parse("truex").is_err());
         assert!(Json::parse("1 2").is_err());
         assert!(Json::parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn parse_rejects_deep_nesting_without_overflowing() {
+        let nested =
+            |open: &str, close: &str, n: usize| format!("{}1{}", open.repeat(n), close.repeat(n));
+        for (open, close) in [("[", "]"), ("{\"a\":", "}")] {
+            let err = Json::parse(&nested(open, close, 100_000)).unwrap_err();
+            assert!(err.contains("nesting"), "{err}");
+            assert!(Json::parse(&nested(open, close, MAX_DEPTH)).is_ok());
+            assert!(Json::parse(&nested(open, close, MAX_DEPTH + 1)).is_err());
+        }
     }
 
     #[test]

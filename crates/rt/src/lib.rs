@@ -14,7 +14,7 @@
 //!   `random_range`, `shuffle`, and Gaussian sampling, plus the
 //!   [`derive_seed`] per-task stream-splitting discipline that keeps
 //!   parallel sections bit-identical across thread counts.
-//! * [`channel`] — a blocking MPMC channel (`Mutex<VecDeque>` + `Condvar`)
+//! * [`channel`](mod@channel) — a blocking MPMC channel (`Mutex<VecDeque>` + `Condvar`)
 //!   for coordinator/worker protocols such as the async SMBO scheduler.
 //! * [`sync`] — `parking_lot`-flavored wrappers over `std::sync` (a
 //!   [`sync::Mutex`] whose `lock()` returns the guard directly).

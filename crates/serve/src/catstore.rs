@@ -51,7 +51,7 @@ use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use crate::store::{crc32, frame, io_err, is_header_prefix, parse_hex8, HEADER_LEN};
+use crate::store::{crc32, frame, io_err, is_header_prefix, parse_hex8, scan_frames, HEADER_LEN};
 use em_ml::jsonio;
 use em_obs::live::Gauge;
 use em_obs::{Counter, Histogram};
@@ -331,42 +331,13 @@ impl CatalogStore {
         dat.read_to_end(&mut tail)
             .map_err(|e| io_err("read", &dat_path, e))?;
         let mut recovered: Vec<u64> = Vec::new();
-        let mut pos = 0usize;
-        let valid_tail = loop {
-            if pos >= tail.len() {
-                break pos;
-            }
-            let rest = &tail[pos..];
-            if rest.len() < HEADER_LEN {
-                if is_header_prefix(rest) {
-                    break pos; // torn header
-                }
-                return Err(format!("catalog tail: corrupt frame header at byte {pos}"));
-            }
-            let header = &rest[..HEADER_LEN];
-            if !is_header_prefix(header) {
-                return Err(format!("catalog tail: corrupt frame header at byte {pos}"));
-            }
-            let len = parse_hex8(&header[0..8]).ok_or("catalog tail: bad length field")? as usize;
-            let crc = parse_hex8(&header[9..17]).ok_or("catalog tail: bad crc field")?;
-            if rest.len() < HEADER_LEN + len + 1 {
-                break pos; // torn payload
-            }
-            let payload = &rest[HEADER_LEN..HEADER_LEN + len];
-            if rest[HEADER_LEN + len] != b'\n' {
-                return Err(format!(
-                    "catalog tail: missing frame terminator at byte {pos}"
-                ));
-            }
-            if crc32(payload) != crc {
-                return Err(format!("catalog tail: crc mismatch at byte {pos}"));
-            }
+        let valid_tail = scan_frames(&tail, "catalog tail", |pos, payload| {
             // Decode now so a structurally-broken payload is rejected at
             // recovery, not at first fetch.
             row_from_payload(payload, &schema)?;
             recovered.push(committed_bytes + pos as u64);
-            pos += HEADER_LEN + len + 1;
-        };
+            Ok(())
+        })?;
         let dat_bytes = committed_bytes + valid_tail as u64;
         if dat_bytes < dat_len {
             dat.set_len(dat_bytes)
@@ -534,6 +505,14 @@ impl CatalogStore {
         }
         let len = parse_hex8(&header[0..8]).ok_or("records.dat: bad length field")? as usize;
         let crc = parse_hex8(&header[9..17]).ok_or("records.dat: bad crc field")?;
+        // A corrupt length must not size the allocation below.
+        let end = offset.saturating_add((HEADER_LEN + len + 1) as u64);
+        if end > self.dat_bytes {
+            return Err(format!(
+                "records.dat: frame length {len} for row {row} runs past the {} data bytes",
+                self.dat_bytes
+            ));
+        }
         let mut payload = vec![0u8; len + 1];
         self.dat_r
             .read_exact(&mut payload)
@@ -803,6 +782,30 @@ mod tests {
             .map(|_| ())
             .expect_err("interior corruption must be rejected");
         assert!(err.contains("crc mismatch"), "{err}");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn fetch_rejects_a_lying_frame_length_before_allocating() {
+        let dir = temp_dir("lying-len");
+        let _ = fs::remove_dir_all(&dir);
+        let rows = sample_rows();
+        let mut store = CatalogStore::create(&dir, sample_schema()).unwrap();
+        for r in &rows {
+            store.append_row(r).unwrap();
+        }
+        store.commit().unwrap();
+        drop(store);
+        // Row 1's committed frame claims a 4 GiB payload.
+        let dat = CatalogStore::dat_path(&dir);
+        let mut bytes = fs::read(&dat).unwrap();
+        let row1 = HEADER_LEN + parse_hex8(&bytes[..8]).unwrap() as usize + 1;
+        bytes[row1..row1 + 8].copy_from_slice(b"ffffffff");
+        fs::write(&dat, bytes).unwrap();
+        let mut reopened = CatalogStore::open(&dir).unwrap();
+        assert_rows_eq(&reopened.fetch_rows(&[0]).unwrap(), &rows, &[0]);
+        let err = reopened.fetch_rows(&[1]).expect_err("lying length");
+        assert!(err.contains("row 1") && err.contains("runs past"), "{err}");
         let _ = fs::remove_dir_all(&dir);
     }
 

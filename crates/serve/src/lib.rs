@@ -12,9 +12,10 @@
 //!   index over a catalog table: delta-encoded varint postings
 //!   ([`DeltaList`]) partitioned into row-range shards, per-record
 //!   `upsert`/`remove` with deferred retraction + compaction, and
-//!   grid-parallel candidate probes that agree exactly with
-//!   [`em_table::OverlapBlocker`] whenever the optional `top_k` /
-//!   `max_posting` probe bounds are off.
+//!   grid-parallel candidate probes with optional `top_k` / `max_posting`
+//!   bounds. It lives in `em-table`, where the batch
+//!   [`em_table::OverlapBlocker`] probes the same engine, and is
+//!   re-exported here (and as [`index`] / [`compact`]).
 //! * [`IndexStore`] / [`PersistentIndex`] — snapshot + append-only replay
 //!   log persistence: every upsert/remove is WAL-logged with CRC framing
 //!   before it is applied, recovery loads the snapshot, replays the tail
@@ -46,16 +47,14 @@
 
 pub mod artifact;
 pub mod catstore;
-pub mod compact;
-pub mod index;
 pub mod matcher;
 pub mod store;
 pub mod telemetry;
 
 pub use artifact::{ModelArtifact, ARTIFACT_FORMAT, ARTIFACT_VERSION};
 pub use catstore::{CatalogStore, FetchStats, CATALOG_FORMAT, CATALOG_VERSION};
-pub use compact::DeltaList;
-pub use index::{IncrementalIndex, IndexOptions, ProbeStats, DEFAULT_SHARD_SPAN};
+pub use em_table::{compact, index};
+pub use em_table::{DeltaList, IncrementalIndex, IndexOptions, ProbeStats, DEFAULT_SHARD_SPAN};
 pub use matcher::{batch_latency_quantiles, BatchOutput, MatchRecord, Matcher, StreamOptions};
 pub use store::{IndexStore, PersistentIndex};
 pub use telemetry::{http_get, MetricsServer};

@@ -14,13 +14,13 @@
 //!   each batch runs probe → gather only the distinct candidate rows →
 //!   rebind the cache to the fetched slice → featurize → predict, so
 //!   resident memory scales with the per-batch working set, not the
-//!   catalog. Output is bit-identical to the in-memory path (see
-//!   [`featurize_batch`] for why), at any `EM_THREADS`, with the hot-row
-//!   cache on or off.
+//!   catalog. Output is bit-identical to the in-memory path (the private
+//!   `featurize_batch` documents why), at any `EM_THREADS`, with the
+//!   hot-row cache on or off.
 //!
 //! ## Streaming design
 //!
-//! `match_stream` pulls query tables from an [`em_rt::channel`] and runs a
+//! `match_stream` pulls query tables from an [`em_rt::channel()`] and runs a
 //! three-stage pipeline, mirroring the async-SMBO coordinator/worker shape
 //! in `em-automl`:
 //!

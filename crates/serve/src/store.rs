@@ -4,8 +4,11 @@
 //! document per save — O(catalog) bytes rewritten for every record change.
 //! [`IndexStore`] replaces that with the classic snapshot + WAL split:
 //!
-//! * **`snapshot.json`** — a full [`IncrementalIndex::to_json`] document,
-//!   written atomically (temp file + rename).
+//! * **`snapshot.json`** — the index's attribute, `min_overlap`,
+//!   `shard_span`, interned tokens in id order and each row's token ids
+//!   (postings are derived state, rebuilt on load), written atomically
+//!   (temp file + rename). This module owns the codec; the index itself
+//!   lives in `em-table`, which has no JSON helpers.
 //! * **`wal.log`** — an append-only log of upsert/remove operations applied
 //!   since the snapshot. Each record is framed as
 //!
@@ -37,7 +40,7 @@ use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use crate::IncrementalIndex;
+use crate::{IncrementalIndex, IndexOptions, DEFAULT_SHARD_SPAN};
 use em_ml::jsonio;
 use em_rt::Json;
 
@@ -86,6 +89,63 @@ pub fn crc32(bytes: &[u8]) -> u32 {
         c = CRC_TABLE[((c ^ u32::from(b)) & 0xff) as usize] ^ (c >> 8);
     }
     !c
+}
+
+/// Render `index` as the `snapshot.json` document.
+fn snapshot_to_json(index: &IncrementalIndex) -> Json {
+    Json::obj([
+        ("attribute", Json::from(index.attribute())),
+        ("min_overlap", Json::from(index.min_overlap())),
+        ("shard_span", Json::from(index.shard_span())),
+        ("tokens", Json::arr(index.tokens().map(Json::from))),
+        (
+            "records",
+            Json::arr(index.records().iter().map(|t| match t {
+                None => Json::Null,
+                Some(ids) => Json::arr(ids.iter().map(|id| Json::from(u64::from(id)))),
+            })),
+        ),
+    ])
+}
+
+/// Load a [`snapshot_to_json`] document through
+/// [`IncrementalIndex::from_parts`], which rebuilds postings and rejects
+/// out-of-range or unsorted token ids. Rows are decoded one at a time as
+/// the index consumes them. Documents written before sharding (no
+/// `shard_span` field) load with the default span.
+fn snapshot_from_json(j: &Json) -> Result<IncrementalIndex, String> {
+    let attribute = jsonio::as_str(jsonio::field(j, "attribute")?)?;
+    let tokens = jsonio::field(j, "tokens")?
+        .as_arr()
+        .ok_or("tokens: expected array")?
+        .iter()
+        .map(|t| jsonio::as_str(t).map(str::to_string))
+        .collect::<Result<Vec<_>, _>>()?;
+    let opts = IndexOptions {
+        min_overlap: jsonio::as_usize(jsonio::field(j, "min_overlap")?)?,
+        shard_span: match jsonio::field(j, "shard_span") {
+            Ok(v) => jsonio::as_usize(v)?,
+            Err(_) => DEFAULT_SHARD_SPAN,
+        },
+        ..IndexOptions::default()
+    };
+    let records = jsonio::field(j, "records")?
+        .as_arr()
+        .ok_or("records: expected array")?
+        .iter()
+        .enumerate()
+        .map(|(row, rec)| match rec {
+            Json::Null => Ok(None),
+            ids => jsonio::usize_vec(ids)?
+                .into_iter()
+                .map(|id| {
+                    u32::try_from(id)
+                        .map_err(|_| format!("record {row}: token id {id} out of range"))
+                })
+                .collect::<Result<Vec<u32>, String>>()
+                .map(Some),
+        });
+    IncrementalIndex::from_parts(attribute, opts, tokens, records)
 }
 
 /// One replayable operation.
@@ -168,44 +228,60 @@ pub(crate) fn parse_hex8(bytes: &[u8]) -> Option<u32> {
     u32::from_str_radix(s, 16).ok()
 }
 
+/// Walk the frames of a log, handing each complete frame's byte offset and
+/// payload to `visit`. Returns the byte length of the complete-frame
+/// prefix: shorter than `bytes.len()` only when a torn final frame (a
+/// strict prefix of a well-formed one) was dropped. Interior damage is an
+/// error whose message starts with `log`.
+pub(crate) fn scan_frames(
+    bytes: &[u8],
+    log: &str,
+    mut visit: impl FnMut(usize, &[u8]) -> Result<(), String>,
+) -> Result<usize, String> {
+    let mut pos = 0usize;
+    while pos < bytes.len() {
+        let rest = &bytes[pos..];
+        let header = &rest[..HEADER_LEN.min(rest.len())];
+        if !is_header_prefix(header) {
+            return Err(format!("{log}: corrupt frame header at byte {pos}"));
+        }
+        if header.len() < HEADER_LEN {
+            return Ok(pos); // torn header, drop
+        }
+        let len = parse_hex8(&header[0..8]).ok_or_else(|| format!("{log}: bad length field"))?;
+        let crc = parse_hex8(&header[9..17]).ok_or_else(|| format!("{log}: bad crc field"))?;
+        let end = HEADER_LEN + len as usize;
+        if rest.len() <= end {
+            return Ok(pos); // torn payload, drop
+        }
+        if rest[end] != b'\n' {
+            return Err(format!("{log}: missing frame terminator at byte {pos}"));
+        }
+        let payload = &rest[HEADER_LEN..end];
+        if crc32(payload) != crc {
+            return Err(format!("{log}: crc mismatch at byte {pos}"));
+        }
+        visit(pos, payload)?;
+        pos += end + 1;
+    }
+    Ok(pos)
+}
+
 /// Replay `bytes` into `index`. Returns `(valid_len, n_replayed)`:
 /// `valid_len` is the byte length of the complete-frame prefix (shorter
 /// than `bytes.len()` only when a torn final record was dropped).
 fn replay(bytes: &[u8], index: &mut IncrementalIndex) -> Result<(u64, u64), String> {
-    let mut pos = 0usize;
     let mut replayed = 0u64;
-    while pos < bytes.len() {
-        let rest = &bytes[pos..];
-        if rest.len() < HEADER_LEN {
-            if is_header_prefix(rest) {
-                TORN_TAILS.incr();
-                return Ok((pos as u64, replayed)); // torn header, drop
-            }
-            return Err(format!("wal: corrupt frame header at byte {pos}"));
-        }
-        let header = &rest[..HEADER_LEN];
-        if !is_header_prefix(header) {
-            return Err(format!("wal: corrupt frame header at byte {pos}"));
-        }
-        let len = parse_hex8(&header[0..8]).ok_or("wal: bad length field")? as usize;
-        let crc = parse_hex8(&header[9..17]).ok_or("wal: bad crc field")?;
-        if rest.len() < HEADER_LEN + len + 1 {
-            TORN_TAILS.incr();
-            return Ok((pos as u64, replayed)); // torn payload, drop
-        }
-        let payload = &rest[HEADER_LEN..HEADER_LEN + len];
-        if rest[HEADER_LEN + len] != b'\n' {
-            return Err(format!("wal: missing frame terminator at byte {pos}"));
-        }
-        if crc32(payload) != crc {
-            return Err(format!("wal: crc mismatch at byte {pos}"));
-        }
+    let valid_len = scan_frames(bytes, "wal", |_, payload| {
         Op::from_payload(payload)?.apply(index);
         replayed += 1;
         REPLAYED.incr();
-        pos += HEADER_LEN + len + 1;
+        Ok(())
+    })?;
+    if valid_len < bytes.len() {
+        TORN_TAILS.incr();
     }
-    Ok((pos as u64, replayed))
+    Ok((valid_len as u64, replayed))
 }
 
 pub(crate) fn io_err(what: &str, path: &Path, e: std::io::Error) -> String {
@@ -266,7 +342,7 @@ impl IndexStore {
         let snap_path = Self::snapshot_path(&dir);
         let text = fs::read_to_string(&snap_path).map_err(|e| io_err("read", &snap_path, e))?;
         let doc = Json::parse(&text).map_err(|e| format!("snapshot: {e}"))?;
-        let mut index = IncrementalIndex::from_json(&doc)?;
+        let mut index = snapshot_from_json(&doc)?;
         let wal_path = Self::wal_path(&dir);
         let mut log = OpenOptions::new()
             .read(true)
@@ -368,7 +444,7 @@ impl IndexStore {
     fn write_snapshot(&mut self, index: &IncrementalIndex) -> Result<(), String> {
         let path = Self::snapshot_path(&self.dir);
         let tmp = self.dir.join("snapshot.json.tmp");
-        fs::write(&tmp, index.to_json().render()).map_err(|e| io_err("write", &tmp, e))?;
+        fs::write(&tmp, snapshot_to_json(index).render()).map_err(|e| io_err("write", &tmp, e))?;
         fs::rename(&tmp, &path).map_err(|e| io_err("rename", &tmp, e))?;
         SNAPSHOTS.incr();
         Ok(())
@@ -539,5 +615,26 @@ mod tests {
     #[test]
     fn payload_parse_rejects_unknown_ops() {
         assert!(Op::from_payload(br#"{"op":"merge","row":1}"#).is_err());
+    }
+
+    #[test]
+    fn snapshot_round_trip_is_byte_stable() {
+        let catalog = em_table::parse_csv(
+            "name\narnie mortons of chicago\nfenix at the argyle\ngrill on the alley\n",
+        )
+        .unwrap();
+        let queries = em_table::parse_csv("name\nfenix at the argyle\nthe alley grill\n").unwrap();
+        let mut index = IncrementalIndex::build("name", 1, &catalog).unwrap();
+        index.remove(2);
+        index.upsert(7, Some("late arrival grill"));
+        let doc = snapshot_to_json(&index).render();
+        let loaded = snapshot_from_json(&Json::parse(&doc).unwrap()).unwrap();
+        loaded.verify_invariants().unwrap();
+        assert_eq!(snapshot_to_json(&loaded).render(), doc);
+        assert_eq!((loaded.min_overlap(), loaded.len()), (1, index.len()));
+        assert_eq!(
+            loaded.candidates(&queries, 0),
+            index.candidates(&queries, 0)
+        );
     }
 }

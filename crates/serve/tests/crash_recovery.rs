@@ -155,15 +155,21 @@ fn interior_corruption_is_rejected() {
     fs::write(work.join("wal.log"), &damaged).unwrap();
     assert!(PersistentIndex::open(&work).is_err());
 
-    // Corrupt snapshot: rejected by the existing document checks.
-    copy_store(&dir, &work);
-    let snap = fs::read_to_string(work.join("snapshot.json")).unwrap();
-    fs::write(
-        work.join("snapshot.json"),
-        snap.replace("\"records\":[[", "\"records\":[[9999,"),
-    )
-    .unwrap();
-    assert!(PersistentIndex::open(&work).is_err());
+    // Corrupt snapshots: a token id out of range or beyond u32, a row's ids
+    // out of order, a repeated token.
+    for (from, to) in [
+        ("\"records\":[[", "\"records\":[[9999,"),
+        ("\"records\":[[", "\"records\":[[4294967296,"),
+        ("\"records\":[[0,", "\"records\":[[1,0,"),
+        ("\"tokens\":[\"", "\"tokens\":[\"fenix\",\""),
+    ] {
+        copy_store(&dir, &work);
+        let snap = fs::read_to_string(work.join("snapshot.json")).unwrap();
+        let bad = snap.replacen(from, to, 1);
+        assert_ne!(bad, snap, "{to}");
+        fs::write(work.join("snapshot.json"), bad).unwrap();
+        assert!(PersistentIndex::open(&work).is_err(), "{to}");
+    }
 
     // Missing snapshot: rejected.
     copy_store(&dir, &work);

@@ -5,13 +5,14 @@
 //! baseline blockers Magellan offers: attribute equivalence and token
 //! overlap. Both avoid the quadratic all-pairs enumeration by hashing.
 //!
-//! Candidate generation runs on the shared `em-rt` pool: the right-table
-//! index is built once, then the left table is sharded into contiguous
-//! record ranges probed in parallel, each shard appending to its own output
-//! buffer. Shards are concatenated in range order, so the candidate list is
-//! byte-for-byte the serial one for every thread count — each record's
-//! candidates are self-contained (no state crosses a shard boundary).
+//! Both run on the shared `em-rt` pool and return the same pairs in the
+//! same order at any pool width. Attribute equivalence hashes the right
+//! table once, then probes contiguous left-record shards in parallel, each
+//! appending to its own buffer; shards are concatenated in range order.
+//! Token overlap has no engine of its own: it bulk-builds the serving
+//! [`IncrementalIndex`] over the right table and probes it with the left.
 
+use crate::index::{IncrementalIndex, IndexOptions};
 use crate::pairs::RecordPair;
 use crate::table::Table;
 use std::collections::HashMap;
@@ -32,6 +33,22 @@ pub trait Blocker {
 /// large enough that per-shard buffer overhead is noise.
 const SHARD_SIZE: usize = 256;
 
+/// Column of `attribute` in `t`; panics naming the `side` table when absent.
+fn column(t: &Table, attribute: &str, side: &str) -> usize {
+    t.schema()
+        .index_of(attribute)
+        .unwrap_or_else(|| panic!("attribute {attribute} missing in {side} table"))
+}
+
+/// Run a blocker's probe under the `blocking.candidates` span and count
+/// the pairs it emits.
+fn traced(probe: impl FnOnce() -> Vec<RecordPair>) -> Vec<RecordPair> {
+    let _span = em_obs::span!("blocking.candidates");
+    let out = probe();
+    PAIRS_EMITTED.add(out.len() as u64);
+    out
+}
+
 /// Probe every left record in `0..n_left` through `probe(record, out)`,
 /// sharded over the pool, and return the concatenation of all shard buffers
 /// in record order — exactly the serial output, at any pool width.
@@ -39,56 +56,19 @@ fn sharded_probe<F>(n_left: usize, probe: F) -> Vec<RecordPair>
 where
     F: Fn(usize, &mut Vec<RecordPair>) + Sync,
 {
-    sharded_probe_scratch(n_left, || (), |i, (), out| probe(i, out))
-}
-
-/// [`sharded_probe`] with per-shard scratch state: `make_scratch` runs once
-/// per shard so probes can reuse buffers without allocating per record.
-/// Scratch must not influence output values — it exists purely so the hot
-/// loop is allocation-free.
-fn sharded_probe_scratch<S, M, F>(n_left: usize, make_scratch: M, probe: F) -> Vec<RecordPair>
-where
-    M: Fn() -> S + Sync,
-    F: Fn(usize, &mut S, &mut Vec<RecordPair>) + Sync,
-{
-    let _span = em_obs::span!("blocking.candidates");
-    let out = sharded_probe_inner(n_left, make_scratch, probe);
-    PAIRS_EMITTED.add(out.len() as u64);
-    out
-}
-
-fn sharded_probe_inner<S, M, F>(n_left: usize, make_scratch: M, probe: F) -> Vec<RecordPair>
-where
-    M: Fn() -> S + Sync,
-    F: Fn(usize, &mut S, &mut Vec<RecordPair>) + Sync,
-{
     let n_shards = n_left.div_ceil(SHARD_SIZE);
-    if n_shards <= 1 {
-        let mut out = Vec::new();
-        let mut scratch = make_scratch();
-        for i in 0..n_left {
-            probe(i, &mut scratch, &mut out);
-        }
-        return out;
-    }
     let mut shards: Vec<Vec<RecordPair>> = vec![Vec::new(); n_shards];
     let writer = em_rt::SliceWriter::new(&mut shards);
     em_rt::parallel_for(n_shards, 0, |s| {
         // Safety: each shard index is handed out exactly once, so this is
         // the only thread touching slot `s`.
         let buf = unsafe { &mut writer.slice_mut(s, 1)[0] };
-        let mut scratch = make_scratch();
         let end = ((s + 1) * SHARD_SIZE).min(n_left);
         for i in s * SHARD_SIZE..end {
-            probe(i, &mut scratch, buf);
+            probe(i, buf);
         }
     });
-    let total = shards.iter().map(Vec::len).sum();
-    let mut out = Vec::with_capacity(total);
-    for shard in &mut shards {
-        out.append(shard);
-    }
-    out
+    shards.concat()
 }
 
 /// Pairs records whose values on one attribute are exactly equal
@@ -102,26 +82,22 @@ pub struct AttrEquivalenceBlocker {
 
 impl Blocker for AttrEquivalenceBlocker {
     fn candidates(&self, a: &Table, b: &Table) -> Vec<RecordPair> {
-        let col_a = a
-            .schema()
-            .index_of(&self.attribute)
-            .unwrap_or_else(|| panic!("attribute {} missing in left table", self.attribute));
-        let col_b = b
-            .schema()
-            .index_of(&self.attribute)
-            .unwrap_or_else(|| panic!("attribute {} missing in right table", self.attribute));
+        let col_a = column(a, &self.attribute, "left");
+        let col_b = column(b, &self.attribute, "right");
         let mut index: HashMap<String, Vec<usize>> = HashMap::new();
         for rec in b.records() {
             if let Some(key) = rec.get(col_b).to_display_string() {
                 index.entry(key).or_default().push(rec.index());
             }
         }
-        sharded_probe(a.len(), |i, out| {
-            if let Some(key) = a.record(i).get(col_a).to_display_string() {
-                if let Some(rights) = index.get(&key) {
-                    out.extend(rights.iter().map(|&r| RecordPair::new(i, r)));
+        traced(|| {
+            sharded_probe(a.len(), |i, out| {
+                if let Some(key) = a.record(i).get(col_a).to_display_string() {
+                    if let Some(rights) = index.get(&key) {
+                        out.extend(rights.iter().map(|&r| RecordPair::new(i, r)));
+                    }
                 }
-            }
+            })
         })
     }
 }
@@ -129,12 +105,9 @@ impl Blocker for AttrEquivalenceBlocker {
 /// Pairs records sharing at least `min_overlap` lowercase word tokens on one
 /// attribute — the standard "overlap blocker".
 ///
-/// The inverted index is keyed by interned `u32` token ids
-/// ([`em_text::TokenInterner`]) rather than token strings: the right table
-/// interns its tokens while building postings, and probing resolves each
-/// left token to an id without allocating (unknown tokens miss the interner
-/// and can match nothing). Per-shard scratch buffers make the probe loop
-/// allocation-free in steady state.
+/// Each call bulk-builds an [`IncrementalIndex`] over the right table and
+/// probes it with the left, so batch blocking and serving share one
+/// postings engine and agree by construction.
 #[derive(Debug, Clone)]
 pub struct OverlapBlocker {
     /// Name of the blocking attribute.
@@ -143,87 +116,18 @@ pub struct OverlapBlocker {
     pub min_overlap: usize,
 }
 
-/// Reusable per-shard probe buffers for [`OverlapBlocker`].
-#[derive(Default)]
-struct OverlapScratch {
-    /// Lowercased token being resolved against the interner.
-    buf: String,
-    /// Deduped token ids of the probe record.
-    ids: Vec<u32>,
-    /// Right-record ids gathered from postings (with duplicates), sorted so
-    /// overlap counts fall out of a run-length scan.
-    hits: Vec<usize>,
-}
-
-/// Lowercase `word` into `buf` (ASCII, matching `str::to_ascii_lowercase`).
-fn lowercase_into(word: &str, buf: &mut String) {
-    buf.clear();
-    buf.extend(word.chars().map(|c| c.to_ascii_lowercase()));
-}
-
 impl Blocker for OverlapBlocker {
     fn candidates(&self, a: &Table, b: &Table) -> Vec<RecordPair> {
-        let col_a = a
-            .schema()
-            .index_of(&self.attribute)
-            .unwrap_or_else(|| panic!("attribute {} missing in left table", self.attribute));
-        let col_b = b
-            .schema()
-            .index_of(&self.attribute)
-            .unwrap_or_else(|| panic!("attribute {} missing in right table", self.attribute));
-        // Inverted index: interned token id -> right-record ids containing
-        // it. Postings are naturally sorted by record id.
-        let mut interner = em_text::TokenInterner::new();
-        let mut postings: Vec<Vec<usize>> = Vec::new();
-        let mut buf = String::new();
-        let mut ids: Vec<u32> = Vec::new();
-        for rec in b.records() {
-            if let Some(s) = rec.get(col_b).to_display_string() {
-                ids.clear();
-                for w in s.split_whitespace() {
-                    lowercase_into(w, &mut buf);
-                    ids.push(interner.intern(&buf));
-                }
-                ids.sort_unstable();
-                ids.dedup();
-                postings.resize(interner.len(), Vec::new());
-                for &id in &ids {
-                    postings[id as usize].push(rec.index());
-                }
-            }
-        }
-        sharded_probe_scratch(a.len(), OverlapScratch::default, |i, scr, out| {
-            let Some(s) = a.record(i).get(col_a).to_display_string() else {
-                return;
-            };
-            scr.ids.clear();
-            for w in s.split_whitespace() {
-                lowercase_into(w, &mut scr.buf);
-                if let Some(id) = interner.get(&scr.buf) {
-                    scr.ids.push(id);
-                }
-            }
-            scr.ids.sort_unstable();
-            scr.ids.dedup();
-            scr.hits.clear();
-            for &id in &scr.ids {
-                scr.hits.extend_from_slice(&postings[id as usize]);
-            }
-            scr.hits.sort_unstable();
-            // Run-length scan: each right id appears once per shared token.
-            let mut k = 0;
-            while k < scr.hits.len() {
-                let r = scr.hits[k];
-                let mut j = k + 1;
-                while j < scr.hits.len() && scr.hits[j] == r {
-                    j += 1;
-                }
-                if j - k >= self.min_overlap {
-                    out.push(RecordPair::new(i, r));
-                }
-                k = j;
-            }
-        })
+        // Check the left table first so a missing attribute panics naming
+        // the side, like the attribute-equivalence blocker.
+        column(a, &self.attribute, "left");
+        let opts = IndexOptions {
+            min_overlap: self.min_overlap,
+            ..IndexOptions::default()
+        };
+        let index = IncrementalIndex::build_with_options(&self.attribute, opts, b)
+            .unwrap_or_else(|_| panic!("attribute {} missing in right table", self.attribute));
+        traced(|| index.candidates(a, 0))
     }
 }
 

@@ -156,11 +156,6 @@ impl DeltaList {
         }
     }
 
-    /// Append the decoded values to `out`.
-    pub fn decode_into(&self, out: &mut Vec<u32>) {
-        out.extend(self.iter());
-    }
-
     /// True when `v` is held (forward walk; lists are short or this is the
     /// slow path).
     pub fn contains(&self, v: u32) -> bool {

@@ -1,18 +1,15 @@
 //! Incremental blocking index: a compact sharded interned-postings overlap
-//! index over a catalog table.
+//! index over a catalog table, and the crate's only overlap-postings
+//! engine. Serving keeps one index alive and mutates it a record at a
+//! time; the batch [`OverlapBlocker`](crate::OverlapBlocker) bulk-builds
+//! one over its right table and probes it with the left, so the two agree
+//! by construction. A candidate pair shares at least `min_overlap`
+//! lowercase word tokens, interned to dense `u32` ids and counted by a
+//! run-length scan. The index is built to survive million-record catalogs:
 //!
-//! [`em_table::OverlapBlocker`] rebuilds its inverted index on every
-//! `candidates` call — correct for one-shot experiments, wasteful for a
-//! service whose catalog is long-lived and changes one record at a time.
-//! [`IncrementalIndex`] keeps the same candidate semantics (lowercase word
-//! tokens interned to dense `u32` ids, overlap counted by a run-length
-//! scan) but is built to survive million-record catalogs:
-//!
-//! * **Compact postings.** Each token's record list is a
-//!   [`DeltaList`](crate::DeltaList): strictly-ascending row offsets stored
-//!   as LEB128 varint gaps, inline (no heap allocation) for the zipf tail
-//!   of rare tokens. This replaces the per-token `Vec<u32>` of the
-//!   pre-scale index.
+//! * **Compact postings.** Each token's record list is a [`DeltaList`]:
+//!   strictly-ascending row offsets stored as LEB128 varint gaps, inline
+//!   (no heap allocation) for the zipf tail of rare tokens.
 //! * **Row-range shards.** The catalog is partitioned into contiguous
 //!   spans of [`shard_span`](IncrementalIndex::shard_span) rows. Posting
 //!   lists are per-shard (local offsets fit small varints) and the probe
@@ -27,7 +24,7 @@
 //!   tokens whose live document frequency exceeds `max_posting`, and an
 //!   optional per-query `top_k` keeps only the highest-overlap candidates.
 //!   Both default to off, in which case candidate sets are **bit-identical**
-//!   to the exact single-shard index (and to `OverlapBlocker`).
+//!   to the exact single-shard index.
 //!
 //! **Invariants** (checked by [`IncrementalIndex::verify_invariants`],
 //! relied on by the probe loop):
@@ -51,9 +48,8 @@
 use std::collections::HashMap;
 
 use crate::compact::DeltaList;
-use em_ml::jsonio;
-use em_rt::Json;
-use em_table::{RecordPair, Table};
+use crate::pairs::RecordPair;
+use crate::table::Table;
 use em_text::{intersection_size_sorted, TokenInterner};
 
 /// Catalog records upserted into the index.
@@ -149,6 +145,22 @@ struct Shard {
 fn lowercase_into(word: &str, buf: &mut String) {
     buf.clear();
     buf.extend(word.chars().map(|c| c.to_ascii_lowercase()));
+}
+
+/// The sorted, deduplicated ids `resolve` gives `value`'s lowercased
+/// whitespace tokens (`None` drops a token).
+fn token_ids(value: &str, mut resolve: impl FnMut(&str) -> Option<u32>) -> Vec<u32> {
+    let mut buf = String::new();
+    let mut ids: Vec<u32> = value
+        .split_whitespace()
+        .filter_map(|w| {
+            lowercase_into(w, &mut buf);
+            resolve(&buf)
+        })
+        .collect();
+    ids.sort_unstable();
+    ids.dedup();
+    ids
 }
 
 /// An updatable overlap-blocking index over one attribute of a catalog.
@@ -316,14 +328,7 @@ impl IncrementalIndex {
             self.publish_gauges();
             return;
         };
-        let mut buf = String::new();
-        let mut ids: Vec<u32> = Vec::new();
-        for w in s.split_whitespace() {
-            lowercase_into(w, &mut buf);
-            ids.push(self.interner.intern(&buf));
-        }
-        ids.sort_unstable();
-        ids.dedup();
+        let ids = token_ids(s, |t| Some(self.interner.intern(t)));
         self.df.resize(self.interner.len(), 0);
         let local = (row % self.shard_span) as u32;
         let shard = &mut self.shards[shard_i];
@@ -360,6 +365,13 @@ impl IncrementalIndex {
         if shard.stale < COMPACT_MIN_STALE || shard.stale * 4 <= shard.entries {
             return;
         }
+        self.rebuild_shard(shard_i);
+        COMPACTIONS.incr();
+    }
+
+    /// Derive shard `shard_i`'s postings from the record truth in one
+    /// ascending pass, dropping every retired entry.
+    fn rebuild_shard(&mut self, shard_i: usize) {
         let base = shard_i * self.shard_span;
         let end = (base + self.shard_span).min(self.records.len());
         let mut postings: HashMap<u32, DeltaList> = HashMap::new();
@@ -379,7 +391,6 @@ impl IncrementalIndex {
         shard.entries = entries;
         shard.stale = 0;
         shard.stale_rows.clear();
-        COMPACTIONS.incr();
     }
 
     /// Candidate pairs `(query row, catalog row)` for a query batch: every
@@ -416,24 +427,14 @@ impl IncrementalIndex {
 
         // Resolve and prune query token ids serially: pruning consults the
         // live document frequency, which probes must not mutate.
-        let mut buf = String::new();
         let mut query_ids: Vec<Vec<u32>> = Vec::with_capacity(nq);
         for i in 0..nq {
-            let mut ids: Vec<u32> = Vec::new();
-            if let Some(s) = queries.record(i).get(col).to_display_string() {
-                for w in s.split_whitespace() {
-                    lowercase_into(w, &mut buf);
-                    if let Some(id) = self.interner.get(&buf) {
-                        ids.push(id);
-                    }
-                }
-                ids.sort_unstable();
-                ids.dedup();
-                if let Some(cap) = self.max_posting {
-                    let before = ids.len();
-                    ids.retain(|&id| self.df[id as usize] as usize <= cap);
-                    stats.pruned_tokens += (before - ids.len()) as u64;
-                }
+            let value = queries.record(i).get(col).to_display_string();
+            let mut ids = value.map_or_else(Vec::new, |s| token_ids(&s, |t| self.interner.get(t)));
+            if let Some(cap) = self.max_posting {
+                let before = ids.len();
+                ids.retain(|&id| self.df[id as usize] as usize <= cap);
+                stats.pruned_tokens += (before - ids.len()) as u64;
             }
             // Fewer tokens than the threshold can never reach it.
             if ids.len() < self.min_overlap {
@@ -469,7 +470,7 @@ impl IncrementalIndex {
                 hits.clear();
                 for id in ids {
                     if let Some(list) = shard.postings.get(id) {
-                        list.decode_into(&mut hits);
+                        hits.extend(list.iter());
                     }
                 }
                 hits.sort_unstable();
@@ -691,108 +692,61 @@ impl IncrementalIndex {
         total
     }
 
-    /// Serialize the index (tokens in id order plus per-record token sets;
-    /// postings are derived state and rebuilt on load).
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("attribute", Json::from(self.attribute.as_str())),
-            ("min_overlap", Json::from(self.min_overlap)),
-            ("shard_span", Json::from(self.shard_span)),
-            (
-                "tokens",
-                Json::arr(
-                    self.interner
-                        .export()
-                        .into_iter()
-                        .map(|(t, _)| Json::from(t)),
-                ),
-            ),
-            (
-                "records",
-                Json::arr(self.records.iter().map(|t| match t {
-                    None => Json::Null,
-                    Some(ids) => Json::arr(ids.iter().map(|id| Json::from(u64::from(id)))),
-                })),
-            ),
-        ])
+    /// Interned tokens in id order (the `i`-th token has id `i`).
+    pub fn tokens(&self) -> impl Iterator<Item = &str> {
+        self.interner.export().into_iter().map(|(token, _)| token)
     }
 
-    /// Rebuild an index from [`Self::to_json`] output. Postings are
-    /// reconstructed by replaying records in row order — every append is
-    /// the O(1) ascending-push path — which restores the sorted-postings
-    /// invariant exactly. Documents written before sharding (no
-    /// `shard_span` field) load with the default span.
-    pub fn from_json(j: &Json) -> Result<Self, String> {
-        let attribute = jsonio::as_str(jsonio::field(j, "attribute")?)?.to_string();
-        let min_overlap = jsonio::as_usize(jsonio::field(j, "min_overlap")?)?;
-        let shard_span = match jsonio::field(j, "shard_span") {
-            Ok(v) => jsonio::as_usize(v)?.max(1),
-            Err(_) => DEFAULT_SHARD_SPAN,
-        };
-        let tokens = jsonio::field(j, "tokens")?
-            .as_arr()
-            .ok_or("tokens: expected array")?
-            .iter()
-            .map(|t| jsonio::as_str(t).map(str::to_string))
-            .collect::<Result<Vec<_>, _>>()?;
-        let interner = TokenInterner::from_tokens(tokens)?;
-        let n_tokens = interner.len();
-        let mut index = Self::with_options(
-            attribute,
-            IndexOptions {
-                min_overlap,
-                shard_span,
-                ..IndexOptions::default()
-            },
-        );
-        index.interner = interner;
+    /// Each catalog row's current token ids, ascending (`None` = never
+    /// inserted, removed, or null-valued).
+    pub fn records(&self) -> &[Option<DeltaList>] {
+        &self.records
+    }
+
+    /// Reassemble an index from what [`Self::tokens`] and [`Self::records`]
+    /// expose: the tokens in id order and each row's strictly ascending
+    /// token ids, in row order. Rows arrive as results so a decoder can
+    /// stream them; the first `Err` aborts the load. Postings are derived
+    /// state: every shard is rebuilt by the ascending pass that compaction
+    /// runs.
+    ///
+    /// # Errors
+    /// Fails on a row's `Err`, a repeated token, a token id out of range,
+    /// or a row whose ids are not strictly ascending.
+    pub fn from_parts(
+        attribute: impl Into<String>,
+        opts: IndexOptions,
+        tokens: Vec<String>,
+        records: impl IntoIterator<Item = Result<Option<Vec<u32>>, String>>,
+    ) -> Result<Self, String> {
+        let mut index = Self::with_options(attribute, opts);
+        index.interner = TokenInterner::from_tokens(tokens)?;
+        let n_tokens = index.interner.len();
         index.df = vec![0; n_tokens];
-        let records = jsonio::field(j, "records")?
-            .as_arr()
-            .ok_or("records: expected array")?;
-        for (row, rec) in records.iter().enumerate() {
-            let shard_i = row / index.shard_span;
-            if shard_i >= index.shards.len() {
-                index.shards.resize_with(shard_i + 1, Shard::default);
-            }
-            let tokens = match rec {
-                Json::Null => None,
-                other => {
-                    let ids = other
-                        .as_arr()
-                        .ok_or("records: expected array of token ids")?
-                        .iter()
-                        .map(|v| {
-                            let id = jsonio::as_u64(v)?;
-                            if id as usize >= n_tokens {
-                                return Err(format!(
-                                    "record {row}: token id {id} out of range ({n_tokens} tokens)"
-                                ));
-                            }
-                            Ok(id as u32)
-                        })
-                        .collect::<Result<Vec<u32>, String>>()?;
-                    for w in ids.windows(2) {
-                        if w[0] >= w[1] {
-                            return Err(format!("record {row}: token ids not strictly sorted"));
-                        }
+        for (row, ids) in records.into_iter().enumerate() {
+            let ids = ids?;
+            if let Some(ids) = &ids {
+                for (k, &id) in ids.iter().enumerate() {
+                    if id as usize >= n_tokens {
+                        return Err(format!(
+                            "record {row}: token id {id} out of range ({n_tokens} tokens)"
+                        ));
                     }
-                    Some(ids)
-                }
-            };
-            if let Some(ids) = &tokens {
-                let local = (row % index.shard_span) as u32;
-                let shard = &mut index.shards[shard_i];
-                for &id in ids {
+                    if k > 0 && ids[k - 1] >= id {
+                        return Err(format!("record {row}: token ids not strictly sorted"));
+                    }
                     index.df[id as usize] += 1;
-                    shard.postings.entry(id).or_default().push(local);
-                    shard.entries += 1;
                 }
                 index.live += 1;
             }
             index
                 .records
-                .push(tokens.as_deref().map(DeltaList::from_sorted));
+                .push(ids.as_deref().map(DeltaList::from_sorted));
+        }
+        let n_shards = index.records.len().div_ceil(index.shard_span);
+        index.shards.resize_with(n_shards, Shard::default);
+        for shard_i in 0..n_shards {
+            index.rebuild_shard(shard_i);
         }
         Ok(index)
     }
@@ -801,7 +755,8 @@ impl IncrementalIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use em_table::{parse_csv, Blocker, OverlapBlocker};
+    use crate::parse_csv;
+    use std::collections::HashSet;
 
     fn catalog() -> Table {
         parse_csv(
@@ -814,8 +769,33 @@ mod tests {
         .unwrap()
     }
 
+    /// Brute force: every (query, catalog row) pair whose lowercased
+    /// whitespace-token sets on `name` share at least `min_overlap` tokens,
+    /// in ascending order.
+    fn brute_force(queries: &Table, catalog: &Table, min_overlap: usize) -> Vec<RecordPair> {
+        let tokens = |t: &Table, row: usize| -> HashSet<String> {
+            let col = t.schema().index_of("name").unwrap();
+            let value = t.record(row).get(col).to_display_string();
+            let value = value.unwrap_or_default();
+            value
+                .split_whitespace()
+                .map(str::to_ascii_lowercase)
+                .collect()
+        };
+        let mut out = Vec::new();
+        for q in 0..queries.len() {
+            let query = tokens(queries, q);
+            for r in 0..catalog.len() {
+                if query.intersection(&tokens(catalog, r)).count() >= min_overlap {
+                    out.push(RecordPair::new(q, r));
+                }
+            }
+        }
+        out
+    }
+
     #[test]
-    fn matches_overlap_blocker_on_static_catalog() {
+    fn matches_brute_force_on_static_catalog() {
         let b = catalog();
         let a = parse_csv(
             "name,city\n\
@@ -825,12 +805,10 @@ mod tests {
         )
         .unwrap();
         for min_overlap in [1, 2] {
-            let blocker = OverlapBlocker {
-                attribute: "name".into(),
-                min_overlap,
-            };
+            let want = brute_force(&a, &b, min_overlap);
+            assert!(!want.is_empty(), "min_overlap {min_overlap}");
             let index = IncrementalIndex::build("name", min_overlap, &b).unwrap();
-            assert_eq!(index.candidates(&a, 0), blocker.candidates(&a, &b));
+            assert_eq!(index.candidates(&a, 0), want, "min_overlap {min_overlap}");
         }
     }
 
@@ -976,46 +954,5 @@ mod tests {
             index.candidates(&queries, 0),
             mirror.candidates(&queries, 0)
         );
-    }
-
-    #[test]
-    fn json_round_trip_preserves_candidates() {
-        let b = catalog();
-        let queries = parse_csv(
-            "name,city\n\
-             fenix at the argyle,hollywood\n\
-             grill on the alley,beverly hills\n",
-        )
-        .unwrap();
-        let mut index = IncrementalIndex::build("name", 1, &b).unwrap();
-        index.remove(2);
-        index.upsert(7, Some("late arrival grill"));
-        let doc = index.to_json().render();
-        let loaded = IncrementalIndex::from_json(&Json::parse(&doc).unwrap()).unwrap();
-        assert_eq!(loaded.attribute(), "name");
-        assert_eq!(loaded.min_overlap(), 1);
-        assert_eq!(loaded.shard_span(), DEFAULT_SHARD_SPAN);
-        assert_eq!(loaded.len(), index.len());
-        assert_eq!(loaded.interned_tokens(), index.interned_tokens());
-        loaded.verify_invariants().unwrap();
-        assert_eq!(
-            loaded.candidates(&queries, 0),
-            index.candidates(&queries, 0)
-        );
-        // And the reloaded index is still updatable.
-        let mut loaded = loaded;
-        loaded.upsert(7, None);
-        assert!(!loaded
-            .candidates(&queries, 0)
-            .contains(&RecordPair::new(1, 7)));
-    }
-
-    #[test]
-    fn from_json_rejects_corrupt_documents() {
-        let index = IncrementalIndex::build("name", 1, &catalog()).unwrap();
-        let good = index.to_json().render();
-        // Token id out of range.
-        let bad = good.replace("\"records\":[[", "\"records\":[[9999,");
-        assert!(IncrementalIndex::from_json(&Json::parse(&bad).unwrap()).is_err());
     }
 }

@@ -1,9 +1,11 @@
 //! # em-table — tabular data substrate for entity matching
 //!
 //! Schemas, typed cell values, in-memory tables, CSV I/O, Magellan-style
-//! attribute type inference (paper §III-B), record pairs, and baseline
-//! blocking. This crate replaces the pandas/Magellan data layer the paper's
-//! Python implementation sits on.
+//! attribute type inference (paper §III-B), record pairs, baseline
+//! blocking, and the one overlap-postings engine ([`IncrementalIndex`])
+//! that both the batch [`OverlapBlocker`] and `em-serve` probe. This crate
+//! replaces the pandas/Magellan data layer the paper's Python
+//! implementation sits on.
 //!
 //! ```
 //! use em_table::{parse_csv, infer_pair_types, AttrType};
@@ -15,7 +17,9 @@
 //! ```
 
 mod blocking;
+pub mod compact;
 mod csv;
+pub mod index;
 mod pairs;
 mod schema;
 mod table;
@@ -25,7 +29,9 @@ mod value;
 pub use blocking::{
     self_join_candidates, AttrEquivalenceBlocker, Blocker, BlockingStats, OverlapBlocker,
 };
+pub use compact::DeltaList;
 pub use csv::{parse_csv, read_csv_file, write_csv};
+pub use index::{IncrementalIndex, IndexOptions, ProbeStats, DEFAULT_SHARD_SPAN};
 pub use pairs::{LabeledPair, PairStats, RecordPair};
 pub use schema::{Attribute, Schema};
 pub use table::{Record, Table};

@@ -65,6 +65,11 @@ cargo fmt --check
 echo "== cargo clippy --workspace --all-targets -- -D warnings =="
 cargo clippy --workspace --offline --all-targets -- -D warnings
 
+echo "== cargo doc (rustdoc warnings are errors) =="
+# Moving an item between crates is what breaks intra-doc links; a broken or
+# ambiguous link, or one to a private item, fails here.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "== cargo build --release --offline =="
 cargo build --release --offline --workspace
 
