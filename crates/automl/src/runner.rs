@@ -116,8 +116,10 @@ pub trait SearchAlgorithm {
     /// Propose up to `k` configurations to evaluate concurrently against the
     /// same history. The default calls [`SearchAlgorithm::suggest`] `k`
     /// times; model-based searchers override this to amortize one surrogate
-    /// fit across the whole batch (SMAC returns the top-`k` candidates by
-    /// expected improvement instead of refitting per suggestion).
+    /// fit across the whole batch (SMAC fills the slots its sequential
+    /// schedule would not draw at random from one expected-improvement
+    /// ranking instead of refitting per suggestion). At `k = 1` an override
+    /// must return what `suggest` returns.
     fn suggest_batch(
         &mut self,
         space: &ConfigSpace,

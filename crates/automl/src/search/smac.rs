@@ -155,18 +155,26 @@ impl SearchAlgorithm for SmacSearch {
                 .map(|_| space.sample(rng))
                 .collect();
         }
-        // One surrogate fit serves the whole batch: top-k by expected
-        // improvement, with one interleaved random config for exploration
-        // (the batched counterpart of SMAC's every-`interleave`-th random
-        // suggestion).
-        let mut out: Vec<Configuration> = Vec::with_capacity(k);
-        if self.params.interleave > 0 {
-            out.push(space.sample(rng));
+        // Slot i is random exactly when trial n + i would be random in the
+        // sequential schedule; one surrogate fit ranks candidates for every
+        // other slot, in order. At k = 1 this is `suggest`, RNG draws and all.
+        let interleave = self.params.interleave;
+        let random = |i: usize| interleave > 0 && (n + i).is_multiple_of(interleave);
+        let mut ranked = if (0..k).all(random) {
+            Vec::new()
+        } else {
+            self.ranked_candidates(space, history, rng)
         }
-        let ranked = self.ranked_candidates(space, history, rng);
-        out.extend(ranked.into_iter().take(k.saturating_sub(out.len())));
-        out.truncate(k);
-        out
+        .into_iter();
+        (0..k)
+            .map_while(|i| {
+                if random(i) {
+                    Some(space.sample(rng))
+                } else {
+                    ranked.next()
+                }
+            })
+            .collect()
     }
 
     fn name(&self) -> &'static str {

@@ -7,10 +7,11 @@
 //! trace the same evaluation events.
 
 use em_automl::{
-    run_search_async, run_search_async_report, Budget, ConfigSpace, Configuration, Domain,
-    ParamValue, RandomSearch, SmacSearch, TpeSearch,
+    run_search, run_search_async, run_search_async_report, run_search_with_initial, Budget,
+    ConfigSpace, Configuration, Domain, ParamValue, RandomSearch, SearchAlgorithm, SmacSearch,
+    TpeSearch,
 };
-use em_rt::Json;
+use em_rt::{Json, StdRng};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
@@ -163,6 +164,81 @@ fn serial_fallback_reproduces_the_async_history() {
         )
     });
     assert_same_history(&serial, &threaded);
+}
+
+#[test]
+fn smac_batch_of_one_is_the_sequential_suggestion() {
+    // At every prefix of a SMAC history (the random-init phase, the
+    // interleaved random slots and the ranked ones) a batch of one must be
+    // `suggest`'s configuration and leave the RNG where `suggest` does.
+    let space = build_space();
+    for seed in [0u64, 3, 41] {
+        let full = run_search(
+            &space,
+            &mut SmacSearch::default(),
+            &mut toy_objective,
+            Budget::Evaluations(30),
+            seed,
+        );
+        let configs: Vec<Configuration> = full.trials().iter().map(|t| t.config.clone()).collect();
+        for n in 0..configs.len() {
+            // Warm-starting with the first n configurations rebuilds the
+            // prefix through the public runner.
+            let prefix = run_search_with_initial(
+                &space,
+                &mut RandomSearch,
+                &mut toy_objective,
+                Budget::Evaluations(n),
+                0,
+                &configs[..n],
+            );
+            let mut seq_rng = StdRng::seed_from_u64(seed ^ n as u64);
+            let mut batch_rng = seq_rng.clone();
+            let one = SmacSearch::default().suggest(&space, &prefix, &mut seq_rng);
+            let batch = SmacSearch::default().suggest_batch(&space, &prefix, &mut batch_rng, 1);
+            assert_eq!(batch, vec![one], "seed {seed}, prefix {n}");
+            assert_eq!(batch_rng, seq_rng, "seed {seed}, prefix {n}: RNG diverged");
+        }
+    }
+}
+
+#[test]
+fn async_batch_of_one_reproduces_the_sequential_runner() {
+    let _guard = serialize();
+    let space = build_space();
+    let warm: Vec<Configuration> = [0.2, -1.0]
+        .iter()
+        .map(|&x| {
+            Configuration::from_map([
+                ("model".to_string(), ParamValue::Cat("rf".into())),
+                ("rf:trees".to_string(), ParamValue::Int(50)),
+                ("x".to_string(), ParamValue::Float(x)),
+            ])
+        })
+        .collect();
+    let algos: [fn() -> Box<dyn SearchAlgorithm>; 3] = [
+        || Box::new(SmacSearch::default()),
+        || Box::new(TpeSearch::default()),
+        || Box::new(RandomSearch),
+    ];
+    for make in algos {
+        for seed in [0u64, 3] {
+            let budget = Budget::Evaluations(30);
+            let sequential = run_search_with_initial(
+                &space,
+                &mut *make(),
+                &mut toy_objective,
+                budget,
+                seed,
+                &warm,
+            );
+            let (inline, workers) = inline_and_wide(|| {
+                run_search_async(&space, &mut *make(), &toy_objective, budget, seed, &warm, 1)
+            });
+            assert_same_history(&sequential, &inline);
+            assert_same_history(&sequential, &workers);
+        }
+    }
 }
 
 #[test]

@@ -7,27 +7,33 @@
 //!
 //! Each size then runs a *scored-matches* section end to end: the catalog
 //! streams chunk-at-a-time into a row-addressable [`CatalogStore`] plus a
-//! bounded index (never materializing a `Table`), a trained artifact is
-//! served over it with `match_stream`, and the peak RSS of that phase is
-//! compared against the double-resident in-memory baseline (full catalog
-//! `Table` + bound feature cache) running the same stream — which must
-//! also produce bit-identical output.
+//! bounded index (never materializing a `Table`), both are reopened from
+//! disk, a trained artifact is served over them with `match_stream`, and
+//! the peak RSS of that phase is compared against the in-memory baseline
+//! (full catalog `Table` + in-memory index, gathering candidate rows out of
+//! the table) running the same stream — which must also produce
+//! bit-identical output.
 //!
 //! Correctness anchors, checked on every run at the sizes where the exact
 //! probe is tractable:
 //! - the default-span sharded index answers bit-identically to a
 //!   single-shard (flat) index over a sampled query batch;
-//! - bounded probes (`top_k` + `max_posting`) return per-query subsets;
+//! - bounded probes (`top_k` + `max_posting`) return per-query subsets.
+//!
+//! And at every size:
 //! - a snapshot + replay-log round trip reproduces the exact candidates;
-//! - store-backed streamed output matches the in-memory path bit for bit,
-//!   including across a thread-count flip.
+//! - store-backed streamed output, served over the reopened store and
+//!   index, matches the in-memory path bit for bit, including across a
+//!   thread-count flip.
 //!
 //! Flags: `--out PATH` (default `BENCH_serve.json`), `--sizes a,b,c`
 //! (default `10000,100000,1000000`), `--ops N` mixed ops per size
 //! (default `10000`). Thread count: `EM_THREADS`, else 4.
 
 use automl_em::{EmPipelineConfig, FeatureGenerator, FeatureScheme};
-use em_bench::serve_scale::{hwm_kb, mixed_op, quantile, reset_hwm, rss_kb, MixedOp, MixedStats};
+use em_bench::serve_scale::{
+    hwm_kb, mixed_op, quantile, release_free_heap, reset_hwm, rss_kb, MixedOp, MixedStats,
+};
 use em_bench::timing::fmt_ns;
 use em_data::{CatalogSpec, ScaleCatalog};
 use em_rt::Json;
@@ -275,10 +281,11 @@ fn assert_identical(tag: &str, a: &[BatchOutput], b: &[BatchOutput]) {
 
 /// The scored-matches section for one size: stream the catalog into a
 /// [`CatalogStore`] + bounded index (O(chunk) memory, no full `Table`),
-/// serve a trained artifact over it with `match_stream` + `match_batch`,
-/// then run the same stream through the double-resident in-memory path
-/// and demand bit-identical output with a strictly lower store-side peak
-/// RSS (asserted at sizes where the gap clears procfs noise).
+/// snapshot and reopen both, serve a trained artifact over them with
+/// `match_stream` + `match_batch`, then run the same stream through the
+/// in-memory path and demand bit-identical output with a strictly lower
+/// store-side peak RSS (asserted at sizes where the gap clears procfs
+/// noise).
 fn scored_row(cat: &ScaleCatalog, artifact_path: &str, records: usize) -> Json {
     let base = std::env::temp_dir().join(format!(
         "em-bench-scale-store-{}-{records}",
@@ -312,37 +319,30 @@ fn scored_row(cat: &ScaleCatalog, artifact_path: &str, records: usize) -> Json {
         dat_bytes as f64 / (1 << 20) as f64,
     );
 
-    // Cold restart before serving: reopen the store from disk, and at
-    // sizes where the index snapshot is cheap go through the full
-    // snapshot → reopen PersistentIndex discipline too.
+    // Cold restart before serving: snapshot the index, then reopen the
+    // store and the index from disk.
     drop(store);
-    let snapshot = records <= EXACT_LIMIT;
-    let index = if snapshot {
-        drop(PersistentIndex::create(base.join("index"), index).expect("snapshot index"));
-        None
-    } else {
-        Some(index)
-    };
+    drop(PersistentIndex::create(base.join("index"), index).expect("snapshot index"));
     let artifact = ModelArtifact::load(artifact_path).expect("load artifact");
     let t0 = Instant::now();
     let store = CatalogStore::open(base.join("catalog")).expect("reopen store");
-    let mut matcher = match index {
-        Some(i) => Matcher::with_store_index(artifact, store, i),
-        None => {
-            let p = PersistentIndex::open(base.join("index")).expect("reopen index");
-            Matcher::with_store(artifact, store, p)
-        }
-    }
-    .expect("assemble store-backed matcher");
+    let index = PersistentIndex::open(base.join("index")).expect("reopen index");
+    let mut matcher =
+        Matcher::with_store(artifact, store, index).expect("assemble store-backed matcher");
     let reopen_secs = t0.elapsed().as_secs_f64();
+    eprintln!(
+        "scored: store + index reopened in {}",
+        fmt_ns(reopen_secs * 1e9)
+    );
     // Probe bounds are runtime tuning, not on-disk state: re-apply after
-    // the snapshot round trip (a no-op on the direct-index path).
+    // the snapshot round trip.
     matcher.set_probe_limits(Some(TOP_K), Some(MAX_POSTING));
 
     // Store-backed phase, with its own HWM window: one pipelined stream
     // for throughput, then per-batch one-shot calls for latency quantiles.
     let queries = cat.queries(0, STREAM_QUERIES);
     let batches = batches_of(&queries, STREAM_BATCH);
+    release_free_heap();
     let hwm_windows = reset_hwm();
     let (stream_secs, store_out) = stream_batches(&mut matcher, &batches);
     let mut lat: Vec<u64> = batches
@@ -355,14 +355,11 @@ fn scored_row(cat: &ScaleCatalog, artifact_path: &str, records: usize) -> Json {
         .collect();
     lat.sort_unstable();
     let (p50, p99) = (quantile(&lat, 0.50), quantile(&lat, 0.99));
-    let flip = snapshot && std::env::var("EM_THREADS").is_err();
     let prev_threads = em_rt::threads();
-    if flip {
-        em_rt::set_threads(1);
-        let (_, one) = stream_batches(&mut matcher, &batches);
-        assert_identical("store-backed stream, 1 thread vs default", &store_out, &one);
-        em_rt::set_threads(prev_threads);
-    }
+    em_rt::set_threads(1);
+    let (_, one) = stream_batches(&mut matcher, &batches);
+    assert_identical("store-backed stream, 1 thread vs default", &store_out, &one);
+    em_rt::set_threads(prev_threads);
     let store_hwm = hwm_kb().unwrap_or(0);
     let fetch = matcher.fetch_totals();
     let cached = matcher.catalog_store().map_or(0, CatalogStore::cached_rows);
@@ -384,11 +381,12 @@ fn scored_row(cat: &ScaleCatalog, artifact_path: &str, records: usize) -> Json {
         fetch.requested,
     );
 
-    // Double-resident baseline in its own HWM window: full catalog Table,
-    // in-memory index, and a catalog-bound feature cache — the PR-5-era
-    // serving shape. Same stream, so output parity is asserted on the way.
+    // In-memory baseline in its own HWM window: the full catalog Table and
+    // an in-memory index, candidate rows gathered out of the table. Same
+    // stream, so output parity is asserted on the way.
     drop(matcher);
     let artifact = ModelArtifact::load(artifact_path).expect("reload artifact");
+    release_free_heap();
     let _ = reset_hwm();
     let t0 = Instant::now();
     let mut in_memory =
@@ -397,29 +395,26 @@ fn scored_row(cat: &ScaleCatalog, artifact_path: &str, records: usize) -> Json {
     let baseline_build_secs = t0.elapsed().as_secs_f64();
     let (baseline_secs, mem_out) = stream_batches(&mut in_memory, &batches);
     assert_identical("store-backed vs in-memory stream", &store_out, &mem_out);
-    if flip {
-        em_rt::set_threads(1);
-        let (_, one) = stream_batches(&mut in_memory, &batches);
-        assert_identical(
-            "in-memory stream, 1 thread vs store-backed",
-            &store_out,
-            &one,
-        );
-        em_rt::set_threads(prev_threads);
-    }
+    em_rt::set_threads(1);
+    let (_, one) = stream_batches(&mut in_memory, &batches);
+    assert_identical(
+        "in-memory stream, 1 thread vs store-backed",
+        &store_out,
+        &one,
+    );
+    em_rt::set_threads(prev_threads);
     let baseline_hwm = hwm_kb().unwrap_or(0);
     drop(in_memory);
     eprintln!(
-        "scored: store-backed peak {:.1} MiB vs double-resident baseline {:.1} MiB \
-         (bit-identical output{})",
+        "scored: store-backed peak {:.1} MiB vs in-memory baseline {:.1} MiB \
+         (bit-identical output, thread flip checked)",
         store_hwm as f64 / 1024.0,
         baseline_hwm as f64 / 1024.0,
-        if flip { ", thread flip checked" } else { "" },
     );
     if hwm_windows && records >= EXACT_LIMIT {
         assert!(
             store_hwm < baseline_hwm,
-            "store-backed peak RSS {store_hwm} kiB not below the double-resident \
+            "store-backed peak RSS {store_hwm} kiB not below the in-memory \
              baseline {baseline_hwm} kiB"
         );
     }
@@ -432,7 +427,6 @@ fn scored_row(cat: &ScaleCatalog, artifact_path: &str, records: usize) -> Json {
             Json::from(records as f64 / store_build_secs),
         ),
         ("records_dat_bytes", Json::from(dat_bytes)),
-        ("snapshot_reopen", Json::from(snapshot)),
         ("reopen_secs", Json::from(reopen_secs)),
         ("stream_queries", Json::from(STREAM_QUERIES)),
         ("stream_batch", Json::from(STREAM_BATCH)),
@@ -450,7 +444,6 @@ fn scored_row(cat: &ScaleCatalog, artifact_path: &str, records: usize) -> Json {
         ("baseline_vm_hwm_kb", Json::from(baseline_hwm)),
         ("baseline_build_secs", Json::from(baseline_build_secs)),
         ("baseline_stream_secs", Json::from(baseline_secs)),
-        ("parity_thread_flip", Json::from(flip)),
     ];
     Json::Obj(
         fields
@@ -508,19 +501,13 @@ fn size_row(records: usize, ops: u64, artifact_path: &str) -> Json {
         stats.candidate_pairs,
     );
 
-    let recovery_secs = if records <= EXACT_LIMIT {
-        let secs = persistence_check(&cat, index);
-        eprintln!(
-            "persistence: snapshot + 1000-op replay recovered in {}",
-            fmt_ns(secs * 1e9)
-        );
-        Some(secs)
-    } else {
-        // The scored section below builds its own store-backed index;
-        // release this one first so peak-RSS windows measure one copy.
-        drop(index);
-        None
-    };
+    // Consumes the index, so the scored section's peak-RSS windows below
+    // measure only the copy it builds.
+    let recovery_secs = persistence_check(&cat, index);
+    eprintln!(
+        "persistence: snapshot + 1000-op replay recovered in {}",
+        fmt_ns(recovery_secs * 1e9)
+    );
 
     let rss_end = rss_kb().unwrap_or(0);
     let hwm = hwm_kb().unwrap_or(0);
@@ -546,12 +533,10 @@ fn size_row(records: usize, ops: u64, artifact_path: &str) -> Json {
         ("query_p50_ns", Json::from(p50)),
         ("query_p99_ns", Json::from(p99)),
         ("candidate_pairs", Json::from(stats.candidate_pairs)),
+        ("recovery_secs", Json::from(recovery_secs)),
     ];
     if let Some(n) = exact_pairs {
         fields.push(("parity_exact_pairs", Json::from(n)));
-    }
-    if let Some(secs) = recovery_secs {
-        fields.push(("recovery_secs", Json::from(secs)));
     }
     fields.push(("scored", scored_row(&cat, artifact_path, records)));
     Json::Obj(
@@ -627,13 +612,16 @@ fn main() {
                  a seeded 60/20/10/10 query/upsert/restore/remove workload; \
                  latencies are exact nearest-rank quantiles over every query \
                  op. Sizes within the exact-probe limit also assert \
-                 flat==sharded==recovered parity and bounded-subset \
-                 behavior. Memory is procfs VmRSS/VmHWM (kiB). Each size's \
-                 'scored' object serves a trained artifact end to end over \
-                 a store-backed catalog (probe -> row gather -> featurize \
-                 -> predict) and over the double-resident in-memory \
-                 baseline; outputs must agree bit for bit, and the two \
-                 peaks come from separate clear_refs HWM windows (so \
+                 flat==sharded parity and bounded-subset behavior; every \
+                 size asserts snapshot+replay recovery parity. Memory is \
+                 procfs VmRSS/VmHWM (kiB). Each size's 'scored' object \
+                 serves a trained artifact end to end over a reopened \
+                 store-backed catalog and index (probe -> row gather -> \
+                 featurize -> predict) and over the in-memory baseline \
+                 (resident Table, rows gathered from it); outputs must \
+                 agree bit for bit at the default and at one thread, and \
+                 the two peaks come from separate clear_refs HWM windows, \
+                 each opened after malloc_trim returns freed heap (so \
                  vm_hwm_kb covers build+mixed phases since the previous \
                  size's scored section).",
             ),
@@ -642,17 +630,13 @@ fn main() {
     ]);
 
     // Merge into the existing report under the "scale" key.
-    let mut doc = std::fs::read_to_string(&out_path)
-        .ok()
-        .and_then(|t| Json::parse(&t).ok())
-        .unwrap_or_else(|| Json::obj([("suite", Json::from("bench_serve"))]));
-    if let Json::Obj(fields) = &mut doc {
-        fields.retain(|(k, _)| k != "scale");
-        fields.push(("scale".to_string(), scale));
-    } else {
-        doc = Json::obj([("scale", scale)]);
-    }
-    std::fs::write(&out_path, doc.render_pretty(2) + "\n")
+    let mut fields = match std::fs::read_to_string(&out_path).map(|t| Json::parse(&t)) {
+        Ok(Ok(Json::Obj(fields))) => fields,
+        _ => Vec::new(),
+    };
+    fields.retain(|(k, _)| k != "scale");
+    fields.push(("scale".to_string(), scale));
+    std::fs::write(&out_path, Json::Obj(fields).render_pretty(2) + "\n")
         .unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));
     eprintln!("wrote {out_path}");
     let _ = std::fs::remove_file(&artifact_path);

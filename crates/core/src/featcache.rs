@@ -179,19 +179,11 @@ impl FeatureCache {
         Self::build(generator, Some(a), Some(b))
     }
 
-    /// A serving-side cache: the right side is bound to `catalog` up front
-    /// (every catalog value profiled once), the left side starts unbound and
-    /// is rebound to each incoming query batch via [`Self::rebind_left`].
-    /// Avoids materializing a throwaway empty query table.
-    pub fn for_serving(generator: FeatureGenerator, catalog: &Table) -> Self {
-        Self::build(generator, None, Some(catalog))
-    }
-
     /// A fully unbound cache: neither side is profiled up front. The
-    /// store-backed serving path rebinds the left side to each query batch
-    /// and the right side to each fetched catalog slice
-    /// ([`Self::rebind_left`] / [`Self::rebind_right`]); profiles and memo
-    /// entries accumulate across batches exactly as in the bound paths.
+    /// serving path rebinds the left side to each query batch and the
+    /// right side to each gathered catalog slice ([`Self::rebind_left`] /
+    /// [`Self::rebind_right`]); profiles and memo entries accumulate across
+    /// batches exactly as in the bound path.
     pub fn unbound(generator: FeatureGenerator) -> Self {
         Self::build(generator, None, None)
     }
@@ -277,12 +269,12 @@ impl FeatureCache {
     }
 
     /// Rebind the *left* side of the cache to a fresh table (the serving
-    /// path: the right side is a fixed catalog, the left side is each
-    /// incoming query batch). Previously-unseen values are profiled and
-    /// interned in row order — a serial pass, so the cache state after a
-    /// given sequence of batches is identical at any `EM_THREADS`. Existing
-    /// profiles and memo entries stay valid because both are keyed by value
-    /// ids, which never change once assigned.
+    /// path: the left side is each incoming query batch). Previously-unseen
+    /// values are profiled and interned in row order — a serial pass, so
+    /// the cache state after a given sequence of batches is identical at
+    /// any `EM_THREADS`. Existing profiles and memo entries stay valid
+    /// because both are keyed by value ids, which never change once
+    /// assigned.
     pub fn rebind_left(&mut self, a: &Table) {
         let _span = em_obs::span!("featcache.rebind_left");
         let mut new_profiles = 0u64;
@@ -294,9 +286,9 @@ impl FeatureCache {
     }
 
     /// Rebind the *right* side of the cache to a fresh table — the
-    /// store-backed serving path, where the right side is the per-batch
-    /// slice of catalog rows gathered for the probe's candidates rather
-    /// than the whole catalog. Same contract as [`Self::rebind_left`]:
+    /// serving path, where the right side is the per-batch slice of catalog
+    /// rows gathered for the probe's candidates rather than the whole
+    /// catalog. Same contract as [`Self::rebind_left`]:
     /// unseen values are profiled and interned in row order (serial, so
     /// cache state after a given batch sequence is thread-count
     /// invariant), and existing profiles/memo entries stay valid because
@@ -565,16 +557,6 @@ mod tests {
             let uncached = g.generate(&batch, &slice, &pairs);
             bitwise_eq(&uncached, &cached);
         }
-        // for_serving (right side bound up front) agrees with the
-        // fully-rebound cache on a fresh query batch.
-        let mut bound = FeatureCache::for_serving(g.clone(), &ds.table_b);
-        let batch = ds.table_a.slice_rows(0..half_a);
-        let pairs: Vec<RecordPair> = (0..batch.len())
-            .flat_map(|i| (0..ds.table_b.len()).map(move |j| RecordPair::new(i, j)))
-            .collect();
-        bound.rebind_left(&batch);
-        let got = bound.generate(&batch, &ds.table_b, &pairs);
-        bitwise_eq(&g.generate(&batch, &ds.table_b, &pairs), &got);
     }
 
     #[test]

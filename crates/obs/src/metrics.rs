@@ -207,7 +207,7 @@ impl Histogram {
     }
 
     /// Quantile of the traced observations ([`LogHistogram::quantile`]),
-    /// `None` while empty. Lets harnesses (e.g. `bench_serve`) read p50/p99
+    /// `None` while empty. Lets harnesses (e.g. `serve_demo`) read p50/p99
     /// without a flush cycle.
     pub fn quantile(&self, q: f64) -> Option<u64> {
         self.trace.quantile(q)

@@ -1,7 +1,7 @@
 //! # em-serve — serving a searched AutoML-EM matcher
 //!
 //! The paper's pipeline search ends with a fitted model; this crate turns
-//! that result into a deployable matching service, in three pieces:
+//! that result into a deployable matching service, in these pieces:
 //!
 //! * [`ModelArtifact`] — a versioned JSON document capturing the feature
 //!   plan and every fitted parameter (imputer statistics, scaler centers,
@@ -20,8 +20,10 @@
 //!   log persistence: every upsert/remove is WAL-logged with CRC framing
 //!   before it is applied, recovery loads the snapshot, replays the tail
 //!   (tolerating a torn final record), and verifies postings invariants.
-//! * [`Matcher`] — block → featurize (through the shared
-//!   [`automl_em::FeatureCache`]) → predict, either per batch
+//! * [`Matcher`] — one batch step, probe → gather the candidate rows →
+//!   featurize (through the shared [`automl_em::FeatureCache`]) → predict,
+//!   over an in-memory `Table` + [`IncrementalIndex`] or a
+//!   [`CatalogStore`] + [`PersistentIndex`]; either per batch
 //!   ([`Matcher::match_batch`]) or over a channel-fed stream
 //!   ([`Matcher::match_stream`]) with bounded in-flight batches and
 //!   deterministic, input-ordered output at any `EM_THREADS`.

@@ -2,21 +2,24 @@
 //! one-shot batches ([`Matcher::match_batch`]) or a stream of batches
 //! ([`Matcher::match_stream`]).
 //!
-//! ## Catalog backings
+//! ## Catalogs
 //!
-//! A matcher serves against one of two catalog backings:
+//! A matcher serves one of two catalogs, each with the index that comes
+//! with it:
 //!
-//! * **In-memory** ([`Matcher::new`]) — the catalog `Table` is resident
-//!   and the feature cache profiles every catalog value up front. Right
-//!   for tests and small catalogs.
-//! * **Store-backed** ([`Matcher::with_store`] /
-//!   [`Matcher::with_store_index`]) — rows live in a [`CatalogStore`] and
-//!   each batch runs probe → gather only the distinct candidate rows →
-//!   rebind the cache to the fetched slice → featurize → predict, so
-//!   resident memory scales with the per-batch working set, not the
-//!   catalog. Output is bit-identical to the in-memory path (the private
-//!   `featurize_batch` documents why), at any `EM_THREADS`, with the
-//!   hot-row cache on or off.
+//! * **In-memory** ([`Matcher::new`]) — a resident `Table` and an
+//!   in-memory [`IncrementalIndex`]. Right for tests and small catalogs.
+//! * **Store-backed** ([`Matcher::with_store`]) — rows live in a
+//!   [`CatalogStore`] and the index is a WAL-backed [`PersistentIndex`],
+//!   so resident memory scales with the per-batch working set, not the
+//!   catalog, and retirements survive restarts.
+//!
+//! Both run one batch step: probe → gather only the sorted distinct
+//! candidate rows (read from the store, or copied out of the table) →
+//! rebind the feature cache to the gathered slice and featurize (span
+//! `serve.featurize`) → predict. Output is bit-identical across the two
+//! catalogs (the private `Serving::step` documents why), at any
+//! `EM_THREADS`, with the store's hot-row cache on or off.
 //!
 //! ## Streaming design
 //!
@@ -25,12 +28,11 @@
 //! in `em-automl`:
 //!
 //! * **Coordinator** (the calling thread) — receives batches in arrival
-//!   order, probes the [`IncrementalIndex`], rebinds the shared
-//!   [`FeatureCache`] to the batch and featurizes (both internally parallel
-//!   on the `em-rt` pool), then ships `(seq, pairs, features)` to the
-//!   predict workers. Featurization mutates the cache, so it stays on one
-//!   thread — which is also what makes cache evolution independent of
-//!   worker scheduling.
+//!   order and runs the batch step up to prediction (probe and
+//!   featurization are internally parallel on the `em-rt` pool), then
+//!   ships the featurized batch to the predict workers. Featurization
+//!   mutates the cache, so it stays on one thread — which is also what
+//!   makes cache evolution independent of worker scheduling.
 //! * **Predict workers** — dedicated threads racing over the job channel;
 //!   each scores whole batches through the fitted pipeline. Per-batch
 //!   prediction is a pure function of the feature matrix, so racing is
@@ -61,7 +63,6 @@ use em_obs::{Counter, Histogram};
 use em_rt::{Json, Receiver, Sender};
 use em_table::{RecordPair, Schema, Table};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
 
 /// Query batches served by `match_stream`/`match_batch`.
@@ -136,10 +137,8 @@ impl Default for StreamOptions {
 struct PredictJob {
     seq: usize,
     n_queries: usize,
-    pairs: Vec<RecordPair>,
-    features: Matrix,
     started: Instant,
-    telem: BatchTelemetry,
+    batch: Featurized,
 }
 
 /// Per-batch stage timings and probe effects, carried alongside the batch
@@ -151,8 +150,7 @@ struct BatchTelemetry {
     probe_ns: u64,
     featurize_ns: u64,
     predict_ns: u64,
-    /// Wall time of the store gather inside featurization (0 on the
-    /// in-memory catalog path).
+    /// Wall time of the candidate-row gather.
     fetch_ns: u64,
     probe: ProbeStats,
     fetch: FetchStats,
@@ -208,42 +206,149 @@ fn record_request(
     }
 }
 
-/// Where the matcher's catalog rows live: fully resident (the original
-/// path, still right for small catalogs and tests) or gathered on demand
-/// from a [`CatalogStore`], which keeps memory O(working set) instead of
-/// O(catalog).
-enum CatalogBacking {
-    Memory(Table),
-    Store(Box<CatalogStore>),
+/// The catalog and the index that comes with it: a resident `Table` with
+/// an in-memory index (right for tests and small catalogs), or a
+/// [`CatalogStore`] with a WAL-backed [`PersistentIndex`], which keeps
+/// memory O(working set) instead of O(catalog) and makes retirements
+/// survive restarts.
+enum Catalog {
+    Memory {
+        table: Table,
+        index: Box<IncrementalIndex>,
+    },
+    Store {
+        store: Box<CatalogStore>,
+        index: Box<PersistentIndex>,
+    },
 }
 
-/// Where the blocking index lives: in-memory only, or WAL-backed so
-/// retirements survive restarts.
-enum IndexBacking {
-    Memory(IncrementalIndex),
-    Persistent(Box<PersistentIndex>),
-}
-
-impl IndexBacking {
-    fn as_index(&self) -> &IncrementalIndex {
+impl Catalog {
+    fn index(&self) -> &IncrementalIndex {
         match self {
-            IndexBacking::Memory(i) => i,
-            IndexBacking::Persistent(p) => p.index(),
+            Catalog::Memory { index, .. } => index,
+            Catalog::Store { index, .. } => index.index(),
+        }
+    }
+
+    /// The table whose row `i` is catalog row `rows[i]`, plus the store's
+    /// gather effects (zero for a resident table). Fetch or decode failures
+    /// panic: a serving matcher whose catalog file is unreadable mid-stream
+    /// has no useful degraded mode.
+    fn gather(&mut self, rows: &[u32]) -> (Table, FetchStats) {
+        match self {
+            Catalog::Memory { table, .. } => {
+                let mut slice = Table::new(table.schema().clone());
+                for &row in rows {
+                    let values = table.record(row as usize).values().to_vec();
+                    slice.push_row(values).expect("same schema");
+                }
+                (slice, FetchStats::default())
+            }
+            Catalog::Store { store, .. } => store
+                .fetch_rows_with_stats(rows)
+                .unwrap_or_else(|e| panic!("catalog store fetch failed: {e}")),
         }
     }
 }
 
-/// A deployable matcher: fitted pipeline + catalog backing + incremental
-/// index + feature cache, assembled from a [`ModelArtifact`].
-pub struct Matcher {
-    pipeline: FittedEmPipeline,
-    catalog: CatalogBacking,
-    index: IndexBacking,
+/// Everything the batch step mutates. The fitted pipeline stays outside,
+/// so predict workers can share it while the stream coordinator steps.
+struct Serving {
+    catalog: Catalog,
     cache: FeatureCache,
     /// Cumulative probe effects across every batch this matcher served.
     probe_totals: ProbeStats,
-    /// Cumulative store-gather effects (all zero on the in-memory path).
+    /// Cumulative store-gather effects (all zero on a resident table).
     fetch_totals: FetchStats,
+}
+
+/// One batch after [`Serving::step`], awaiting prediction.
+struct Featurized {
+    pairs: Vec<RecordPair>,
+    features: Matrix,
+    telem: BatchTelemetry,
+}
+
+impl Serving {
+    /// The batch step `match_batch` and the `match_stream` coordinator
+    /// share: probe → gather the sorted distinct candidate rows → rebind
+    /// the cache to (queries, gathered slice) and featurize under
+    /// `serve.featurize`. Prediction is [`Featurized::predict`].
+    ///
+    /// Features equal a whole-catalog featurization bit for bit: every
+    /// similarity is a pure function of the two cell values (token-id
+    /// assignment order never changes an intersection size), and the
+    /// store's row codec round-trips cells bit-exactly, so featurizing
+    /// `(queries, slice)` under slice-local indices equals featurizing
+    /// `(queries, catalog)` under global ones, pair for pair, whichever
+    /// catalog backs the matcher.
+    fn step(&mut self, queries: &Table) -> Featurized {
+        let t_probe = Instant::now();
+        let (pairs, probe) = self.catalog.index().candidates_with_stats(queries, 0);
+        let probe_ns = t_probe.elapsed().as_nanos() as u64;
+        let t_fetch = Instant::now();
+        let mut rows: Vec<u32> = pairs.iter().map(|p| p.right as u32).collect();
+        rows.sort_unstable();
+        rows.dedup();
+        let (slice, fetch) = self.catalog.gather(&rows);
+        let local_pairs: Vec<RecordPair> = pairs
+            .iter()
+            .map(|p| {
+                let local = rows
+                    .binary_search(&(p.right as u32))
+                    .expect("candidate row was gathered");
+                RecordPair::new(p.left, local)
+            })
+            .collect();
+        let fetch_ns = t_fetch.elapsed().as_nanos() as u64;
+        let t_feat = Instant::now();
+        let features = {
+            let _span = em_obs::span!("serve.featurize");
+            self.cache.rebind_left(queries);
+            self.cache.rebind_right(&slice);
+            self.cache.generate(queries, &slice, &local_pairs)
+        };
+        let featurize_ns = t_feat.elapsed().as_nanos() as u64;
+        let totals = &mut self.probe_totals;
+        totals.pruned_tokens += probe.pruned_tokens;
+        totals.capped_queries += probe.capped_queries;
+        totals.stale_recounts += probe.stale_recounts;
+        let totals = &mut self.fetch_totals;
+        totals.requested += fetch.requested;
+        totals.cache_hits += fetch.cache_hits;
+        totals.rows_read += fetch.rows_read;
+        Featurized {
+            pairs,
+            features,
+            telem: BatchTelemetry {
+                probe_ns,
+                featurize_ns,
+                predict_ns: 0,
+                fetch_ns,
+                probe,
+                fetch,
+            },
+        }
+    }
+}
+
+impl Featurized {
+    /// Score the batch under `serve.predict`, stamping the predict time.
+    fn predict(self, pipeline: &FittedEmPipeline) -> (Vec<MatchRecord>, BatchTelemetry) {
+        let _span = em_obs::span!("serve.predict");
+        let t_pred = Instant::now();
+        let matches = score_pairs(pipeline, &self.pairs, &self.features);
+        let mut telem = self.telem;
+        telem.predict_ns = t_pred.elapsed().as_nanos() as u64;
+        (matches, telem)
+    }
+}
+
+/// A deployable matcher: fitted pipeline + catalog with its index + feature
+/// cache, assembled from a [`ModelArtifact`].
+pub struct Matcher {
+    pipeline: FittedEmPipeline,
+    serving: Serving,
 }
 
 /// Reject a catalog whose schema disagrees with the artifact that will
@@ -261,10 +366,11 @@ fn check_schema(schema: &Schema, artifact: &ModelArtifact) -> Result<(), String>
 
 impl Matcher {
     /// Assemble a matcher over a fully in-memory catalog: replay the
-    /// artifact's feature plan, build the blocking index over `catalog`,
-    /// and bind the feature cache to it (profiling every catalog value
-    /// once, up front). The right choice for tests and small catalogs;
-    /// million-record deployments should use [`Self::with_store`].
+    /// artifact's feature plan and build the blocking index over
+    /// `catalog`. Batches gather their candidate rows out of the table, as
+    /// [`Self::with_store`] gathers them out of a store. The right choice
+    /// for tests and small catalogs; million-record deployments should use
+    /// [`Self::with_store`].
     ///
     /// # Errors
     /// Fails when the catalog schema does not match the artifact's
@@ -276,25 +382,20 @@ impl Matcher {
         min_overlap: usize,
     ) -> Result<Self, String> {
         check_schema(catalog.schema(), &artifact)?;
-        let generator = artifact.generator();
         let index = IncrementalIndex::build(blocking_attribute, min_overlap, &catalog)?;
-        let cache = FeatureCache::for_serving(generator, &catalog);
-        Ok(Matcher {
-            pipeline: artifact.pipeline,
-            catalog: CatalogBacking::Memory(catalog),
-            index: IndexBacking::Memory(index),
-            cache,
-            probe_totals: ProbeStats::default(),
-            fetch_totals: FetchStats::default(),
-        })
+        Ok(Self::assemble(
+            artifact,
+            Catalog::Memory {
+                table: catalog,
+                index: Box::new(index),
+            },
+        ))
     }
 
     /// Assemble a store-backed matcher: candidate rows are gathered from
-    /// `store` per batch (probe → fetch only the candidates → featurize
-    /// the fetched slice → predict) and the blocking index is the
-    /// WAL-backed `index`, so neither the catalog nor its feature
-    /// profiles are ever fully resident. Retirements WAL-log through the
-    /// persistent index.
+    /// `store` per batch and the blocking index is the WAL-backed `index`,
+    /// so neither the catalog nor its feature profiles are ever fully
+    /// resident. Retirements WAL-log through the persistent index.
     ///
     /// # Errors
     /// Fails when the store schema does not match the artifact's
@@ -305,85 +406,61 @@ impl Matcher {
         index: PersistentIndex,
     ) -> Result<Self, String> {
         check_schema(store.schema(), &artifact)?;
-        let generator = artifact.generator();
-        let cache = FeatureCache::unbound(generator);
-        Ok(Matcher {
-            pipeline: artifact.pipeline,
-            catalog: CatalogBacking::Store(Box::new(store)),
-            index: IndexBacking::Persistent(Box::new(index)),
-            cache,
-            probe_totals: ProbeStats::default(),
-            fetch_totals: FetchStats::default(),
-        })
+        Ok(Self::assemble(
+            artifact,
+            Catalog::Store {
+                store: Box::new(store),
+                index: Box::new(index),
+            },
+        ))
     }
 
-    /// [`Self::with_store`] with an in-memory (non-WAL) blocking index —
-    /// for benchmarks and rebuild-on-boot deployments where index
-    /// persistence is not wanted.
-    ///
-    /// # Errors
-    /// Fails when the store schema does not match the artifact's
-    /// attribute list.
-    pub fn with_store_index(
-        artifact: ModelArtifact,
-        store: CatalogStore,
-        index: IncrementalIndex,
-    ) -> Result<Self, String> {
-        check_schema(store.schema(), &artifact)?;
-        let generator = artifact.generator();
-        let cache = FeatureCache::unbound(generator);
-        Ok(Matcher {
+    fn assemble(artifact: ModelArtifact, catalog: Catalog) -> Self {
+        let cache = FeatureCache::unbound(artifact.generator());
+        Matcher {
             pipeline: artifact.pipeline,
-            catalog: CatalogBacking::Store(Box::new(store)),
-            index: IndexBacking::Memory(index),
-            cache,
-            probe_totals: ProbeStats::default(),
-            fetch_totals: FetchStats::default(),
-        })
-    }
-
-    /// The in-memory catalog, when this matcher holds one (`None` for
-    /// store-backed matchers).
-    pub fn catalog(&self) -> Option<&Table> {
-        match &self.catalog {
-            CatalogBacking::Memory(t) => Some(t),
-            CatalogBacking::Store(_) => None,
+            serving: Serving {
+                catalog,
+                cache,
+                probe_totals: ProbeStats::default(),
+                fetch_totals: FetchStats::default(),
+            },
         }
     }
 
     /// The catalog store, when this matcher is store-backed.
     pub fn catalog_store(&self) -> Option<&CatalogStore> {
-        match &self.catalog {
-            CatalogBacking::Memory(_) => None,
-            CatalogBacking::Store(s) => Some(s),
+        match &self.serving.catalog {
+            Catalog::Memory { .. } => None,
+            Catalog::Store { store, .. } => Some(store),
         }
     }
 
     /// The blocking index (read access; see [`Self::retire`] for updates).
     pub fn index(&self) -> &IncrementalIndex {
-        self.index.as_index()
+        self.serving.catalog.index()
     }
 
     /// Cumulative probe effects (pruned tokens, capped queries, stale
     /// recounts) across every batch this matcher has served.
     pub fn probe_totals(&self) -> ProbeStats {
-        self.probe_totals
+        self.serving.probe_totals
     }
 
     /// Cumulative store-gather effects across every batch (all zero for
     /// in-memory matchers).
     pub fn fetch_totals(&self) -> FetchStats {
-        self.fetch_totals
+        self.serving.fetch_totals
     }
 
     /// Reconfigure the store's hot-row cache (see
     /// [`CatalogStore::configure_cache`]; capacity 0 disables it). Returns
     /// false — and does nothing — on an in-memory matcher.
     pub fn configure_hot_cache(&mut self, capacity: usize, seed: u64) -> bool {
-        match &mut self.catalog {
-            CatalogBacking::Memory(_) => false,
-            CatalogBacking::Store(s) => {
-                s.configure_cache(capacity, seed);
+        match &mut self.serving.catalog {
+            Catalog::Memory { .. } => false,
+            Catalog::Store { store, .. } => {
+                store.configure_cache(capacity, seed);
                 true
             }
         }
@@ -393,7 +470,7 @@ impl Matcher {
     /// [`FeatureCache::set_memo_cap`]) — recommended for long-running
     /// streams over unbounded query vocabularies.
     pub fn set_memo_cap(&mut self, cap: Option<usize>) {
-        self.cache.set_memo_cap(cap);
+        self.serving.cache.set_memo_cap(cap);
     }
 
     /// Bound the blocking probe (see
@@ -402,11 +479,11 @@ impl Matcher {
     /// document frequency exceeds `max_posting`. `None` disables either
     /// bound; with both off, candidate sets are exact.
     pub fn set_probe_limits(&mut self, top_k: Option<usize>, max_posting: Option<usize>) {
-        match &mut self.index {
-            IndexBacking::Memory(i) => i.set_probe_limits(top_k, max_posting),
+        match &mut self.serving.catalog {
+            Catalog::Memory { index, .. } => index.set_probe_limits(top_k, max_posting),
             // Probe bounds are runtime tuning, not index state, so they do
             // not WAL-log.
-            IndexBacking::Persistent(p) => p.index_mut().set_probe_limits(top_k, max_posting),
+            Catalog::Store { index, .. } => index.index_mut().set_probe_limits(top_k, max_posting),
         }
     }
 
@@ -418,12 +495,12 @@ impl Matcher {
     /// A WAL-backed index can fail to log the retirement; the in-memory
     /// path never fails.
     pub fn retire(&mut self, catalog_row: usize) -> Result<(), String> {
-        match &mut self.index {
-            IndexBacking::Memory(i) => {
-                i.remove(catalog_row);
+        match &mut self.serving.catalog {
+            Catalog::Memory { index, .. } => {
+                index.remove(catalog_row);
                 Ok(())
             }
-            IndexBacking::Persistent(p) => p.remove(catalog_row),
+            Catalog::Store { index, .. } => index.remove(catalog_row),
         }
     }
 
@@ -431,31 +508,14 @@ impl Matcher {
     pub fn match_batch(&mut self, queries: &Table) -> Vec<MatchRecord> {
         let _span = em_obs::span!("serve.batch");
         let started = Instant::now();
-        let (pairs, probe) = self.index.as_index().candidates_with_stats(queries, 0);
-        let probe_ns = started.elapsed().as_nanos() as u64;
-        accumulate_probe(&mut self.probe_totals, probe);
-        let t_feat = Instant::now();
-        let (features, fetch_ns, fetch) =
-            featurize_batch(&mut self.catalog, &mut self.cache, queries, &pairs);
-        accumulate_fetch(&mut self.fetch_totals, fetch);
-        let featurize_ns = t_feat.elapsed().as_nanos() as u64;
-        let t_pred = Instant::now();
-        let out = score_pairs(&self.pipeline, &pairs, &features);
-        let predict_ns = t_pred.elapsed().as_nanos() as u64;
+        let (out, telem) = self.serving.step(queries).predict(&self.pipeline);
         let id = NEXT_BATCH_ID.fetch_add(1, Ordering::Relaxed);
         record_request(
             id,
             queries.len(),
             &out,
             started.elapsed().as_nanos() as u64,
-            BatchTelemetry {
-                probe_ns,
-                featurize_ns,
-                predict_ns,
-                fetch_ns,
-                probe,
-                fetch,
-            },
+            telem,
         );
         out
     }
@@ -467,19 +527,7 @@ impl Matcher {
     /// Returns the first invariant violation, exactly as
     /// [`IncrementalIndex::verify_invariants`] reports it.
     pub fn verify_index(&self) -> Result<(), String> {
-        let index = self.index.as_index();
-        let res = index.verify_invariants();
-        em_obs::live::set_health(
-            "index",
-            res.clone().map(|()| {
-                format!(
-                    "{} live records, stale debt {}",
-                    index.len(),
-                    index.stale_debt()
-                )
-            }),
-        );
-        res
+        crate::store::publish_index_health(self.index())
     }
 
     /// Stream matching: pull query tables from `queries` until the channel
@@ -500,41 +548,28 @@ impl Matcher {
             opts.predict_workers
         };
         let (job_tx, job_rx) = em_rt::channel::<PredictJob>();
-        let (done_tx, done_rx) = em_rt::channel::<(usize, BatchOutput, Instant, BatchTelemetry)>();
+        let (done_tx, done_rx) = em_rt::channel::<(BatchOutput, Instant, BatchTelemetry)>();
         let (credit_tx, credit_rx) = em_rt::channel::<()>();
         for _ in 0..max_in_flight {
             credit_tx.send(()).expect("credit receiver alive");
         }
-        // Featurization mutates the cache (and, store-backed, the catalog
-        // backing's files and hot-row cache); everything the workers touch
-        // is immutable. Split the borrows up front so the worker closures
-        // only capture immutable parts; the mutable coordinator state goes
-        // behind one Mutex that only the coordinator ever locks.
+        // The batch step mutates the serving state; workers only read the
+        // pipeline, so the borrows split here.
         let pipeline = &self.pipeline;
-        let index = &self.index;
-        let coord_state = Mutex::new((
-            &mut self.catalog,
-            &mut self.cache,
-            &mut self.probe_totals,
-            &mut self.fetch_totals,
-        ));
+        let serving = &mut self.serving;
         std::thread::scope(|s| {
             for _ in 0..n_workers {
                 let job_rx = job_rx.clone();
                 let done_tx = done_tx.clone();
                 s.spawn(move || {
                     while let Some(job) = job_rx.recv() {
-                        let _span = em_obs::span!("serve.predict");
-                        let t_pred = Instant::now();
-                        let matches = score_pairs(pipeline, &job.pairs, &job.features);
-                        let mut telem = job.telem;
-                        telem.predict_ns = t_pred.elapsed().as_nanos() as u64;
+                        let (matches, telem) = job.batch.predict(pipeline);
                         let out = BatchOutput {
                             seq: job.seq,
                             n_queries: job.n_queries,
                             matches,
                         };
-                        if done_tx.send((job.seq, out, job.started, telem)).is_err() {
+                        if done_tx.send((out, job.started, telem)).is_err() {
                             return;
                         }
                     }
@@ -546,10 +581,9 @@ impl Matcher {
                 let mut pending: std::collections::BTreeMap<usize, Pending> =
                     std::collections::BTreeMap::new();
                 let mut next = 0usize;
-                while let Some((seq, out, started, telem)) = done_rx.recv() {
-                    pending.insert(seq, (out, started, telem));
-                    while let Some(entry) = pending.remove(&next) {
-                        let (out, started, telem) = entry;
+                while let Some(done) = done_rx.recv() {
+                    pending.insert(done.0.seq, done);
+                    while let Some((out, started, telem)) = pending.remove(&next) {
                         let latency_ns = started.elapsed().as_nanos() as u64;
                         record_request(
                             out.seq as u64,
@@ -567,44 +601,23 @@ impl Matcher {
                 }
             });
             // Coordinator (this thread): arrival order, one credit each.
-            {
-                let mut guard = coord_state.lock().unwrap();
-                let (catalog, cache, probe_totals, fetch_totals) = &mut *guard;
-                let mut seq = 0usize;
-                while let Some(batch) = queries.recv() {
-                    if credit_rx.recv().is_none() {
-                        break; // emitter gone: consumer vanished entirely
-                    }
-                    let started = Instant::now();
-                    let _span = em_obs::span!("serve.batch");
-                    let (pairs, probe) = index.as_index().candidates_with_stats(&batch, 0);
-                    let probe_ns = started.elapsed().as_nanos() as u64;
-                    accumulate_probe(probe_totals, probe);
-                    let t_feat = Instant::now();
-                    let (features, fetch_ns, fetch) =
-                        featurize_batch(catalog, cache, &batch, &pairs);
-                    accumulate_fetch(fetch_totals, fetch);
-                    let featurize_ns = t_feat.elapsed().as_nanos() as u64;
-                    let job = PredictJob {
-                        seq,
-                        n_queries: batch.len(),
-                        pairs,
-                        features,
-                        started,
-                        telem: BatchTelemetry {
-                            probe_ns,
-                            featurize_ns,
-                            predict_ns: 0,
-                            fetch_ns,
-                            probe,
-                            fetch,
-                        },
-                    };
-                    if job_tx.send(job).is_err() {
-                        break;
-                    }
-                    seq += 1;
+            let mut seq = 0usize;
+            while let Some(batch) = queries.recv() {
+                if credit_rx.recv().is_none() {
+                    break; // emitter gone: consumer vanished entirely
                 }
+                let started = Instant::now();
+                let _span = em_obs::span!("serve.batch");
+                let job = PredictJob {
+                    seq,
+                    n_queries: batch.len(),
+                    started,
+                    batch: serving.step(&batch),
+                };
+                if job_tx.send(job).is_err() {
+                    break;
+                }
+                seq += 1;
             }
             // Close the job channel: workers drain and exit, their
             // `done_tx` clones drop, the emitter drains and exits, and the
@@ -613,69 +626,6 @@ impl Matcher {
             drop(done_tx);
             let _ = emitter.join();
         });
-    }
-}
-
-fn accumulate_probe(totals: &mut ProbeStats, p: ProbeStats) {
-    totals.pruned_tokens += p.pruned_tokens;
-    totals.capped_queries += p.capped_queries;
-    totals.stale_recounts += p.stale_recounts;
-}
-
-fn accumulate_fetch(totals: &mut FetchStats, f: FetchStats) {
-    totals.requested += f.requested;
-    totals.cache_hits += f.cache_hits;
-    totals.rows_read += f.rows_read;
-}
-
-/// Build the feature matrix for one batch against either catalog backing.
-/// Returns `(features, fetch_ns, fetch_stats)`; the latter two are zero on
-/// the in-memory path.
-///
-/// Store-backed, only the distinct candidate rows are gathered and the
-/// cache is rebound to the fetched slice. Feature values are bit-identical
-/// to the in-memory path: every similarity is a pure function of the two
-/// cell values (token-id assignment order never changes an intersection
-/// size), and the store's row codec round-trips cells bit-exactly — so
-/// featurizing `(query, fetched slice)` under slice-local indices equals
-/// featurizing `(query, full catalog)` under global indices, pair for
-/// pair. Fetch or decode failures panic: a serving matcher whose catalog
-/// file is unreadable mid-stream has no useful degraded mode.
-fn featurize_batch(
-    catalog: &mut CatalogBacking,
-    cache: &mut FeatureCache,
-    queries: &Table,
-    pairs: &[RecordPair],
-) -> (Matrix, u64, FetchStats) {
-    match catalog {
-        CatalogBacking::Memory(table) => {
-            cache.rebind_left(queries);
-            let features = cache.generate(queries, table, pairs);
-            (features, 0, FetchStats::default())
-        }
-        CatalogBacking::Store(store) => {
-            let t_fetch = Instant::now();
-            let mut rows: Vec<u32> = pairs.iter().map(|p| p.right as u32).collect();
-            rows.sort_unstable();
-            rows.dedup();
-            let (slice, fetch) = store
-                .fetch_rows_with_stats(&rows)
-                .unwrap_or_else(|e| panic!("catalog store fetch failed: {e}"));
-            let fetch_ns = t_fetch.elapsed().as_nanos() as u64;
-            let local_pairs: Vec<RecordPair> = pairs
-                .iter()
-                .map(|p| {
-                    let local = rows
-                        .binary_search(&(p.right as u32))
-                        .expect("candidate row was gathered");
-                    RecordPair::new(p.left, local)
-                })
-                .collect();
-            cache.rebind_left(queries);
-            cache.rebind_right(&slice);
-            let features = cache.generate(queries, &slice, &local_pairs);
-            (features, fetch_ns, fetch)
-        }
     }
 }
 

@@ -466,6 +466,23 @@ impl IndexStore {
     }
 }
 
+/// Run `index`'s full invariant check and publish the result as the
+/// `index` component of the live health registry (served by `/healthz`).
+pub(crate) fn publish_index_health(index: &IncrementalIndex) -> Result<(), String> {
+    let res = index.verify_invariants();
+    em_obs::live::set_health(
+        "index",
+        res.clone().map(|()| {
+            format!(
+                "{} live records, stale debt {}",
+                index.len(),
+                index.stale_debt()
+            )
+        }),
+    );
+    res
+}
+
 /// An [`IncrementalIndex`] bound to an [`IndexStore`]: every mutation is
 /// WAL-logged before it is applied, so the on-disk state never lags the
 /// in-memory index by more than the operation in flight.
@@ -553,17 +570,7 @@ impl PersistentIndex {
     /// Returns the first invariant violation, exactly as
     /// [`IncrementalIndex::verify_invariants`] reports it.
     pub fn verify_and_report(&self) -> Result<(), String> {
-        let res = self.index.verify_invariants();
-        em_obs::live::set_health(
-            "index",
-            res.clone().map(|()| {
-                format!(
-                    "{} live records, stale debt {}",
-                    self.index.len(),
-                    self.index.stale_debt()
-                )
-            }),
-        );
+        let res = publish_index_health(&self.index);
         em_obs::live::set_health(
             "wal",
             Ok(format!(

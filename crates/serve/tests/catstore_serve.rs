@@ -241,8 +241,9 @@ fn store_with(dir: &PathBuf, catalog: &Table) -> CatalogStore {
     CatalogStore::open(dir).unwrap()
 }
 
-/// One store-backed stream run. `hot_cache`: `Some((capacity, seed))`
-/// reconfigures the hot-row cache, `None` keeps the default.
+/// One store-backed stream run over a reopened store and a reopened
+/// persistent index. `hot_cache`: `Some((capacity, seed))` reconfigures
+/// the hot-row cache, `None` keeps the default.
 fn run_store_backed(
     artifact: &ModelArtifact,
     dir: &PathBuf,
@@ -252,8 +253,12 @@ fn run_store_backed(
     hot_cache: Option<(usize, u64)>,
 ) -> Vec<BatchOutput> {
     let store = store_with(dir, catalog);
+    let index_dir = dir.with_extension("index");
+    let _ = std::fs::remove_dir_all(&index_dir);
     let index = IncrementalIndex::build(attr, 1, catalog).unwrap();
-    let mut matcher = Matcher::with_store_index(clone_artifact(artifact), store, index).unwrap();
+    drop(PersistentIndex::create(&index_dir, index).unwrap());
+    let index = PersistentIndex::open(&index_dir).unwrap();
+    let mut matcher = Matcher::with_store(clone_artifact(artifact), store, index).unwrap();
     if let Some((capacity, seed)) = hot_cache {
         assert!(matcher.configure_hot_cache(capacity, seed));
     }
@@ -266,6 +271,7 @@ fn run_store_backed(
         outputs.iter().any(|o| !o.matches.is_empty()),
         "fetch totals inconsistent with outputs"
     );
+    let _ = std::fs::remove_dir_all(&index_dir);
     outputs
 }
 

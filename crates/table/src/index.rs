@@ -572,8 +572,8 @@ impl IncrementalIndex {
     }
 
     /// Check every structural invariant the probe relies on; returns a
-    /// description of the first violation. O(total encoded entries) — meant
-    /// for recovery paths and soak harnesses, not per-op use.
+    /// description of the first violation. O(total encoded entries × record
+    /// length) — cheap enough for every recovery, not meant for per-op use.
     pub fn verify_invariants(&self) -> Result<(), String> {
         let n_tokens = self.interner.len();
         let mut df = vec![0u32; n_tokens];
@@ -607,7 +607,7 @@ impl IncrementalIndex {
         for (s, shard) in self.shards.iter().enumerate() {
             let base = s * self.shard_span;
             let end = (base + self.shard_span).min(self.records.len());
-            let mut entries = 0u64;
+            let (mut entries, mut encoded_live) = (0u64, 0u64);
             for (&token, list) in &shard.postings {
                 let mut prev = None;
                 for local in list.iter() {
@@ -625,7 +625,9 @@ impl IncrementalIndex {
                         .get(row)
                         .and_then(|r| r.as_ref())
                         .is_some_and(|r| r.contains(token));
-                    if !live_pair && shard.stale_rows.binary_search(&local).is_err() {
+                    if live_pair {
+                        encoded_live += 1;
+                    } else if shard.stale_rows.binary_search(&local).is_err() {
                         return Err(format!(
                             "shard {s}: retired entry (token {token}, row {row}) not stale-marked"
                         ));
@@ -638,23 +640,22 @@ impl IncrementalIndex {
                     shard.entries
                 ));
             }
-            let mut live_pairs = 0u64;
-            for row in base..end {
-                if let Some(ids) = &self.records[row] {
-                    let local = (row - base) as u32;
-                    for id in ids.iter() {
-                        live_pairs += 1;
-                        let ok = shard
-                            .postings
-                            .get(&id)
-                            .is_some_and(|list| list.contains(local));
-                        if !ok {
-                            return Err(format!(
-                                "shard {s}: live pair (token {id}, row {row}) not encoded"
-                            ));
-                        }
-                    }
-                }
+            // Lists are strictly ascending and each token has one list per
+            // shard, so encoded pairs are distinct: every live pair is
+            // encoded exactly when the encoded live pairs number as many as
+            // the live records' tokens.
+            let live_pairs: u64 = self
+                .records
+                .get(base..end)
+                .unwrap_or_default()
+                .iter()
+                .flatten()
+                .map(|ids| u64::from(ids.count()))
+                .sum();
+            if encoded_live != live_pairs {
+                return Err(format!(
+                    "shard {s}: only {encoded_live} of {live_pairs} live pairs encoded"
+                ));
             }
             if shard.entries - live_pairs != shard.stale {
                 return Err(format!(
@@ -954,5 +955,62 @@ mod tests {
             index.candidates(&queries, 0),
             mirror.candidates(&queries, 0)
         );
+    }
+
+    /// Plant one violation in a healthy index whose row 0 is retired (its
+    /// pairs stay encoded, stale-marked) and demand `Err`.
+    fn assert_rejects(plant: impl FnOnce(&mut IncrementalIndex)) {
+        let mut index = IncrementalIndex::build("name", 1, &catalog()).unwrap();
+        index.remove(0);
+        index.verify_invariants().unwrap();
+        plant(&mut index);
+        assert!(index.verify_invariants().is_err());
+    }
+
+    /// The first token id of live row 1 ("fenix at the argyle").
+    fn row1_token(index: &IncrementalIndex) -> u32 {
+        index.records[1].as_ref().unwrap().iter().next().unwrap()
+    }
+
+    #[test]
+    fn verify_rejects_a_live_pair_missing_from_postings() {
+        assert_rejects(|index| {
+            // Re-point one live pair of row 1 at retired row 0: entries and
+            // stale debt still add up, only the live-pair count can tell.
+            let token = row1_token(index);
+            let list = index.shards[0].postings.get_mut(&token).unwrap();
+            let mut rows: Vec<u32> = list.iter().filter(|&l| l != 1).collect();
+            rows.insert(0, 0);
+            *list = DeltaList::from_sorted(&rows);
+        });
+    }
+
+    #[test]
+    fn verify_rejects_an_unmarked_retired_entry() {
+        assert_rejects(|index| index.shards[0].stale_rows.clear());
+    }
+
+    #[test]
+    fn verify_rejects_off_by_one_counters() {
+        assert_rejects(|index| index.shards[0].entries += 1);
+        assert_rejects(|index| index.shards[0].stale += 1);
+    }
+
+    #[test]
+    fn verify_rejects_document_frequencies_out_of_sync() {
+        assert_rejects(|index| {
+            let token = row1_token(index);
+            index.df[token as usize] += 1;
+        });
+    }
+
+    #[test]
+    fn verify_rejects_unsorted_record_ids() {
+        assert_rejects(|index| {
+            // Gap 0 decodes to the same id twice: [t, t].
+            let mut buf = [0; crate::compact::INLINE_BYTES];
+            buf[0] = row1_token(index) as u8;
+            index.records[1] = Some(DeltaList::Inline { len: 2, buf });
+        });
     }
 }

@@ -108,6 +108,19 @@ EM_THREADS=1 cargo run -q --release --offline -p em-bench --bin exp_weak -- \
 EM_THREADS=8 cargo run -q --release --offline -p em-bench --bin exp_weak -- \
     --scale 0.3 --budget 4 --only fodors
 
+echo "== Table IV binary is thread-count invariant (EM_THREADS=1 vs 8) =="
+# exp_table4 produces EXPERIMENTS.md's Table IV; a small run over the hard
+# datasets must print the same bytes on a 1-thread and an 8-thread pool.
+T4_ARGS=(--hard-only --scale 0.2 --budget 6)
+T4_ONE="$(EM_THREADS=1 cargo run -q --release --offline -p em-bench --bin exp_table4 -- "${T4_ARGS[@]}")"
+T4_EIGHT="$(EM_THREADS=8 cargo run -q --release --offline -p em-bench --bin exp_table4 -- "${T4_ARGS[@]}")"
+if [ "$T4_ONE" != "$T4_EIGHT" ]; then
+    diff <(echo "$T4_ONE") <(echo "$T4_EIGHT") >&2 || true
+    echo "error: exp_table4 output differs between EM_THREADS=1 and 8" >&2
+    exit 1
+fi
+echo "ok: exp_table4 identical at EM_THREADS=1 and 8"
+
 echo "== serve smoke test (search -> save/load artifact -> stream -> in-memory parity) =="
 # serve_demo searches a small pipeline, round-trips it through a model
 # artifact, streams the full 110-record query table through
@@ -129,8 +142,8 @@ echo "== store-backed serving smoke (10k records: build -> snapshot -> reopen ->
 # bench_serve_scale's scored section streams the catalog into a CatalogStore
 # + persistent index, reopens both from disk, serves a trained artifact over
 # the store with match_stream, and asserts the output is bit-identical to
-# the double-resident in-memory path (including across a thread flip). The
-# report lands in a temp file: this is a correctness gate, not a bench run.
+# the in-memory path (including across a thread flip). The report lands in
+# a temp file: this is a correctness gate, not a bench run.
 SCALE_OUT="$(mktemp /tmp/em-verify-scale-XXXXXX.json)"
 cargo run -q --release --offline -p em-bench --bin bench_serve_scale -- \
     --sizes 10000 --ops 2000 --out "$SCALE_OUT"
@@ -150,9 +163,10 @@ if [ "$SOAK" = 1 ]; then
         --records 100000 --seconds 60
 
     echo "== soak: store-backed scored matches at 1M records (--soak) =="
-    # The full-size tentpole check: a million-record catalog streamed into
-    # the store, served end to end, with the store-side peak RSS asserted
-    # strictly below the double-resident in-memory baseline.
+    # The full-size check: a million-record catalog streamed into the
+    # store, snapshotted and reopened, served end to end with thread-flip
+    # parity, and the store-side peak RSS asserted strictly below the
+    # in-memory baseline.
     SCALE_OUT="$(mktemp /tmp/em-verify-scale-1m-XXXXXX.json)"
     cargo run -q --release --offline -p em-bench --bin bench_serve_scale -- \
         --sizes 1000000 --out "$SCALE_OUT"
