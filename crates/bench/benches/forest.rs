@@ -1,7 +1,6 @@
-//! Benchmarks for the ML substrate's hot paths: tree and forest training,
-//! prediction, and the vote-fraction confidence used by Algorithm 1. The
-//! forest-fit benchmarks compare the shared `em-rt` pool at full width
-//! against a one-thread pool.
+//! Benchmarks for the ML substrate's hot paths: tree training, prediction,
+//! and the vote-fraction confidence used by Algorithm 1. Forest fitting
+//! on the `em-rt` pool is timed by `bench_hotpaths` (`forest_fit_600x12`).
 
 use em_bench::timing::Harness;
 use em_ml::{
@@ -29,14 +28,6 @@ fn dataset(n: usize, d: usize, seed: u64) -> (Matrix, Vec<usize>) {
 }
 
 fn main() {
-    // Explicit thread count so the pool-vs-serial comparison is stable
-    // across machines, unless the environment sets EM_THREADS.
-    if std::env::var("EM_THREADS").is_err() {
-        em_rt::set_threads(4);
-    }
-    let threads = em_rt::threads();
-    eprintln!("running with {threads} threads");
-
     let mut h = Harness::new("forest");
 
     let (x, y) = dataset(1000, 30, 0);
@@ -47,24 +38,11 @@ fn main() {
     h.bench("tree/predict_1000", || tree.predict(black_box(&x)));
 
     let (x, y) = dataset(2000, 40, 1);
-    let params = ForestParams {
+    let mut rf = RandomForestClassifier::new(ForestParams {
         n_estimators: 50,
         max_features: MaxFeatures::Sqrt,
         ..ForestParams::default()
-    };
-    h.bench("forest/fit_50trees_2000x40_pool", || {
-        let mut rf = RandomForestClassifier::new(params.clone());
-        rf.fit(black_box(&x), black_box(&y), 2, None);
-        rf
     });
-    em_rt::set_threads(1);
-    h.bench("forest/fit_50trees_2000x40_serial", || {
-        let mut rf = RandomForestClassifier::new(params.clone());
-        rf.fit(black_box(&x), black_box(&y), 2, None);
-        rf
-    });
-    em_rt::set_threads(threads);
-    let mut rf = RandomForestClassifier::new(params);
     rf.fit(&x, &y, 2, None);
     h.bench("forest/predict_proba_2000", || {
         rf.predict_proba(black_box(&x))

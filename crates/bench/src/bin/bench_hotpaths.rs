@@ -1,9 +1,9 @@
 //! Acceptance benchmark for the remaining hot paths moved onto the shared
 //! `em-rt` pool: blocking candidate generation, stratified k-fold
-//! cross-validation, permutation feature importances, and benchmark dataset
-//! synthesis — on a one-thread pool vs the full width, flipped with
-//! `em_rt::set_threads` — plus the async SMBO runner's inline path (pool
-//! width 1) against its worker path on the same workload. Writes
+//! cross-validation, forest fitting, permutation feature importances, and
+//! benchmark dataset synthesis — on a one-thread pool vs the full width,
+//! flipped with `em_rt::set_threads` — plus the async SMBO runner's inline
+//! path (pool width 1) against its worker path on the same workload. Writes
 //! `BENCH_hotpaths.json` (override the path with the first CLI argument).
 //!
 //! Thread count comes from `EM_THREADS` when set, else defaults to 4 so the
@@ -12,7 +12,7 @@
 
 use em_automl::{run_search_async, Budget, SmacSearch};
 use em_bench::timing::{fmt_ns, Harness};
-use em_ml::{Classifier, ForestParams, Matrix, RandomForestClassifier, Splitter};
+use em_ml::{Classifier, ForestParams, Matrix, RandomForestClassifier};
 use em_rt::{Json, StdRng};
 use em_table::{Blocker, OverlapBlocker};
 
@@ -123,40 +123,19 @@ fn main() {
         threads,
         || config.cross_val_f1(&x, &y, 5, 0),
     );
-    // Same CV under the EM_BINNED=on override: every forest fit inside the
-    // default pipeline routes through the binned engine, no config changes.
-    std::env::set_var("EM_BINNED", "on");
-    h.bench("cross_val_f1_5fold_600x12/pool_binned", || {
-        config.cross_val_f1(&x, &y, 5, 0)
-    });
-    std::env::remove_var("EM_BINNED");
 
-    // -- forest fit: exact scan vs binned splitter ----------------------------
-    // Same 600 x 12 workload as the CV rows. The 1-thread rows pin the pool
-    // to a single thread (no tree-level jobs, no subtree tasks) so they
-    // compare the split engines alone; the pool row adds per-tree and
-    // per-node parallelism on top of the binned engine.
-    let forest_fit = |splitter: Splitter| {
+    // -- forest fit: per-tree pool parallelism --------------------------------
+    // Same 600 x 12 workload as the CV rows, one forest fit without the CV
+    // around it.
+    serial_vs_pool(&mut h, "forest_fit_600x12", SERIAL_POOL, threads, || {
         let mut rf = RandomForestClassifier::new(ForestParams {
             n_estimators: 30,
-            splitter,
             seed: 9,
             ..ForestParams::default()
         });
         rf.fit(&x, &y, 2, None);
         rf
-    };
-    em_rt::set_threads(1);
-    h.bench("forest_fit_600x12/exact_1thread", || {
-        forest_fit(Splitter::Best)
     });
-    serial_vs_pool(
-        &mut h,
-        "forest_fit_600x12",
-        ["binned_1thread", "binned_pool"],
-        threads,
-        || forest_fit(Splitter::Binned),
-    );
 
     // -- permutation importances over 12 columns ------------------------------
     let fitted = config.fit(&x, &y);
@@ -245,25 +224,10 @@ fn main() {
             "5-fold stratified CV of the default RF pipeline on 600 x 12",
         ),
         (
-            "cross_val_f1_5fold_600x12",
+            "forest_fit_600x12",
+            "serial",
             "pool",
-            "pool_binned",
-            "the same 5-fold CV with EM_BINNED=on routing every forest fit \
-             through the binned engine",
-        ),
-        (
-            "forest_fit_600x12",
-            "exact_1thread",
-            "binned_1thread",
-            "RF fit, 30 trees on 600 x 12, single thread: exact scan vs \
-             binned histogram splitter (engine-only comparison)",
-        ),
-        (
-            "forest_fit_600x12",
-            "exact_1thread",
-            "binned_pool",
-            "RF fit, 30 trees on 600 x 12: binned splitter plus per-tree \
-             and per-node pool parallelism vs the 1-thread exact scan",
+            "RF fit, 30 trees on 600 x 12, trees fitted as pool tasks",
         ),
         (
             "permutation_importance_12cols",

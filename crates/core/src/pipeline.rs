@@ -416,7 +416,6 @@ fn build_classifier(choice: &ClassifierChoice, seed: u64) -> Box<dyn Classifier>
             learning_rate: *learning_rate,
             max_depth: *max_depth,
             seed,
-            ..AdaBoostParams::default()
         })),
         ClassifierChoice::GradientBoosting {
             n_estimators,
@@ -431,7 +430,6 @@ fn build_classifier(choice: &ClassifierChoice, seed: u64) -> Box<dyn Classifier>
             min_samples_leaf: *min_samples_leaf,
             subsample: *subsample,
             seed,
-            ..GradientBoostingParams::default()
         })),
         ClassifierChoice::LogisticRegression { alpha } => {
             Box::new(LogisticRegression::new(LogisticRegressionParams {

@@ -12,9 +12,7 @@
 //! 6. the async SMBO search trajectory (serial fallback vs worker threads),
 //! 7. cached feature generation (`FeatureCache`): profile building and memo
 //!    filling at any thread count, bit-identical to the uncached path,
-//! 8. the binned tree splitter: forest-level jobs and per-node subtree
-//!    tasks at any pool size, plus the `EM_BINNED` engine override,
-//! 9. `em-weak` labeling-function application and label-model EM fitting
+//! 8. `em-weak` labeling-function application and label-model EM fitting
 //!    (parallel E-step), bit-identical votes/posteriors at any pool size.
 //!
 //! Every check flips the pool width with `em_rt::set_threads`, the only
@@ -27,9 +25,7 @@
 //! tests compare 1-thread against 8-thread execution in-process.
 
 use automl_em::{EmPipelineConfig, FeatureCache, FeatureGenerator, FeatureScheme};
-use em_ml::{
-    Classifier, DecisionTree, ForestParams, Matrix, RandomForestClassifier, Splitter, TreeParams,
-};
+use em_ml::{Classifier, ForestParams, Matrix, RandomForestClassifier};
 use em_table::{Blocker, OverlapBlocker, RecordPair};
 use std::sync::{Mutex, MutexGuard};
 
@@ -311,115 +307,6 @@ fn results_are_identical_with_tracing_on_and_off() {
     assert!(text.contains("pipeline.cross_val"));
     assert!(text.contains("forest.fit"));
     let _ = std::fs::remove_file(&trace_path);
-}
-
-/// Continuous two-cluster data (the lossy binned regime) with weak
-/// separation, so trees grow deep with large internal nodes — big enough
-/// that the binned engine's per-node subtree tasks actually spawn.
-fn binned_tree_data(n: usize, d: usize, seed: u64) -> (Matrix, Vec<usize>) {
-    let mut rng = em_rt::StdRng::seed_from_u64(seed);
-    let mut rows = Vec::with_capacity(n);
-    let mut y = Vec::with_capacity(n);
-    for i in 0..n {
-        let c = i % 2;
-        rows.push(
-            (0..d)
-                .map(|_| c as f64 * 0.4 + rng.random_range(-1.0..1.0))
-                .collect::<Vec<f64>>(),
-        );
-        y.push(c);
-    }
-    (Matrix::from_rows(&rows), y)
-}
-
-#[test]
-fn binned_forest_is_thread_count_invariant() {
-    let _guard = serialize();
-    ensure_pool();
-    let (x, y) = binned_tree_data(900, 6, 31);
-    let (rf1, rfn) = serial_and_wide(|| {
-        let mut rf = RandomForestClassifier::new(ForestParams {
-            n_estimators: 15,
-            splitter: Splitter::Binned,
-            seed: 43,
-            ..ForestParams::default()
-        });
-        rf.fit(&x, &y, 2, None);
-        rf
-    });
-    assert_eq!(rf1.predict(&x), rfn.predict(&x));
-    let (p1, pn) = (rf1.predict_proba(&x), rfn.predict_proba(&x));
-    for (a, b) in p1.as_slice().iter().zip(pn.as_slice()) {
-        assert_eq!(a.to_bits(), b.to_bits());
-    }
-}
-
-#[test]
-fn binned_subtree_tasking_is_thread_count_invariant() {
-    let _guard = serialize();
-    // Large single tree: the root partitions ~800/800, well past the
-    // spawn threshold, so with >1 threads whole subtrees run as pool tasks.
-    // Fitting with a 1-thread pool takes the pure-recursion path instead;
-    // the two trees must be identical node for node.
-    let (x, y) = binned_tree_data(1600, 5, 77);
-    let params = TreeParams {
-        splitter: Splitter::Binned,
-        seed: 13,
-        ..TreeParams::default()
-    };
-    let (serial, pooled) =
-        serial_and_wide(|| DecisionTree::fit_classifier(&x, &y, 2, None, params.clone()));
-    assert!(serial.n_nodes() > 64, "tree should be non-trivial");
-    assert_eq!(serial.n_nodes(), pooled.n_nodes());
-    assert_eq!(
-        serial.to_json().render(),
-        pooled.to_json().render(),
-        "binned tree must be identical at any pool size"
-    );
-}
-
-#[test]
-fn em_binned_override_unifies_engines() {
-    let _guard = serialize();
-    ensure_pool();
-    // With the `EM_BINNED` override pinned in either direction, the
-    // requested splitter no longer selects the engine: a Best-configured
-    // and a Binned-configured fit run the same code and must agree bit for
-    // bit. (Serialized params still record what was requested, so compare
-    // the node arrays, not the whole document.)
-    let overridden = matches!(
-        std::env::var("EM_BINNED").as_deref(),
-        Ok("on" | "1" | "true" | "off" | "0" | "false")
-    );
-    if !overridden {
-        eprintln!("skipping: EM_BINNED override not active");
-        return;
-    }
-    let (x, y) = binned_tree_data(400, 4, 5);
-    let fit = |splitter: Splitter| {
-        DecisionTree::fit_classifier(
-            &x,
-            &y,
-            2,
-            None,
-            TreeParams {
-                splitter,
-                seed: 3,
-                ..TreeParams::default()
-            },
-        )
-    };
-    let a = fit(Splitter::Best);
-    let b = fit(Splitter::Binned);
-    assert_eq!(
-        a.to_json().get("nodes").unwrap().render(),
-        b.to_json().get("nodes").unwrap().render(),
-        "override must unify the two engines"
-    );
-    let (pa, pb) = (a.predict_proba(&x), b.predict_proba(&x));
-    for (va, vb) in pa.as_slice().iter().zip(pb.as_slice()) {
-        assert_eq!(va.to_bits(), vb.to_bits());
-    }
 }
 
 #[test]

@@ -4,7 +4,9 @@
 
 use crate::jsonio;
 use crate::matrix::Matrix;
-use crate::tree::{Criterion, DecisionTree, MaxFeatures, SplitPrep, Splitter, TreeParams};
+use crate::tree::{
+    check_members, Criterion, DecisionTree, MaxFeatures, SplitPrep, Splitter, TreeParams,
+};
 use crate::Classifier;
 use em_rt::Json;
 
@@ -17,10 +19,6 @@ pub struct AdaBoostParams {
     pub learning_rate: f64,
     /// Depth of each weak learner (1 = decision stumps).
     pub max_depth: usize,
-    /// Split engine for the weak learners (exact scan or binned histograms).
-    pub splitter: Splitter,
-    /// Bin budget per feature for [`Splitter::Binned`].
-    pub n_bins: usize,
     /// RNG seed (weak learners are deterministic; kept for API symmetry).
     pub seed: u64,
 }
@@ -31,8 +29,6 @@ impl Default for AdaBoostParams {
             n_estimators: 50,
             learning_rate: 1.0,
             max_depth: 1,
-            splitter: Splitter::Best,
-            n_bins: 256,
             seed: 0,
         }
     }
@@ -76,15 +72,13 @@ impl Classifier for AdaBoostClassifier {
         normalize(&mut w);
         let k = n_classes as f64;
         // Stages reweight samples but never change the rows, so one ranking
-        // (or binning) serves every weak learner.
-        let prep = SplitPrep::new(x, self.params.splitter, self.params.n_bins);
+        // serves every weak learner.
+        let prep = SplitPrep::new(x, Splitter::Best);
         for t in 0..self.params.n_estimators {
             let tree_params = TreeParams {
                 criterion: Criterion::Gini,
                 max_depth: Some(self.params.max_depth),
                 max_features: MaxFeatures::All,
-                splitter: self.params.splitter,
-                n_bins: self.params.n_bins,
                 seed: self.params.seed.wrapping_add(t as u64),
                 ..TreeParams::default()
             };
@@ -170,27 +164,18 @@ impl AdaBoostParams {
             ("n_estimators", Json::from(self.n_estimators)),
             ("learning_rate", jsonio::num(self.learning_rate)),
             ("max_depth", Json::from(self.max_depth)),
-            ("splitter", Json::from(self.splitter.as_str())),
-            ("n_bins", Json::from(self.n_bins)),
             ("seed", jsonio::u64_str(self.seed)),
         ])
     }
 
-    /// Inverse of [`AdaBoostParams::to_json`].
+    /// Inverse of [`AdaBoostParams::to_json`]. Fields it does not read are
+    /// ignored: older artifacts also carry a splitter and a histogram bin
+    /// budget, which no fit reads any more.
     pub fn from_json(j: &Json) -> Result<Self, String> {
         Ok(AdaBoostParams {
             n_estimators: jsonio::as_usize(jsonio::field(j, "n_estimators")?)?,
             learning_rate: jsonio::as_f64(jsonio::field(j, "learning_rate")?)?,
             max_depth: jsonio::as_usize(jsonio::field(j, "max_depth")?)?,
-            // Absent in pre-binned artifacts; default to the exact engine.
-            splitter: match j.get("splitter") {
-                Some(v) => Splitter::parse(jsonio::as_str(v)?)?,
-                None => Splitter::Best,
-            },
-            n_bins: match j.get("n_bins") {
-                Some(v) => jsonio::as_usize(v)?,
-                None => 256,
-            },
             seed: jsonio::as_u64(jsonio::field(j, "seed")?)?,
         })
     }
@@ -212,9 +197,15 @@ impl AdaBoostClassifier {
         ])
     }
 
-    /// Inverse of [`AdaBoostClassifier::to_json`].
+    /// Inverse of [`AdaBoostClassifier::to_json`]. Rejects a stage list
+    /// that predict could not serve: empty, or a stage tree whose class
+    /// count is not the booster's.
     pub fn from_json(j: &Json) -> Result<Self, String> {
-        let stages = jsonio::field(j, "stages")?
+        let n_classes = jsonio::as_usize(jsonio::field(j, "n_classes")?)?;
+        if n_classes == 0 {
+            return Err("AdaBoost needs at least one class".to_string());
+        }
+        let stages: Vec<(DecisionTree, f64)> = jsonio::field(j, "stages")?
             .as_arr()
             .ok_or_else(|| "stages must be an array".to_string())?
             .iter()
@@ -225,10 +216,11 @@ impl AdaBoostClassifier {
                 ))
             })
             .collect::<Result<_, String>>()?;
+        check_members(stages.iter().map(|(tree, _)| tree), n_classes)?;
         Ok(AdaBoostClassifier {
             params: AdaBoostParams::from_json(jsonio::field(j, "params")?)?,
             stages,
-            n_classes: jsonio::as_usize(jsonio::field(j, "n_classes")?)?,
+            n_classes,
         })
     }
 }
@@ -253,10 +245,6 @@ pub struct GradientBoostingParams {
     pub min_samples_leaf: usize,
     /// Row subsampling fraction per round (1.0 = none).
     pub subsample: f64,
-    /// Split engine for the stage trees (exact scan or binned histograms).
-    pub splitter: Splitter,
-    /// Bin budget per feature for [`Splitter::Binned`].
-    pub n_bins: usize,
     /// RNG seed for subsampling.
     pub seed: u64,
 }
@@ -269,8 +257,6 @@ impl Default for GradientBoostingParams {
             max_depth: 3,
             min_samples_leaf: 1,
             subsample: 1.0,
-            splitter: Splitter::Best,
-            n_bins: 256,
             seed: 0,
         }
     }
@@ -333,9 +319,8 @@ impl Classifier for GradientBoostingClassifier {
         let mut f = vec![self.init_score; n];
         let mut rng = em_rt::StdRng::seed_from_u64(self.params.seed);
         // Stages refit on new residuals over the same rows (or a subsample
-        // of them), so one ranking (or binning) of the base matrix serves
-        // every stage.
-        let prep = SplitPrep::new(x, self.params.splitter, self.params.n_bins);
+        // of them), so one ranking of the base matrix serves every stage.
+        let prep = SplitPrep::new(x, Splitter::Best);
         for t in 0..self.params.n_estimators {
             // Negative gradient of logistic loss: residual = y - p.
             let residual: Vec<f64> = f
@@ -362,8 +347,6 @@ impl Classifier for GradientBoostingClassifier {
                 max_depth: Some(self.params.max_depth),
                 min_samples_leaf: self.params.min_samples_leaf,
                 max_features: MaxFeatures::All,
-                splitter: self.params.splitter,
-                n_bins: self.params.n_bins,
                 seed: self.params.seed.wrapping_add(t as u64),
                 ..TreeParams::default()
             };
@@ -427,13 +410,13 @@ impl GradientBoostingParams {
             ("max_depth", Json::from(self.max_depth)),
             ("min_samples_leaf", Json::from(self.min_samples_leaf)),
             ("subsample", jsonio::num(self.subsample)),
-            ("splitter", Json::from(self.splitter.as_str())),
-            ("n_bins", Json::from(self.n_bins)),
             ("seed", jsonio::u64_str(self.seed)),
         ])
     }
 
-    /// Inverse of [`GradientBoostingParams::to_json`].
+    /// Inverse of [`GradientBoostingParams::to_json`]. Fields it does not
+    /// read are ignored: older artifacts also carry a splitter and a
+    /// histogram bin budget, which no fit reads any more.
     pub fn from_json(j: &Json) -> Result<Self, String> {
         Ok(GradientBoostingParams {
             n_estimators: jsonio::as_usize(jsonio::field(j, "n_estimators")?)?,
@@ -441,15 +424,6 @@ impl GradientBoostingParams {
             max_depth: jsonio::as_usize(jsonio::field(j, "max_depth")?)?,
             min_samples_leaf: jsonio::as_usize(jsonio::field(j, "min_samples_leaf")?)?,
             subsample: jsonio::as_f64(jsonio::field(j, "subsample")?)?,
-            // Absent in pre-binned artifacts; default to the exact engine.
-            splitter: match j.get("splitter") {
-                Some(v) => Splitter::parse(jsonio::as_str(v)?)?,
-                None => Splitter::Best,
-            },
-            n_bins: match j.get("n_bins") {
-                Some(v) => jsonio::as_usize(v)?,
-                None => 256,
-            },
             seed: jsonio::as_u64(jsonio::field(j, "seed")?)?,
         })
     }
@@ -470,18 +444,28 @@ impl GradientBoostingClassifier {
         ])
     }
 
-    /// Inverse of [`GradientBoostingClassifier::to_json`].
+    /// Inverse of [`GradientBoostingClassifier::to_json`]. Rejects a
+    /// booster that predict could not serve: not binary, no stage trees,
+    /// or a stage tree that is not a regression tree.
     pub fn from_json(j: &Json) -> Result<Self, String> {
+        let n_classes = jsonio::as_usize(jsonio::field(j, "n_classes")?)?;
+        if n_classes != 2 {
+            return Err(format!(
+                "gradient boosting is binary, found {n_classes} classes"
+            ));
+        }
+        let trees: Vec<DecisionTree> = jsonio::field(j, "trees")?
+            .as_arr()
+            .ok_or_else(|| "trees must be an array".to_string())?
+            .iter()
+            .map(DecisionTree::from_json)
+            .collect::<Result<_, _>>()?;
+        check_members(&trees, 0)?;
         Ok(GradientBoostingClassifier {
             params: GradientBoostingParams::from_json(jsonio::field(j, "params")?)?,
             init_score: jsonio::as_f64(jsonio::field(j, "init_score")?)?,
-            trees: jsonio::field(j, "trees")?
-                .as_arr()
-                .ok_or_else(|| "trees must be an array".to_string())?
-                .iter()
-                .map(DecisionTree::from_json)
-                .collect::<Result<_, _>>()?,
-            n_classes: jsonio::as_usize(jsonio::field(j, "n_classes")?)?,
+            trees,
+            n_classes,
         })
     }
 }

@@ -8,7 +8,7 @@
 use crate::jsonio;
 use crate::matrix::Matrix;
 use crate::tree::{
-    Criterion, DecisionTree, MaxFeatures, SplitPrep, Splitter, TreeParams, TreePrep,
+    check_members, Criterion, DecisionTree, MaxFeatures, SplitPrep, Splitter, TreeParams, TreePrep,
 };
 use crate::Classifier;
 use em_rt::Json;
@@ -30,12 +30,9 @@ pub struct ForestParams {
     pub min_samples_leaf: usize,
     /// Features considered per split.
     pub max_features: MaxFeatures,
-    /// Split engine per tree (exact scan, binned histograms, or random
-    /// thresholds — extra-trees forces `Random`).
+    /// Split engine per tree (exact scan, or random thresholds —
+    /// extra-trees forces `Random`).
     pub splitter: Splitter,
-    /// Bin budget per feature for the binned splitter (see
-    /// [`TreeParams::n_bins`]).
-    pub n_bins: usize,
     /// Bootstrap-resample the training set per tree.
     pub bootstrap: bool,
     /// Minimum impurity decrease per split.
@@ -54,7 +51,6 @@ impl Default for ForestParams {
             min_samples_leaf: 1,
             max_features: MaxFeatures::Sqrt,
             splitter: Splitter::Best,
-            n_bins: 256,
             bootstrap: true,
             min_impurity_decrease: 0.0,
             seed: 0,
@@ -76,10 +72,10 @@ fn fit_trees(
 ) -> Vec<DecisionTree> {
     let n = x.nrows();
     let n_trees = params.n_estimators.max(1);
-    // Rank (or bin) the base matrix once for the whole forest: bootstrap
-    // resamples only repeat base rows, so each tree takes its order from
-    // the base instead of re-sorting every feature.
-    let prep = SplitPrep::new(x, params.splitter, params.n_bins);
+    // Rank the base matrix once for the whole forest: bootstrap resamples
+    // only repeat base rows, so each tree takes its order from the base
+    // instead of re-sorting every feature.
+    let prep = SplitPrep::new(x, params.splitter);
     let mut results: Vec<Option<DecisionTree>> = vec![None; n_trees];
     let writer = em_rt::SliceWriter::new(&mut results);
     em_rt::parallel_for_chunked(n_trees, 0, 1, |t| {
@@ -90,7 +86,6 @@ fn fit_trees(
             min_samples_leaf: params.min_samples_leaf,
             max_features: params.max_features,
             splitter: params.splitter,
-            n_bins: params.n_bins,
             min_impurity_decrease: params.min_impurity_decrease,
             seed: tree_seed(params.seed, t),
         };
@@ -394,7 +389,6 @@ impl ForestParams {
             ("min_samples_leaf", Json::from(self.min_samples_leaf)),
             ("max_features", self.max_features.to_json()),
             ("splitter", Json::from(self.splitter.as_str())),
-            ("n_bins", Json::from(self.n_bins)),
             ("bootstrap", Json::from(self.bootstrap)),
             (
                 "min_impurity_decrease",
@@ -406,7 +400,8 @@ impl ForestParams {
 
     /// Inverse of [`ForestParams::to_json`]. Fields it does not read are
     /// ignored: older artifacts also carry a per-forest thread count, which
-    /// never affected the fitted trees.
+    /// never affected the fitted trees, and a histogram bin budget, which
+    /// no fit reads any more.
     pub fn from_json(j: &Json) -> Result<Self, String> {
         Ok(ForestParams {
             n_estimators: jsonio::as_usize(jsonio::field(j, "n_estimators")?)?,
@@ -415,15 +410,11 @@ impl ForestParams {
             min_samples_split: jsonio::as_usize(jsonio::field(j, "min_samples_split")?)?,
             min_samples_leaf: jsonio::as_usize(jsonio::field(j, "min_samples_leaf")?)?,
             max_features: MaxFeatures::from_json(jsonio::field(j, "max_features")?)?,
-            // Both introduced after the first artifact format; older
-            // artifacts load with the values they were fitted with.
+            // Introduced after the first artifact format; older artifacts
+            // load with the value they were fitted with.
             splitter: match j.get("splitter") {
                 Some(v) => Splitter::parse(jsonio::as_str(v)?)?,
                 None => Splitter::Best,
-            },
-            n_bins: match j.get("n_bins") {
-                Some(v) => jsonio::as_usize(v)?,
-                None => 256,
             },
             bootstrap: jsonio::as_bool(jsonio::field(j, "bootstrap")?)?,
             min_impurity_decrease: jsonio::as_f64(jsonio::field(j, "min_impurity_decrease")?)?,
@@ -442,15 +433,21 @@ fn ensemble_to_json(params: &ForestParams, trees: &[DecisionTree], n_classes: us
     ])
 }
 
+/// The inverse of [`ensemble_to_json`], rejecting a member list that
+/// predict could not serve (see [`check_members`]).
 fn ensemble_from_json(j: &Json) -> Result<(ForestParams, Vec<DecisionTree>, usize), String> {
     let params = ForestParams::from_json(jsonio::field(j, "params")?)?;
     let n_classes = jsonio::as_usize(jsonio::field(j, "n_classes")?)?;
-    let trees = jsonio::field(j, "trees")?
+    if n_classes == 0 {
+        return Err("a tree-ensemble classifier needs at least one class".to_string());
+    }
+    let trees: Vec<DecisionTree> = jsonio::field(j, "trees")?
         .as_arr()
         .ok_or_else(|| "trees must be an array".to_string())?
         .iter()
         .map(DecisionTree::from_json)
         .collect::<Result<_, _>>()?;
+    check_members(&trees, n_classes)?;
     Ok((params, trees, n_classes))
 }
 

@@ -148,6 +148,18 @@ pub fn matrix_from_json(j: &Json) -> Result<Matrix, String> {
     Ok(Matrix::from_vec(rows, cols, data))
 }
 
+/// The object `j` with field `key` set to `value` (tests corrupt saved
+/// documents, or give them back fields an older format wrote, with it).
+#[cfg(test)]
+pub(crate) fn with_field(j: Json, key: &str, value: Json) -> Json {
+    let Json::Obj(mut fields) = j else {
+        panic!("not an object: {j:?}")
+    };
+    fields.retain(|(k, _)| k != key);
+    fields.push((key.to_string(), value));
+    Json::Obj(fields)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

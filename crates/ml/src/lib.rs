@@ -20,7 +20,6 @@
 //! ```
 
 pub mod bayes;
-mod binned;
 pub mod boost;
 pub mod decomp;
 pub mod featsel;

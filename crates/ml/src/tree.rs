@@ -61,13 +61,6 @@ pub enum Splitter {
     Best,
     /// One uniformly random threshold per candidate feature (extra-trees).
     Random,
-    /// Histogram-based best split: features are quantile-binned once per fit
-    /// into u8 codes and split candidates are scanned per bin instead of per
-    /// sorted sample (see `crate::binned`). When every feature has at most
-    /// `n_bins` distinct values the binning is lossless and the fitted tree
-    /// matches [`Splitter::Best`]; otherwise it is a (deterministic)
-    /// approximation that trades threshold resolution for speed.
-    Binned,
 }
 
 impl Splitter {
@@ -76,7 +69,6 @@ impl Splitter {
         match self {
             Splitter::Best => "best",
             Splitter::Random => "random",
-            Splitter::Binned => "binned",
         }
     }
 
@@ -85,31 +77,7 @@ impl Splitter {
         match s {
             "best" => Ok(Splitter::Best),
             "random" => Ok(Splitter::Random),
-            "binned" => Ok(Splitter::Binned),
             other => Err(format!("unknown splitter {other:?}")),
-        }
-    }
-
-    /// Apply the `EM_BINNED` environment override: `on`/`1`/`true` swaps
-    /// [`Splitter::Best`] for [`Splitter::Binned`] at fit time,
-    /// `off`/`0`/`false` swaps `Binned` back to the exact path, anything
-    /// else (or unset) leaves the requested splitter alone.
-    /// [`Splitter::Random`] is never overridden — extra-trees semantics are
-    /// a different estimator, not an execution strategy.
-    ///
-    /// The override affects only which engine runs; `TreeParams` keeps (and
-    /// serializes) the splitter that was requested.
-    fn effective(self) -> Splitter {
-        if self == Splitter::Random {
-            return self;
-        }
-        match std::env::var("EM_BINNED") {
-            Ok(v) => match v.as_str() {
-                "on" | "1" | "true" => Splitter::Binned,
-                "off" | "0" | "false" => Splitter::Best,
-                _ => self,
-            },
-            Err(_) => self,
         }
     }
 }
@@ -133,10 +101,6 @@ pub struct TreeParams {
     pub min_impurity_decrease: f64,
     /// RNG seed for feature subsampling / random thresholds.
     pub seed: u64,
-    /// Maximum histogram bins per feature for [`Splitter::Binned`]
-    /// (clamped to `2..=256` so codes fit in a `u8`; ignored by the other
-    /// splitters).
-    pub n_bins: usize,
 }
 
 impl Default for TreeParams {
@@ -150,7 +114,6 @@ impl Default for TreeParams {
             splitter: Splitter::Best,
             min_impurity_decrease: 0.0,
             seed: 0,
-            n_bins: 256,
         }
     }
 }
@@ -191,22 +154,19 @@ pub(crate) enum Target<'a> {
 }
 
 /// What a fit prepares once so that no tree re-sorts a column per node:
-/// the dense ranks for the exact engine, the quantile binning for the
-/// binned one, nothing for random thresholds. Ensembles build one per fit
-/// and hand each member its [`SplitPrep::tree`] share.
+/// the dense ranks for the exact scan, nothing for random thresholds.
+/// Ensembles build one per fit and hand each member its
+/// [`SplitPrep::tree`] share.
 pub(crate) enum SplitPrep {
     Ranked(crate::presort::Ranks),
-    Binned(crate::binned::BinnedMatrix),
     Unordered,
 }
 
 impl SplitPrep {
-    /// Prepare `x` for `splitter`. This is where the `EM_BINNED` override
-    /// picks the engine, once per fit.
-    pub(crate) fn new(x: &Matrix, splitter: Splitter, n_bins: usize) -> SplitPrep {
-        match splitter.effective() {
+    /// Prepare `x` for `splitter`.
+    pub(crate) fn new(x: &Matrix, splitter: Splitter) -> SplitPrep {
+        match splitter {
             Splitter::Best => SplitPrep::Ranked(crate::presort::Ranks::build(x)),
-            Splitter::Binned => SplitPrep::Binned(crate::binned::bin_matrix(x, n_bins)),
             Splitter::Random => SplitPrep::Unordered,
         }
     }
@@ -241,7 +201,7 @@ impl DecisionTree {
         params: TreeParams,
     ) -> Self {
         check_classifier_inputs(x, y, n_classes, &params);
-        let prep = SplitPrep::new(x, params.splitter, params.n_bins);
+        let prep = SplitPrep::new(x, params.splitter);
         let target = Target::Classes { y, n_classes };
         Self::fit_inner(x, target, sample_weight, params, prep.tree(None))
     }
@@ -287,7 +247,7 @@ impl DecisionTree {
     ) -> Self {
         params.criterion = Criterion::Mse;
         check_regressor_inputs(x, targets);
-        let prep = SplitPrep::new(x, params.splitter, params.n_bins);
+        let prep = SplitPrep::new(x, params.splitter);
         Self::fit_inner(
             x,
             Target::Values(targets),
@@ -320,25 +280,12 @@ impl DecisionTree {
             Target::Classes { n_classes, .. } => *n_classes,
             Target::Values(_) => 0,
         };
-        // The preparation, not `params.splitter`, names the engine: it has
-        // already applied the `EM_BINNED` override, and `TreeParams` keeps
-        // (and serializes) the splitter that was requested.
-        let (nodes, importances) = match prep.prep {
-            SplitPrep::Binned(bm) => {
-                BINNED_FITS.incr();
-                let bm = prep.rows.map_or_else(|| bm.clone(), |rows| bm.gather(rows));
-                crate::binned::fit_binned(x, &target, w, &params, bm)
-            }
-            SplitPrep::Ranked(ranks) => {
-                EXACT_FITS.incr();
-                let sorted = ranks.sorted_rows(prep.rows, n);
-                crate::presort::grow(x, &target, w, &params, Some(sorted))
-            }
-            SplitPrep::Unordered => {
-                EXACT_FITS.incr();
-                crate::presort::grow(x, &target, w, &params, None)
-            }
+        EXACT_FITS.incr();
+        let sorted = match prep.prep {
+            SplitPrep::Ranked(ranks) => Some(ranks.sorted_rows(prep.rows, n)),
+            SplitPrep::Unordered => None,
         };
+        let (nodes, importances) = crate::presort::grow(x, &target, w, &params, sorted);
         NODES.add(nodes.len() as u64);
         DecisionTree {
             params,
@@ -528,12 +475,12 @@ impl TreeParams {
                 jsonio::num(self.min_impurity_decrease),
             ),
             ("seed", jsonio::u64_str(self.seed)),
-            ("n_bins", Json::from(self.n_bins)),
         ])
     }
 
-    /// Inverse of [`TreeParams::to_json`]. `n_bins` is optional so model
-    /// artifacts written before the binned splitter existed still load.
+    /// Inverse of [`TreeParams::to_json`]. Fields it does not read are
+    /// ignored: older artifacts also carry a histogram bin budget, which
+    /// no fit reads any more.
     pub fn from_json(j: &Json) -> Result<Self, String> {
         Ok(TreeParams {
             criterion: Criterion::parse(jsonio::as_str(jsonio::field(j, "criterion")?)?)?,
@@ -544,10 +491,6 @@ impl TreeParams {
             splitter: Splitter::parse(jsonio::as_str(jsonio::field(j, "splitter")?)?)?,
             min_impurity_decrease: jsonio::as_f64(jsonio::field(j, "min_impurity_decrease")?)?,
             seed: jsonio::as_u64(jsonio::field(j, "seed")?)?,
-            n_bins: match j.get("n_bins") {
-                Some(v) => jsonio::as_usize(v)?,
-                None => 256,
-            },
         })
     }
 }
@@ -650,9 +593,32 @@ impl DecisionTree {
     }
 }
 
+/// Load-time check on an ensemble's member trees, so that a corrupt
+/// artifact fails at load rather than at predict: there is at least one
+/// member, and every member has `n_classes` classes (0 for regression
+/// trees).
+pub(crate) fn check_members<'a>(
+    members: impl IntoIterator<Item = &'a DecisionTree>,
+    n_classes: usize,
+) -> Result<(), String> {
+    let mut count = 0;
+    for tree in members {
+        if tree.n_classes != n_classes {
+            return Err(format!(
+                "member {count} has {} classes, expected {n_classes}",
+                tree.n_classes
+            ));
+        }
+        count += 1;
+    }
+    if count == 0 {
+        return Err("ensemble has no members".to_string());
+    }
+    Ok(())
+}
+
 /// Fit-path counters (no-ops unless `em-obs` tracing is active).
 static EXACT_FITS: em_obs::Counter = em_obs::Counter::new("tree.exact_fits");
-static BINNED_FITS: em_obs::Counter = em_obs::Counter::new("tree.binned_fits");
 static NODES: em_obs::Counter = em_obs::Counter::new("tree.nodes");
 
 /// Fit-time input checks, run before any per-fit preparation.
@@ -674,7 +640,7 @@ fn check_regressor_inputs(x: &Matrix, targets: &[f64]) {
 
 fn check_features(x: &Matrix) {
     assert!(x.nrows() > 0, "cannot fit a tree on zero samples");
-    // Both engines index a tree's rows as `u32`.
+    // The engine indexes a tree's rows as `u32`.
     assert!(
         u32::try_from(x.nrows()).is_ok(),
         "too many rows for one tree"
@@ -682,21 +648,16 @@ fn check_features(x: &Matrix) {
     assert!(!x.has_nan(), "NaN features: impute before fitting trees");
 }
 
-/// One pass over a node's rows, in the order given (ascending, in every
-/// caller): impurity and leaf payload, plus the totals the split scans
-/// start from.
+/// One pass over a node's rows, in ascending row order: impurity and leaf
+/// payload, plus the total weight the split scans start from.
 pub(crate) struct NodeStats {
     pub(crate) impurity: f64,
     pub(crate) leaf_dist: Vec<f64>,
     /// `Σ w[i]` over the rows.
     pub(crate) total_w: f64,
-    /// Classification: raw weighted class counts. Regression:
-    /// `[Σw, Σwt, Σwt²]`. (In the binned engine's lossless integer regime
-    /// these equal the bin-order histogram sums bit for bit.)
-    pub(crate) totals: Vec<f64>,
 }
 
-/// [`NodeStats`] of `rows`, shared by both split engines.
+/// [`NodeStats`] of `rows`.
 pub(crate) fn node_stats(
     target: &Target<'_>,
     w: &[f64],
@@ -723,7 +684,6 @@ pub(crate) fn node_stats(
                 impurity,
                 leaf_dist,
                 total_w: tw,
-                totals: counts,
             }
         }
         Target::Values(t) => {
@@ -746,16 +706,14 @@ pub(crate) fn node_stats(
                 impurity: var,
                 leaf_dist: vec![mean],
                 total_w: sw,
-                totals: vec![sw, sum, sum_sq],
             }
         }
     }
 }
 
 /// The CART inner loop: every threshold between distinct values of
-/// feature `f`, over the node's rows `order` sorted by `(value, row)`. The
-/// presorted engine passes its node segment; the binned engine's
-/// small-node fallback sorts first.
+/// feature `f`, over the node's rows `order` sorted by `(value, row)` (the
+/// presorted engine's node segment).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn best_threshold_sorted(
     x: &Matrix,
@@ -834,7 +792,7 @@ pub(crate) fn best_threshold_sorted(
     best
 }
 
-pub(crate) fn midpoint(a: f64, b: f64) -> f64 {
+fn midpoint(a: f64, b: f64) -> f64 {
     a + (b - a) / 2.0
 }
 
@@ -886,6 +844,10 @@ pub(crate) fn variance_from_sums(w: f64, sum: f64, sum_sq: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{
+        AdaBoostClassifier, AdaBoostParams, Classifier, ForestParams, GradientBoostingClassifier,
+        GradientBoostingParams, RandomForestClassifier,
+    };
 
     /// Two well-separated clusters on one feature.
     fn separable() -> (Matrix, Vec<usize>) {
@@ -1104,5 +1066,144 @@ mod tests {
                 "{what} loaded"
             );
         }
+    }
+
+    #[test]
+    fn parent_format_params_load_with_every_other_field_equal() {
+        // As written while a histogram engine existed: every params
+        // document with a bin budget, the boosters' with a splitter too.
+        let n_bins = |doc| jsonio::with_field(doc, "n_bins", Json::from(256usize));
+        let splitter = |doc| jsonio::with_field(n_bins(doc), "splitter", Json::from("best"));
+        let tree = TreeParams {
+            criterion: Criterion::Entropy,
+            max_depth: Some(6),
+            splitter: Splitter::Random,
+            seed: 9,
+            ..TreeParams::default()
+        };
+        assert_eq!(TreeParams::from_json(&n_bins(tree.to_json())), Ok(tree));
+        let forest = ForestParams {
+            n_estimators: 40,
+            max_features: MaxFeatures::Fraction(0.5),
+            bootstrap: false,
+            ..ForestParams::default()
+        };
+        assert_eq!(
+            ForestParams::from_json(&n_bins(forest.to_json())),
+            Ok(forest)
+        );
+        let ada = AdaBoostParams {
+            learning_rate: 0.5,
+            seed: 4,
+            ..AdaBoostParams::default()
+        };
+        assert_eq!(AdaBoostParams::from_json(&splitter(ada.to_json())), Ok(ada));
+        let gbm = GradientBoostingParams {
+            subsample: 0.75,
+            seed: 5,
+            ..GradientBoostingParams::default()
+        };
+        let loaded = GradientBoostingParams::from_json(&splitter(gbm.to_json()));
+        assert_eq!(loaded, Ok(gbm));
+    }
+
+    #[test]
+    fn binned_splitter_is_rejected() {
+        assert!(Splitter::parse("binned").is_err());
+        let doc = jsonio::with_field(TreeParams::default().to_json(), "splitter", "binned".into());
+        let err = TreeParams::from_json(&doc).unwrap_err();
+        assert!(err.contains("unknown splitter"), "{err}");
+    }
+
+    // Ensemble loaders: predict cannot serve any document below (the
+    // comments say how it fails), so loading must.
+
+    /// `model` fitted on [`separable`] and saved, with field `key` set to
+    /// `value`.
+    fn saved_with(mut model: impl Classifier, key: &str, value: Json) -> Json {
+        let (x, y) = separable();
+        model.fit(&x, &y, 2, None);
+        jsonio::with_field(model.save_json(), key, value)
+    }
+
+    /// A saved one-feature tree with `n_classes` classes (0: regression).
+    fn member(n_classes: usize) -> Json {
+        let x = Matrix::from_rows(&[vec![0.0], vec![1.0]]);
+        let tree = match n_classes {
+            0 => DecisionTree::fit_regressor(&x, &[0.0, 1.0], None, TreeParams::default()),
+            k => DecisionTree::fit_classifier(&x, &[0, 1], k, None, TreeParams::default()),
+        };
+        tree.to_json()
+    }
+
+    fn forest() -> RandomForestClassifier {
+        RandomForestClassifier::new(ForestParams::default())
+    }
+
+    fn adaboost() -> AdaBoostClassifier {
+        AdaBoostClassifier::new(AdaBoostParams::default())
+    }
+
+    fn gbm() -> GradientBoostingClassifier {
+        GradientBoostingClassifier::new(GradientBoostingParams::default())
+    }
+
+    #[test]
+    fn forest_without_trees_is_rejected_at_load() {
+        // "fit before predicting"
+        let doc = saved_with(forest(), "trees", Json::arr([]));
+        assert!(RandomForestClassifier::from_json(&doc).is_err());
+    }
+
+    #[test]
+    fn forest_whose_trees_have_other_classes_is_rejected_at_load() {
+        // One class over two-class trees: index out of bounds.
+        let doc = saved_with(forest(), "n_classes", Json::from(1usize));
+        assert!(RandomForestClassifier::from_json(&doc).is_err());
+        // No classes over regression trees: the same.
+        let doc = saved_with(forest(), "n_classes", Json::from(0usize));
+        let doc = jsonio::with_field(doc, "trees", Json::arr([member(0)]));
+        assert!(RandomForestClassifier::from_json(&doc).is_err());
+    }
+
+    #[test]
+    fn adaboost_without_stages_is_rejected_at_load() {
+        // "fit before predicting"
+        let doc = saved_with(adaboost(), "stages", Json::arr([]));
+        assert!(AdaBoostClassifier::from_json(&doc).is_err());
+    }
+
+    #[test]
+    fn adaboost_whose_stages_have_other_classes_is_rejected_at_load() {
+        // One class over two-class stages: index out of bounds.
+        let doc = saved_with(adaboost(), "n_classes", Json::from(1usize));
+        assert!(AdaBoostClassifier::from_json(&doc).is_err());
+        // No classes over a regression tree: "regression tree has no
+        // probabilities".
+        let stage = Json::obj([("alpha", Json::from(1.0)), ("tree", member(0))]);
+        let doc = saved_with(adaboost(), "n_classes", Json::from(0usize));
+        let doc = jsonio::with_field(doc, "stages", Json::arr([stage]));
+        assert!(AdaBoostClassifier::from_json(&doc).is_err());
+    }
+
+    #[test]
+    fn gbm_without_trees_is_rejected_at_load() {
+        // "fit before predicting"
+        let doc = saved_with(gbm(), "trees", Json::arr([]));
+        assert!(GradientBoostingClassifier::from_json(&doc).is_err());
+    }
+
+    #[test]
+    fn gbm_with_a_classification_tree_is_rejected_at_load() {
+        // "classification tree has no values"
+        let doc = saved_with(gbm(), "trees", Json::arr([member(2)]));
+        assert!(GradientBoostingClassifier::from_json(&doc).is_err());
+    }
+
+    #[test]
+    fn gbm_that_is_not_binary_is_rejected_at_load() {
+        // Would report three classes over two probability columns.
+        let doc = saved_with(gbm(), "n_classes", Json::from(3usize));
+        assert!(GradientBoostingClassifier::from_json(&doc).is_err());
     }
 }

@@ -256,10 +256,6 @@ fn golden_cases() -> Vec<(&'static str, Vec<f64>)> {
 
 #[test]
 fn exact_fit_matches_mixed_golden() {
-    if std::env::var("EM_BINNED").is_ok() {
-        eprintln!("skipping: EM_BINNED override active");
-        return;
-    }
     let text = std::fs::read_to_string(FIXTURE).expect("golden fixture present");
     let golden = Json::parse(&text).unwrap();
     for (key, got) in golden_cases() {

@@ -36,6 +36,6 @@ pub mod sync;
 pub use channel::{channel, Receiver, Sender};
 pub use json::Json;
 pub use pool::{
-    parallel_for, parallel_for_chunked, pool_workers, scope, set_threads, threads, SliceWriter,
+    parallel_for, parallel_for_chunked, pool_workers, set_threads, threads, SliceWriter,
 };
 pub use rng::{derive_seed, SliceRandom, StdRng};

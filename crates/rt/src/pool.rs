@@ -283,13 +283,6 @@ pub fn parallel_for_chunked<F: Fn(usize) + Sync>(n: usize, jobs: usize, chunk: u
     p.run(&body);
 }
 
-/// Run a fixed set of heterogeneous tasks on the pool (a minimal "scoped
-/// spawn": each closure runs exactly once, and `scope` returns after all of
-/// them finish).
-pub fn scope(jobs: usize, tasks: &[&(dyn Fn() + Sync)]) {
-    parallel_for_chunked(tasks.len(), jobs, 1, |i| (tasks[i])());
-}
-
 fn effective_jobs(jobs: usize) -> usize {
     if jobs == 0 {
         threads()
@@ -397,21 +390,6 @@ mod tests {
             });
         });
         assert_eq!(total.load(Ordering::Relaxed), 80);
-    }
-
-    #[test]
-    fn scope_runs_every_task() {
-        let a = AtomicUsize::new(0);
-        let b = AtomicUsize::new(0);
-        let ta = || {
-            a.fetch_add(1, Ordering::Relaxed);
-        };
-        let tb = || {
-            b.fetch_add(10, Ordering::Relaxed);
-        };
-        scope(0, &[&ta, &tb]);
-        assert_eq!(a.load(Ordering::Relaxed), 1);
-        assert_eq!(b.load(Ordering::Relaxed), 10);
     }
 
     #[test]

@@ -1,11 +1,12 @@
-//! Backward compatibility of model artifacts across the binned-splitter PR.
+//! Backward compatibility of model artifacts across format changes.
 //!
-//! `tests/fixtures/artifact_pre_binned.json` was saved *before*
-//! `TreeParams::splitter`/`n_bins` were serialized (no such fields anywhere
-//! in the document), and while forest parameters still carried a per-forest
-//! thread count. Loading it must succeed — absent fields default to the
-//! exact engine, the thread count is ignored — and the stored pipeline must
-//! reproduce the match probabilities recorded at save time bit for bit.
+//! `tests/fixtures/artifact_pre_binned.json` was saved before the histogram
+//! split engine existed: its trees name their splitter, but its forest
+//! parameters have no splitter, no bin budget, and still a per-forest
+//! thread count. Loading it must succeed — the absent forest splitter
+//! defaults to the exact engine, the thread count is ignored — and the
+//! stored pipeline must reproduce the match probabilities recorded at save
+//! time bit for bit.
 
 use em_rt::Json;
 use em_serve::ModelArtifact;
@@ -15,7 +16,7 @@ fn fixture_path(name: &str) -> String {
 }
 
 /// Every key `ForestParams::to_json` writes, in order.
-const FOREST_PARAM_KEYS: [&str; 11] = [
+const FOREST_PARAM_KEYS: [&str; 10] = [
     "n_estimators",
     "criterion",
     "max_depth",
@@ -23,7 +24,6 @@ const FOREST_PARAM_KEYS: [&str; 11] = [
     "min_samples_leaf",
     "max_features",
     "splitter",
-    "n_bins",
     "bootstrap",
     "min_impurity_decrease",
     "seed",
@@ -100,12 +100,13 @@ fn pre_binned_artifact_loads_and_predicts_bit_exact() {
     for (p, q) in proba.iter().zip(&reproba) {
         assert_eq!(p.to_bits(), q.to_bits(), "upgrade changed predictions");
     }
-    // The upgraded document now carries the new fields explicitly.
+    // The upgraded document has no histogram bin budget: no fit reads one.
     let doc = upgraded.to_json().render();
-    assert!(doc.contains("\"n_bins\""), "upgraded artifact has n_bins");
-    // And the original fixture genuinely predates them (pre-PR artifacts
-    // serialized a per-tree splitter but no bin budget and no forest-level
-    // splitter).
+    assert!(
+        !doc.contains("\"n_bins\""),
+        "upgraded artifact has no n_bins"
+    );
+    // And the original fixture genuinely predates the histogram engine.
     let old_doc = std::fs::read_to_string(fixture_path("artifact_pre_binned.json")).unwrap();
     assert!(
         !old_doc.contains("n_bins") && !old_doc.contains("binned"),

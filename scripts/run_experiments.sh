@@ -8,7 +8,6 @@ mkdir -p $R
 cargo run --release -p em-bench --bin exp_datasets -q -- --scale 1.0            > $R/table3_datasets.txt 2>&1
 cargo run --release -p em-bench --bin exp_fig3     -q -- --scale 1.0            > $R/fig3_tuning.txt 2>&1
 cargo run --release -p em-bench --bin exp_table4   -q -- --scale 0.5 --budget 32 > $R/table4_magellan_vs_automl.txt 2>&1
-EM_BINNED=on cargo run --release -p em-bench --bin exp_table4 -q -- --scale 0.5 --budget 32 > $R/table4_magellan_vs_automl_binned.txt 2>&1
 cargo run --release -p em-bench --bin exp_table4   -q -- --scale 0.5 --budget 32 --only abt --show-pipeline > $R/fig11_pipeline.txt 2>&1
 cargo run --release -p em-bench --bin exp_fig8     -q -- --scale 0.5 --budget 32 > $R/fig8_vs_deepmatcher.txt 2>&1
 cargo run --release -p em-bench --bin exp_fig9     -q -- --scale 0.5 --budget 24 > $R/fig9_featuregen.txt 2>&1

@@ -37,12 +37,6 @@ if command -v flock >/dev/null 2>&1; then
     flock 9
 fi
 
-# An exported EM_BINNED would route every exact fit through the binned
-# engine, and the exact-engine golden and lossless-equality tests skip
-# under it: the default runs below must not inherit it. The override runs
-# set it explicitly.
-unset EM_BINNED
-
 echo "== checking that all workspace dependencies are path-only =="
 # Inside any [dependencies]-like section, a quoted version number (e.g.
 # `rand = "0.10"` or `version = "1"`) means a registry lookup; every entry
@@ -83,14 +77,6 @@ echo "== determinism harness with the feature cache disabled (EM_FEATCACHE=off) 
 # PreparedDataset::prepare must fall back to the uncached &str path and
 # still be bit-identical at any thread count.
 EM_FEATCACHE=off EM_THREADS=8 cargo test -q --offline -p automl-em --test determinism --test featcache_props
-
-echo "== determinism harness under the EM_BINNED override (on, then off) =="
-# Forcing every Best-splitter fit through the binned engine (and binned
-# fits back to exact) must keep the whole harness bit-identical across
-# thread counts. The first run leaves EM_THREADS unset so the in-process
-# 1-vs-8 pool flips execute too.
-EM_BINNED=on cargo test -q --offline -p automl-em --test determinism
-EM_BINNED=off EM_THREADS=8 cargo test -q --offline -p automl-em --test determinism
 
 echo "== weak supervision smoke (LF set -> label model -> AutoML, 1 and 8 threads) =="
 # End to end with zero hand labels: apply an LF set, fit the generative
@@ -148,6 +134,14 @@ SCALE_OUT="$(mktemp /tmp/em-verify-scale-XXXXXX.json)"
 cargo run -q --release --offline -p em-bench --bin bench_serve_scale -- \
     --sizes 10000 --ops 2000 --out "$SCALE_OUT"
 rm -f "$SCALE_OUT"
+
+echo "== one-thread-vs-pool report smoke (bench_hotpaths, one sample per row) =="
+# bench_hotpaths asserts that its pool rows really ran on pool workers; one
+# sample per row makes it a check that the binary runs, not a bench run, so
+# the report lands in a temp file.
+HOT_OUT="$(mktemp /tmp/em-verify-hotpaths-XXXXXX.json)"
+EM_BENCH_SAMPLES=1 cargo run -q --release --offline -p em-bench --bin bench_hotpaths -- "$HOT_OUT"
+rm -f "$HOT_OUT"
 
 echo "== benchmark package self-tests (ledger/, its own cargo workspace) =="
 # ledger/Cargo.toml declares its own [workspace], so nothing above compiles
