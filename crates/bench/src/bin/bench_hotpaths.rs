@@ -3,8 +3,11 @@
 //! cross-validation, forest fitting, permutation feature importances, and
 //! benchmark dataset synthesis — on a one-thread pool vs the full width,
 //! flipped with `em_rt::set_threads` — plus the async SMBO runner's inline
-//! path (pool width 1) against its worker path on the same workload. Writes
-//! `BENCH_hotpaths.json` (override the path with the first CLI argument).
+//! path (pool width 1) against its worker path on the same workload, and
+//! Table-II feature generation through the uncached `&str` path against
+//! the interned feature cache on short (Fodors-Zagats) and long (Abt-Buy)
+//! text, asserted bit-identical before timing. Writes `BENCH_hotpaths.json`
+//! (override the path with the first CLI argument).
 //!
 //! Thread count comes from `EM_THREADS` when set, else defaults to 4 so the
 //! serial-vs-pool comparison is stable across machines; the host's actual
@@ -84,34 +87,53 @@ fn main() {
     );
 
     // -- feature generation: uncached &str path vs the interned cache ---------
-    // Table-II features over the full Fodors-Zagats candidate set. cold =
-    // profile build + memo fill every iteration (first featurization of a
-    // dataset); warm = the steady state every later batch sees (folds,
-    // search trials, the active loop) — pure memo lookups.
+    // Table-II features over a candidate set. cold = profile build + memo
+    // fill every iteration (first featurization of a dataset); warm = the
+    // steady state every later batch sees (folds, search trials, the active
+    // loop) — pure memo lookups. Fodors-Zagats strings are short;
+    // Abt-Buy's descriptions run to hundreds of chars, so its rows time the
+    // multi-word kernels, and its bit-identity check runs them in a release
+    // build against the &str oracle on real long text.
     let fz = em_data::Benchmark::FodorsZagats.generate_scaled(0, 1.0);
-    let generator = automl_em::FeatureGenerator::plan_for_tables(
-        automl_em::FeatureScheme::AutoMlEm,
-        &fz.table_a,
-        &fz.table_b,
-    );
-    let fz_pairs: Vec<em_table::RecordPair> = fz.pairs.iter().map(|p| p.pair).collect();
-    eprintln!(
-        "featuregen workload: {} pairs x {} features",
-        fz_pairs.len(),
-        generator.n_features()
-    );
-    h.bench("featuregen_fodors_table2/uncached", || {
-        generator.generate(&fz.table_a, &fz.table_b, &fz_pairs)
-    });
-    h.bench("featuregen_fodors_table2/cached_cold", || {
-        let mut cache = generator.cached(&fz.table_a, &fz.table_b);
-        cache.generate(&fz.table_a, &fz.table_b, &fz_pairs)
-    });
-    let mut warm = generator.cached(&fz.table_a, &fz.table_b);
-    let _ = warm.generate(&fz.table_a, &fz.table_b, &fz_pairs);
-    h.bench("featuregen_fodors_table2/cached_warm", || {
-        warm.generate(&fz.table_a, &fz.table_b, &fz_pairs)
-    });
+    let ab = em_data::Benchmark::AbtBuy.generate_scaled(0, 0.05);
+    for (label, ds, warm_row) in [("fodors", &fz, true), ("abtbuy", &ab, false)] {
+        let generator = automl_em::FeatureGenerator::plan_for_tables(
+            automl_em::FeatureScheme::AutoMlEm,
+            &ds.table_a,
+            &ds.table_b,
+        );
+        let pairs: Vec<em_table::RecordPair> = ds.pairs.iter().map(|p| p.pair).collect();
+        eprintln!(
+            "featuregen {label}: {} pairs x {} features",
+            pairs.len(),
+            generator.n_features()
+        );
+        let (a, b) = (&ds.table_a, &ds.table_b);
+        let uncached = generator.generate(a, b, &pairs);
+        let cached = generator.cached(a, b).generate(a, b, &pairs);
+        assert!(
+            uncached
+                .as_slice()
+                .iter()
+                .zip(cached.as_slice())
+                .all(|(x, y)| x.to_bits() == y.to_bits()),
+            "{label}: cached features differ from the uncached path"
+        );
+        let name = format!("featuregen_{label}_table2");
+        h.bench(&format!("{name}/uncached"), || {
+            generator.generate(a, b, &pairs)
+        });
+        h.bench(&format!("{name}/cached_cold"), || {
+            generator.cached(a, b).generate(a, b, &pairs)
+        });
+        if warm_row {
+            let mut warm = generator.cached(a, b);
+            let _ = warm.generate(a, b, &pairs);
+            h.bench(&format!("{name}/cached_warm"), || {
+                warm.generate(a, b, &pairs)
+            });
+        }
+    }
 
     // -- 5-fold cross-validation of the default forest pipeline --------------
     let (x, y) = dataset(600, 12, 1);
@@ -218,6 +240,13 @@ fn main() {
              (the steady state of folds / search trials / the active loop)",
         ),
         (
+            "featuregen_abtbuy_table2",
+            "uncached",
+            "cached_cold",
+            "Table-II features, Abt-Buy candidate set at scale 0.05 \
+             (descriptions of hundreds of chars), first featurization",
+        ),
+        (
             "cross_val_f1_5fold_600x12",
             "serial",
             "pool",
@@ -282,7 +311,8 @@ fn main() {
                  its channel-fed workers on an identical trajectory; the \
                  featuregen rows compare the uncached &str \
                  path against the interned FeatureCache (EM_FEATCACHE \
-                 toggles the same paths inside PreparedDataset::prepare). \
+                 toggles the same paths inside PreparedDataset::prepare), \
+                 after asserting both give the same bits. \
                  Speedups > 1 assume a multi-core host; \
                  host_available_parallelism records what this run had.",
             ),

@@ -15,10 +15,11 @@
 //!    values is memoized under the key `(left value id) << 32 | right value
 //!    id`. A batch [`FeatureCache::generate`] first walks the pairs
 //!    serially to collect the *distinct missing* keys in first-appearance
-//!    order, computes them in parallel (disjoint writes, per-worker
-//!    [`em_text::SimScratch`]), inserts serially, then fills the output
-//!    matrix in parallel by lookup — every phase is bit-identical for every
-//!    thread count, and the memo survives across calls.
+//!    order, computes them in parallel (disjoint writes; one
+//!    [`em_text::eval_families`] call per missing key runs each measure
+//!    family once), inserts serially, then fills the output matrix in
+//!    parallel by lookup — every phase is bit-identical for every thread
+//!    count, and the memo survives across calls.
 //!
 //! Numeric and boolean features are cheap (no tokenization, no DP) and are
 //! computed inline during the fill phase, exactly like the uncached path.
@@ -30,8 +31,7 @@
 use crate::featuregen::{compute_feature, FeatureGenerator, FeatureKind};
 use em_ml::Matrix;
 use em_table::{RecordPair, Table};
-use em_text::{ProfileDraft, SimScratch, StringSimilarity, TokenInterner, TokenProfile};
-use std::cell::RefCell;
+use em_text::{ProfileDraft, StringSimilarity, TokenInterner, TokenProfile};
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// Profiles built (one per distinct attribute value).
@@ -45,12 +45,6 @@ static INTERNER_TOKENS: em_obs::Counter = em_obs::Counter::new("featcache.intern
 /// Memo entries evicted by the serving-path entry cap (see
 /// [`FeatureCache::set_memo_cap`]; zero unless a cap is set).
 static EVICTIONS: em_obs::Counter = em_obs::Counter::new("featcache.evictions");
-
-thread_local! {
-    /// Per-worker similarity scratch: the pool's threads are persistent, so
-    /// DP buffers are allocated once per thread and reused forever.
-    static SCRATCH: RefCell<SimScratch> = RefCell::new(SimScratch::new());
-}
 
 /// Whether feature generation should go through the cache
 /// (`EM_FEATCACHE=off|0|false` disables it; anything else, or unset, keeps
@@ -135,12 +129,7 @@ impl AttrCache {
             let key = missing[m];
             let pa = &self.profiles[(key >> 32) as usize];
             let pb = &self.profiles[(key & u64::from(u32::MAX)) as usize];
-            SCRATCH.with(|scratch| {
-                let mut scratch = scratch.borrow_mut();
-                for (slot, sim) in row.iter_mut().zip(&self.sims) {
-                    *slot = sim.apply_profiles(pa, pb, &mut scratch);
-                }
-            });
+            em_text::eval_families(&self.sims, pa, pb, row);
         });
         for (m, &key) in missing.iter().enumerate() {
             self.memo.insert(
@@ -466,7 +455,29 @@ mod tests {
 
     #[test]
     fn cached_matches_uncached_on_benchmark() {
-        let ds = em_data::Benchmark::FodorsZagats.generate_scaled(3, 0.25);
+        // Fodors-Zagats strings fit one 64-bit mask word; Abt-Buy's
+        // descriptions span several, so the kernels' multi-word paths are
+        // checked on real text too.
+        for (benchmark, scale) in [
+            (em_data::Benchmark::FodorsZagats, 0.25),
+            (em_data::Benchmark::AbtBuy, 0.02),
+        ] {
+            let ds = benchmark.generate_scaled(3, scale);
+            let longest = ds
+                .table_b
+                .records()
+                .flat_map(|r| (0..r.schema().len()).map(move |c| r.get(c)))
+                .filter_map(|v| v.to_display_string())
+                .map(|v| v.chars().count())
+                .max();
+            if benchmark == em_data::Benchmark::AbtBuy {
+                assert!(longest > Some(128), "longest value {longest:?}");
+            }
+            cached_matches_uncached_on(&ds);
+        }
+    }
+
+    fn cached_matches_uncached_on(ds: &em_data::EmDataset) {
         for scheme in [FeatureScheme::Magellan, FeatureScheme::AutoMlEm] {
             let g = FeatureGenerator::plan_for_tables(scheme, &ds.table_a, &ds.table_b);
             let pairs: Vec<RecordPair> = ds.pairs.iter().map(|p| p.pair).collect();

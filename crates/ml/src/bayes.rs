@@ -164,7 +164,9 @@ impl GaussianNb {
         ])
     }
 
-    /// Inverse of [`GaussianNb::to_json`].
+    /// Inverse of [`GaussianNb::to_json`]. Rejects a document predict
+    /// could not serve: per-class lists that do not have one entry per
+    /// class, or mean/variance rows of unequal width.
     pub fn from_json(j: &Json) -> Result<Self, String> {
         let p = jsonio::field(j, "params")?;
         let rows = |key: &str| -> Result<Vec<Vec<f64>>, String> {
@@ -175,14 +177,33 @@ impl GaussianNb {
                 .map(jsonio::f64_vec)
                 .collect()
         };
+        let class_log_prior = jsonio::f64_vec(jsonio::field(j, "class_log_prior")?)?;
+        let means = rows("means")?;
+        let variances = rows("variances")?;
+        let n_classes = jsonio::as_usize(jsonio::field(j, "n_classes")?)?;
+        for (key, len) in [
+            ("class_log_prior", class_log_prior.len()),
+            ("means", means.len()),
+            ("variances", variances.len()),
+        ] {
+            if len != n_classes {
+                return Err(format!(
+                    "naive Bayes {key} has {len} entries for {n_classes} classes"
+                ));
+            }
+        }
+        let width = means.first().map_or(0, Vec::len);
+        if means.iter().chain(&variances).any(|r| r.len() != width) {
+            return Err("naive Bayes mean/variance rows differ in width".to_string());
+        }
         Ok(GaussianNb {
             params: GaussianNbParams {
                 var_smoothing: jsonio::as_f64(jsonio::field(p, "var_smoothing")?)?,
             },
-            class_log_prior: jsonio::f64_vec(jsonio::field(j, "class_log_prior")?)?,
-            means: rows("means")?,
-            variances: rows("variances")?,
-            n_classes: jsonio::as_usize(jsonio::field(j, "n_classes")?)?,
+            class_log_prior,
+            means,
+            variances,
+            n_classes,
         })
     }
 }
@@ -205,6 +226,47 @@ mod tests {
             y.push(c);
         }
         (Matrix::from_rows(&rows), y)
+    }
+
+    // Loader: predict cannot serve any document below (every one indexes
+    // past the end of a per-class list or a mean/variance row), so loading
+    // must.
+
+    /// The default model fitted on two-feature blobs and saved, with field
+    /// `key` set to `value`.
+    fn saved_with(key: &str, value: Json) -> Json {
+        let (x, y) = gaussian_blobs(40, 3);
+        let mut nb = GaussianNb::new(GaussianNbParams::default());
+        nb.fit(&x, &y, 2, None);
+        jsonio::with_field(nb.to_json(), key, value)
+    }
+
+    fn rows_json(rows: &[&[f64]]) -> Json {
+        Json::arr(rows.iter().map(|r| jsonio::nums(r)))
+    }
+
+    #[test]
+    fn priors_for_fewer_classes_are_rejected_at_load() {
+        let doc = saved_with("class_log_prior", jsonio::nums(&[-0.7]));
+        assert!(GaussianNb::from_json(&doc).is_err());
+    }
+
+    #[test]
+    fn means_for_fewer_classes_are_rejected_at_load() {
+        let doc = saved_with("means", rows_json(&[&[0.0, 0.0]]));
+        assert!(GaussianNb::from_json(&doc).is_err());
+    }
+
+    #[test]
+    fn variances_for_fewer_classes_are_rejected_at_load() {
+        let doc = saved_with("variances", rows_json(&[&[1.0, 1.0]]));
+        assert!(GaussianNb::from_json(&doc).is_err());
+    }
+
+    #[test]
+    fn mean_rows_of_unequal_width_are_rejected_at_load() {
+        let doc = saved_with("means", rows_json(&[&[-1.0, -1.0], &[1.0]]));
+        assert!(GaussianNb::from_json(&doc).is_err());
     }
 
     #[test]

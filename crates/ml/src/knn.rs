@@ -151,13 +151,37 @@ impl KNeighborsClassifier {
         ])
     }
 
-    /// Inverse of [`KNeighborsClassifier::to_json`].
+    /// Inverse of [`KNeighborsClassifier::to_json`]. Rejects a document
+    /// predict could not serve: no classes, an empty training matrix, or
+    /// labels and weights that do not cover its rows with known classes.
     pub fn from_json(j: &Json) -> Result<Self, String> {
         let p = jsonio::field(j, "params")?;
         let x_train = match jsonio::field(j, "x_train")? {
             Json::Null => None,
             m => Some(jsonio::matrix_from_json(m)?),
         };
+        let y_train = jsonio::usize_vec(jsonio::field(j, "y_train")?)?;
+        let sample_weight = jsonio::f64_vec(jsonio::field(j, "sample_weight")?)?;
+        let n_classes = jsonio::as_usize(jsonio::field(j, "n_classes")?)?;
+        if n_classes == 0 {
+            return Err("a k-NN classifier needs at least one class".to_string());
+        }
+        if let Some(x) = &x_train {
+            let rows = x.nrows();
+            if rows == 0 {
+                return Err("k-NN training matrix has no rows".to_string());
+            }
+            if y_train.len() != rows || sample_weight.len() != rows {
+                return Err(format!(
+                    "k-NN has {rows} training rows but {} labels and {} weights",
+                    y_train.len(),
+                    sample_weight.len()
+                ));
+            }
+            if let Some(&c) = y_train.iter().find(|&&c| c >= n_classes) {
+                return Err(format!("k-NN label {c} is not below n_classes {n_classes}"));
+            }
+        }
         Ok(KNeighborsClassifier {
             params: KnnParams {
                 k: jsonio::as_usize(jsonio::field(p, "k")?)?,
@@ -168,9 +192,9 @@ impl KNeighborsClassifier {
                 },
             },
             x_train,
-            y_train: jsonio::usize_vec(jsonio::field(j, "y_train")?)?,
-            sample_weight: jsonio::f64_vec(jsonio::field(j, "sample_weight")?)?,
-            n_classes: jsonio::as_usize(jsonio::field(j, "n_classes")?)?,
+            y_train,
+            sample_weight,
+            n_classes,
         })
     }
 }
@@ -243,6 +267,58 @@ mod tests {
         knn.fit(&x, &[0, 1], 2, None);
         let p = knn.predict_proba(&Matrix::from_rows(&[vec![0.5]]));
         assert!((p.get(0, 0) - 0.5).abs() < 1e-12);
+    }
+
+    // Loader: predict cannot serve any document below (the comments say
+    // how it fails), so loading must.
+
+    /// The default k-NN fitted on [`grid`] and saved, with field `key` set
+    /// to `value`.
+    fn saved_with(key: &str, value: Json) -> Json {
+        let (x, y) = grid();
+        let mut knn = KNeighborsClassifier::new(KnnParams::default());
+        knn.fit(&x, &y, 2, None);
+        jsonio::with_field(knn.to_json(), key, value)
+    }
+
+    #[test]
+    fn labels_shorter_than_rows_are_rejected_at_load() {
+        // Index out of bounds on the last row's label.
+        let (_, y) = grid();
+        let doc = saved_with("y_train", Json::arr(y[1..].iter().map(|&c| Json::from(c))));
+        assert!(KNeighborsClassifier::from_json(&doc).is_err());
+    }
+
+    #[test]
+    fn label_outside_the_classes_is_rejected_at_load() {
+        // Index out of bounds on the vote vector.
+        let (_, mut y) = grid();
+        y[0] = 2;
+        let doc = saved_with("y_train", Json::arr(y.iter().map(|&c| Json::from(c))));
+        assert!(KNeighborsClassifier::from_json(&doc).is_err());
+    }
+
+    #[test]
+    fn weights_shorter_than_rows_are_rejected_at_load() {
+        // Index out of bounds on the last row's weight.
+        let doc = saved_with("sample_weight", jsonio::nums(&[1.0; 19]));
+        assert!(KNeighborsClassifier::from_json(&doc).is_err());
+    }
+
+    #[test]
+    fn empty_training_matrix_is_rejected_at_load() {
+        // `k.clamp(1, 0)` panics.
+        let doc = saved_with("x_train", jsonio::matrix_to_json(&Matrix::zeros(0, 2)));
+        let doc = jsonio::with_field(doc, "y_train", Json::arr([]));
+        let doc = jsonio::with_field(doc, "sample_weight", Json::arr([]));
+        assert!(KNeighborsClassifier::from_json(&doc).is_err());
+    }
+
+    #[test]
+    fn zero_classes_are_rejected_at_load() {
+        // Index out of bounds on the empty vote vector.
+        let doc = saved_with("n_classes", Json::from(0usize));
+        assert!(KNeighborsClassifier::from_json(&doc).is_err());
     }
 
     #[test]

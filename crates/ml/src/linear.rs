@@ -143,16 +143,18 @@ impl LogisticRegression {
         ])
     }
 
-    /// Inverse of [`LogisticRegression::to_json`].
+    /// Inverse of [`LogisticRegression::to_json`]. Rejects an empty weight vector,
+    /// which predict cannot serve.
     pub fn from_json(j: &Json) -> Result<Self, String> {
         let p = jsonio::field(j, "params")?;
+        let weights = nonempty_weights(j)?;
         Ok(LogisticRegression {
             params: LogisticRegressionParams {
                 alpha: jsonio::as_f64(jsonio::field(p, "alpha")?)?,
                 learning_rate: jsonio::as_f64(jsonio::field(p, "learning_rate")?)?,
                 max_iter: jsonio::as_usize(jsonio::field(p, "max_iter")?)?,
             },
-            weights: jsonio::f64_vec(jsonio::field(j, "weights")?)?,
+            weights,
             bias: jsonio::as_f64(jsonio::field(j, "bias")?)?,
             n_classes: jsonio::as_usize(jsonio::field(j, "n_classes")?)?,
         })
@@ -297,20 +299,32 @@ impl LinearSvm {
         ])
     }
 
-    /// Inverse of [`LinearSvm::to_json`].
+    /// Inverse of [`LinearSvm::to_json`]. Rejects an empty weight vector,
+    /// which predict cannot serve.
     pub fn from_json(j: &Json) -> Result<Self, String> {
         let p = jsonio::field(j, "params")?;
+        let weights = nonempty_weights(j)?;
         Ok(LinearSvm {
             params: LinearSvmParams {
                 lambda: jsonio::as_f64(jsonio::field(p, "lambda")?)?,
                 epochs: jsonio::as_usize(jsonio::field(p, "epochs")?)?,
                 seed: jsonio::as_u64(jsonio::field(p, "seed")?)?,
             },
-            weights: jsonio::f64_vec(jsonio::field(j, "weights")?)?,
+            weights,
             bias: jsonio::as_f64(jsonio::field(j, "bias")?)?,
             n_classes: jsonio::as_usize(jsonio::field(j, "n_classes")?)?,
         })
     }
+}
+
+/// The `weights` field of a saved linear model; empty means unfitted, and
+/// predict asserts "fit before predicting".
+fn nonempty_weights(j: &Json) -> Result<Vec<f64>, String> {
+    let weights = jsonio::f64_vec(jsonio::field(j, "weights")?)?;
+    if weights.is_empty() {
+        return Err("a linear model needs at least one weight".to_string());
+    }
+    Ok(weights)
 }
 
 #[cfg(test)]
@@ -332,6 +346,27 @@ mod tests {
 
     fn accuracy(pred: &[usize], y: &[usize]) -> f64 {
         pred.iter().zip(y).filter(|(a, b)| a == b).count() as f64 / y.len() as f64
+    }
+
+    // Loader: an empty weight vector fails predict's "fit before
+    // predicting", so loading must.
+
+    fn fitted(mut model: impl Classifier) -> Json {
+        let (x, y) = linear_data(50, 4);
+        model.fit(&x, &y, 2, None);
+        jsonio::with_field(model.save_json(), "weights", Json::arr([]))
+    }
+
+    #[test]
+    fn logistic_without_weights_is_rejected_at_load() {
+        let doc = fitted(LogisticRegression::new(LogisticRegressionParams::default()));
+        assert!(LogisticRegression::from_json(&doc).is_err());
+    }
+
+    #[test]
+    fn svm_without_weights_is_rejected_at_load() {
+        let doc = fitted(LinearSvm::new(LinearSvmParams::default()));
+        assert!(LinearSvm::from_json(&doc).is_err());
     }
 
     #[test]

@@ -45,13 +45,20 @@ pub fn levenshtein_distance(a: &str, b: &str) -> usize {
 /// assert_eq!(s, 1.0);
 /// ```
 pub fn levenshtein_similarity(a: &str, b: &str) -> f64 {
-    let la = a.chars().count();
-    let lb = b.chars().count();
+    similarity_from_distance(
+        levenshtein_distance(a, b),
+        a.chars().count(),
+        b.chars().count(),
+    )
+}
+
+/// `1 - distance / max(la, lb)`, or 1 when both lengths are 0.
+pub(crate) fn similarity_from_distance(distance: usize, la: usize, lb: usize) -> f64 {
     let m = la.max(lb);
     if m == 0 {
         return 1.0;
     }
-    1.0 - levenshtein_distance(a, b) as f64 / m as f64
+    1.0 - distance as f64 / m as f64
 }
 
 /// Exact string equality as a 0/1 similarity (Table I row 4).

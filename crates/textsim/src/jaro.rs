@@ -52,8 +52,14 @@ pub fn jaro(a: &str, b: &str) -> f64 {
         .filter(|(x, y)| x != y)
         .count()
         / 2;
+    score(m, transpositions, ac.len(), bc.len())
+}
+
+/// The Jaro score of `m > 0` matches with `t` transpositions between
+/// strings of lengths `la` and `lb`.
+pub(crate) fn score(m: usize, t: usize, la: usize, lb: usize) -> f64 {
     let m = m as f64;
-    (m / ac.len() as f64 + m / bc.len() as f64 + (m - transpositions as f64) / m) / 3.0
+    (m / la as f64 + m / lb as f64 + (m - t as f64) / m) / 3.0
 }
 
 /// Jaro-Winkler similarity: Jaro boosted by a prefix bonus.
@@ -66,15 +72,21 @@ pub fn jaro(a: &str, b: &str) -> f64 {
 /// assert!((s - 0.84).abs() < 1e-9);
 /// ```
 pub fn jaro_winkler(a: &str, b: &str) -> f64 {
+    winkler(jaro(a, b), common_prefix(a.chars(), b.chars()))
+}
+
+/// Length of the common prefix of two char sequences, capped at the
+/// 4 chars Winkler's bonus counts.
+pub(crate) fn common_prefix<T: PartialEq>(
+    a: impl Iterator<Item = T>,
+    b: impl Iterator<Item = T>,
+) -> usize {
+    a.zip(b).take(4).take_while(|(x, y)| x == y).count()
+}
+
+/// Jaro score `j` boosted by Winkler's prefix bonus (`p = 0.1`).
+pub(crate) fn winkler(j: f64, prefix: usize) -> f64 {
     const P: f64 = 0.1;
-    const MAX_PREFIX: usize = 4;
-    let j = jaro(a, b);
-    let prefix = a
-        .chars()
-        .zip(b.chars())
-        .take(MAX_PREFIX)
-        .take_while(|(x, y)| x == y)
-        .count();
     j + prefix as f64 * P * (1.0 - j)
 }
 

@@ -13,6 +13,13 @@
 //! enums give each measure a stable identity and feature-name string, which
 //! the `automl-em` core crate uses to build feature vectors.
 //!
+//! The `&str` functions are the textbook definitions. Feature generation
+//! runs [`eval_families`] on precomputed [`TokenProfile`]s instead: one
+//! call per attribute pair evaluates each measure family once on an exact
+//! kernel (bit-parallel Levenshtein and Jaro, one integer anti-diagonal
+//! pass for Needleman-Wunsch and Smith-Waterman), with the same `f64` bits
+//! as the `&str` functions.
+//!
 //! ```
 //! use em_text::{StringSimilarity, Tokenizer};
 //!
@@ -23,6 +30,7 @@
 
 mod align;
 mod edit;
+mod family;
 mod hybrid;
 mod jaro;
 mod numeric;
@@ -34,6 +42,7 @@ pub use align::{
     needleman_wunsch, needleman_wunsch_normalized, smith_waterman, smith_waterman_normalized,
 };
 pub use edit::{exact_match, levenshtein_distance, levenshtein_similarity};
+pub use family::{align_scores, eval_families, AlignLane};
 pub use hybrid::{monge_elkan, monge_elkan_with};
 pub use jaro::{jaro, jaro_winkler};
 pub use numeric::{
@@ -41,9 +50,7 @@ pub use numeric::{
     numeric_levenshtein_similarity,
 };
 pub use profile::{
-    intersection_size_sorted, jaro_chars, jaro_winkler_chars, levenshtein_chars,
-    monge_elkan_profiles, needleman_wunsch_chars, smith_waterman_chars, ProfileDraft, SimScratch,
-    TokenInterner, TokenProfile, PROFILE_QGRAM,
+    intersection_size_sorted, ProfileDraft, TokenInterner, TokenProfile, PROFILE_QGRAM,
 };
 pub use setsim::{cosine, dice, jaccard, overlap_coefficient, overlap_size};
 pub use tokenize::{qgrams, Tokenizer};

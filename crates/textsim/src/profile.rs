@@ -1,10 +1,11 @@
-//! Interned token profiles and allocation-free similarity kernels.
+//! Interned token profiles: everything the similarity kernels need about
+//! one string, computed once.
 //!
 //! The Table-II scheme evaluates 16 string similarities per attribute per
 //! candidate pair, and the same attribute value participates in many pairs.
-//! The `&str` entry points re-tokenize, re-collect `Vec<char>` buffers, and
-//! re-allocate DP rows on every call. This module moves all of that to a
-//! precompute-once-probe-many shape:
+//! The `&str` entry points re-tokenize and re-collect `Vec<char>` buffers on
+//! every call. This module moves that work to a precompute-once-probe-many
+//! shape:
 //!
 //! * [`TokenInterner`] maps token strings to dense `u32` ids (insertion
 //!   order, so interning is deterministic when driven serially).
@@ -12,13 +13,12 @@
 //!   about one string: the char buffer, whitespace token spans (in order,
 //!   duplicates preserved — Monge-Elkan needs them), and *sorted deduped*
 //!   token-id slices for the Whitespace and QGram(3) tokenizers.
-//! * [`SimScratch`] owns the DP rows and match buffers, so
-//!   Levenshtein/Jaro/Needleman-Wunsch/Smith-Waterman/Monge-Elkan run
-//!   without allocating in steady state.
-//! * [`StringSimilarity::apply_profiles`](crate::StringSimilarity::apply_profiles)
-//!   evaluates any Table-II measure on two profiles, bit-identical to
-//!   [`StringSimilarity::apply`](crate::StringSimilarity::apply) on the
-//!   original strings.
+//!
+//! [`eval_families`](crate::eval_families) evaluates a list of measures on
+//! two profiles, bit-identical to
+//! [`StringSimilarity::apply`](crate::StringSimilarity::apply) on the
+//! original strings. Its per-pair char masks live in per-thread scratch,
+//! not here: profiles are kept for as long as their value can recur.
 //!
 //! Profile construction is split in two so the expensive half can run on
 //! the `em-rt` pool without losing determinism: [`ProfileDraft::new`] does
@@ -28,7 +28,6 @@
 //! on the thread count.
 
 use crate::tokenize::Tokenizer;
-use crate::StringSimilarity;
 use std::collections::HashMap;
 
 /// The q-gram width the profile precomputes (Table II uses QGram(3) only).
@@ -229,285 +228,10 @@ pub fn intersection_size_sorted(a: &[u32], b: &[u32]) -> usize {
     n
 }
 
-/// Reusable DP rows and match buffers for the char-level kernels. One
-/// scratch per worker thread makes every kernel allocation-free once the
-/// buffers have grown to the workload's longest string.
-#[derive(Debug, Default)]
-pub struct SimScratch {
-    lev_prev: Vec<usize>,
-    lev_cur: Vec<usize>,
-    dp_prev: Vec<f64>,
-    dp_cur: Vec<f64>,
-    b_used: Vec<bool>,
-    matches_a: Vec<char>,
-    matches_b: Vec<char>,
-}
-
-impl SimScratch {
-    /// Empty scratch (buffers grow on first use and are then reused).
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-/// Levenshtein distance over char slices; same DP as
-/// [`levenshtein_distance`](crate::levenshtein_distance), rows from scratch.
-pub fn levenshtein_chars(a: &[char], b: &[char], s: &mut SimScratch) -> usize {
-    let (short, long) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    if short.is_empty() {
-        return long.len();
-    }
-    s.lev_prev.clear();
-    s.lev_prev.extend(0..=short.len());
-    s.lev_cur.clear();
-    s.lev_cur.resize(short.len() + 1, 0);
-    let (prev, cur) = (&mut s.lev_prev, &mut s.lev_cur);
-    for (i, lc) in long.iter().enumerate() {
-        cur[0] = i + 1;
-        for (j, sc) in short.iter().enumerate() {
-            let cost = usize::from(lc != sc);
-            cur[j + 1] = (prev[j] + cost).min(prev[j + 1] + 1).min(cur[j] + 1);
-        }
-        std::mem::swap(prev, cur);
-    }
-    prev[short.len()]
-}
-
-/// Jaro similarity over char slices; same arithmetic as
-/// [`jaro`](crate::jaro), buffers from scratch.
-pub fn jaro_chars(ac: &[char], bc: &[char], s: &mut SimScratch) -> f64 {
-    if ac.is_empty() && bc.is_empty() {
-        return 1.0;
-    }
-    if ac.is_empty() || bc.is_empty() {
-        return 0.0;
-    }
-    let window = (ac.len().max(bc.len()) / 2).saturating_sub(1);
-    let SimScratch {
-        b_used,
-        matches_a,
-        matches_b,
-        ..
-    } = s;
-    b_used.clear();
-    b_used.resize(bc.len(), false);
-    matches_a.clear();
-    for (i, ca) in ac.iter().enumerate() {
-        let lo = i.saturating_sub(window);
-        let hi = (i + window + 1).min(bc.len());
-        for j in lo..hi {
-            if !b_used[j] && bc[j] == *ca {
-                b_used[j] = true;
-                matches_a.push(*ca);
-                break;
-            }
-        }
-    }
-    let m = matches_a.len();
-    if m == 0 {
-        return 0.0;
-    }
-    matches_b.clear();
-    matches_b.extend(
-        bc.iter()
-            .zip(b_used.iter())
-            .filter_map(|(c, used)| used.then_some(*c)),
-    );
-    let transpositions = matches_a
-        .iter()
-        .zip(matches_b.iter())
-        .filter(|(x, y)| x != y)
-        .count()
-        / 2;
-    let m = m as f64;
-    (m / ac.len() as f64 + m / bc.len() as f64 + (m - transpositions as f64) / m) / 3.0
-}
-
-/// Jaro-Winkler over char slices; same constants as
-/// [`jaro_winkler`](crate::jaro_winkler).
-pub fn jaro_winkler_chars(ac: &[char], bc: &[char], s: &mut SimScratch) -> f64 {
-    const P: f64 = 0.1;
-    const MAX_PREFIX: usize = 4;
-    let j = jaro_chars(ac, bc, s);
-    let prefix = ac
-        .iter()
-        .zip(bc.iter())
-        .take(MAX_PREFIX)
-        .take_while(|(x, y)| x == y)
-        .count();
-    j + prefix as f64 * P * (1.0 - j)
-}
-
-/// Needleman-Wunsch over char slices; same recurrence as
-/// [`needleman_wunsch`](crate::needleman_wunsch), rows from scratch.
-pub fn needleman_wunsch_chars(ac: &[char], bc: &[char], s: &mut SimScratch) -> f64 {
-    s.dp_prev.clear();
-    s.dp_prev.extend((0..=bc.len()).map(|j| -(j as f64)));
-    s.dp_cur.clear();
-    s.dp_cur.resize(bc.len() + 1, 0.0);
-    let (prev, cur) = (&mut s.dp_prev, &mut s.dp_cur);
-    for (i, ca) in ac.iter().enumerate() {
-        cur[0] = -((i + 1) as f64);
-        for (j, cb) in bc.iter().enumerate() {
-            let diag = prev[j] + f64::from(ca == cb);
-            let up = prev[j + 1] - 1.0;
-            let left = cur[j] - 1.0;
-            cur[j + 1] = diag.max(up).max(left);
-        }
-        std::mem::swap(prev, cur);
-    }
-    prev[bc.len()]
-}
-
-/// Smith-Waterman over char slices; same recurrence as
-/// [`smith_waterman`](crate::smith_waterman), rows from scratch.
-pub fn smith_waterman_chars(ac: &[char], bc: &[char], s: &mut SimScratch) -> f64 {
-    s.dp_prev.clear();
-    s.dp_prev.resize(bc.len() + 1, 0.0);
-    s.dp_cur.clear();
-    s.dp_cur.resize(bc.len() + 1, 0.0);
-    let (prev, cur) = (&mut s.dp_prev, &mut s.dp_cur);
-    let mut best = 0.0f64;
-    for ca in ac {
-        for (j, cb) in bc.iter().enumerate() {
-            let diag = prev[j] + f64::from(ca == cb);
-            let up = prev[j + 1] - 1.0;
-            let left = cur[j] - 1.0;
-            cur[j + 1] = diag.max(up).max(left).max(0.0);
-            best = best.max(cur[j + 1]);
-        }
-        std::mem::swap(prev, cur);
-    }
-    best
-}
-
-/// Monge-Elkan (Jaro-Winkler secondary) over profiles, using the cached
-/// whitespace token spans; same accumulation order as
-/// [`monge_elkan`](crate::monge_elkan).
-pub fn monge_elkan_profiles(a: &TokenProfile, b: &TokenProfile, s: &mut SimScratch) -> f64 {
-    if a.ws_spans.is_empty() && b.ws_spans.is_empty() {
-        return 1.0;
-    }
-    if a.ws_spans.is_empty() || b.ws_spans.is_empty() {
-        return 0.0;
-    }
-    let mut total = 0.0;
-    for &(xa, xb) in &a.ws_spans {
-        let x = &a.chars[xa as usize..xb as usize];
-        let mut best = f64::NEG_INFINITY;
-        for &(ya, yb) in &b.ws_spans {
-            let y = &b.chars[ya as usize..yb as usize];
-            best = best.max(jaro_winkler_chars(x, y, s));
-        }
-        total += best;
-    }
-    total / a.ws_spans.len() as f64
-}
-
-/// Shared shape of the four token-set measures over precomputed id slices;
-/// formulas mirror the `&str` versions in `setsim` term for term.
-fn set_measure(sim: StringSimilarity, a: &[u32], b: &[u32]) -> f64 {
-    if a.is_empty() && b.is_empty() {
-        return 1.0;
-    }
-    if a.is_empty() || b.is_empty() {
-        // jaccard reaches the same 0.0 through inter/union; returning it
-        // directly keeps all four measures on one early-exit shape.
-        return 0.0;
-    }
-    let inter = intersection_size_sorted(a, b);
-    match sim {
-        StringSimilarity::Jaccard(_) => {
-            let union = a.len() + b.len() - inter;
-            inter as f64 / union as f64
-        }
-        StringSimilarity::Dice(_) => 2.0 * inter as f64 / (a.len() + b.len()) as f64,
-        StringSimilarity::Cosine(_) => inter as f64 / ((a.len() as f64) * (b.len() as f64)).sqrt(),
-        StringSimilarity::OverlapCoefficient(_) => inter as f64 / a.len().min(b.len()) as f64,
-        _ => unreachable!("set_measure is only called for token-set similarities"),
-    }
-}
-
-impl StringSimilarity {
-    /// Evaluate the measure on two precomputed profiles — bit-identical to
-    /// [`StringSimilarity::apply`] on the source strings, allocation-free in
-    /// steady state given a reused `scratch`.
-    ///
-    /// Profiles precompute token ids for the Table-II tokenizers only
-    /// (Whitespace and QGram(3)); a token-set measure parameterized with any
-    /// other q falls back to the string path via the cached char buffer.
-    pub fn apply_profiles(
-        &self,
-        a: &TokenProfile,
-        b: &TokenProfile,
-        scratch: &mut SimScratch,
-    ) -> f64 {
-        match *self {
-            StringSimilarity::LevenshteinDistance => {
-                levenshtein_chars(&a.chars, &b.chars, scratch) as f64
-            }
-            StringSimilarity::LevenshteinSimilarity => {
-                let m = a.chars.len().max(b.chars.len());
-                if m == 0 {
-                    1.0
-                } else {
-                    1.0 - levenshtein_chars(&a.chars, &b.chars, scratch) as f64 / m as f64
-                }
-            }
-            StringSimilarity::Jaro => jaro_chars(&a.chars, &b.chars, scratch),
-            StringSimilarity::ExactMatch => {
-                if a.chars == b.chars {
-                    1.0
-                } else {
-                    0.0
-                }
-            }
-            StringSimilarity::JaroWinkler => jaro_winkler_chars(&a.chars, &b.chars, scratch),
-            StringSimilarity::NeedlemanWunsch => {
-                needleman_wunsch_chars(&a.chars, &b.chars, scratch)
-            }
-            StringSimilarity::SmithWaterman => smith_waterman_chars(&a.chars, &b.chars, scratch),
-            StringSimilarity::MongeElkan => monge_elkan_profiles(a, b, scratch),
-            StringSimilarity::OverlapCoefficient(t)
-            | StringSimilarity::Dice(t)
-            | StringSimilarity::Cosine(t)
-            | StringSimilarity::Jaccard(t) => match (a.token_ids(t), b.token_ids(t)) {
-                (Some(ia), Some(ib)) => set_measure(*self, ia, ib),
-                _ => {
-                    // Unprofiled tokenizer (QGram(q != 3)): rebuild the
-                    // strings from the cached chars and use the &str path.
-                    let sa: String = a.chars.iter().collect();
-                    let sb: String = b.chars.iter().collect();
-                    self.apply(&sa, &sb)
-                }
-            },
-            // Raw count: no normalization, and both-empty is 0 shared
-            // tokens (not the 1.0 the normalized measures conventionally
-            // return), so it bypasses set_measure's early exits.
-            StringSimilarity::OverlapSize(t) => match (a.token_ids(t), b.token_ids(t)) {
-                (Some(ia), Some(ib)) => intersection_size_sorted(ia, ib) as f64,
-                _ => {
-                    let sa: String = a.chars.iter().collect();
-                    let sb: String = b.chars.iter().collect();
-                    self.apply(&sa, &sb)
-                }
-            },
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::tokenize::Tokenizer;
-
-    fn profile_pair(a: &str, b: &str) -> (TokenProfile, TokenProfile) {
-        let mut interner = TokenInterner::new();
-        (
-            TokenProfile::build(a, &mut interner),
-            TokenProfile::build(b, &mut interner),
-        )
-    }
 
     #[test]
     fn interner_is_insertion_ordered_and_idempotent() {
@@ -556,82 +280,5 @@ mod tests {
         assert_eq!(intersection_size_sorted(&[1, 3, 5], &[2, 3, 5, 9]), 2);
         assert_eq!(intersection_size_sorted(&[1, 2], &[3, 4]), 0);
         assert_eq!(intersection_size_sorted(&[7], &[7]), 1);
-    }
-
-    #[test]
-    fn apply_profiles_matches_apply_on_fixtures() {
-        use crate::StringSimilarity::*;
-        let cases = [
-            ("new york", "new york city"),
-            ("arnie mortons of chicago", "arnie mortons chicago"),
-            ("", ""),
-            ("", "abc"),
-            ("martha", "marhta"),
-            ("café münchen", "cafe munchen"),
-            ("dva", "deeva"),
-        ];
-        let sims = [
-            LevenshteinDistance,
-            LevenshteinSimilarity,
-            Jaro,
-            ExactMatch,
-            JaroWinkler,
-            NeedlemanWunsch,
-            SmithWaterman,
-            MongeElkan,
-            OverlapCoefficient(Tokenizer::Whitespace),
-            Dice(Tokenizer::Whitespace),
-            Cosine(Tokenizer::Whitespace),
-            Jaccard(Tokenizer::Whitespace),
-            OverlapCoefficient(Tokenizer::QGram(3)),
-            Dice(Tokenizer::QGram(3)),
-            Cosine(Tokenizer::QGram(3)),
-            Jaccard(Tokenizer::QGram(3)),
-            OverlapSize(Tokenizer::Whitespace),
-            OverlapSize(Tokenizer::QGram(3)),
-        ];
-        let mut scratch = SimScratch::new();
-        for (a, b) in cases {
-            let (pa, pb) = profile_pair(a, b);
-            for sim in sims {
-                let want = sim.apply(a, b);
-                let got = sim.apply_profiles(&pa, &pb, &mut scratch);
-                assert_eq!(want.to_bits(), got.to_bits(), "{sim:?} on {a:?} vs {b:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn unprofiled_qgram_width_falls_back_to_string_path() {
-        let (pa, pb) = profile_pair("nichola", "nicholas");
-        let sim = StringSimilarity::Jaccard(Tokenizer::QGram(2));
-        let mut scratch = SimScratch::new();
-        assert_eq!(
-            sim.apply("nichola", "nicholas").to_bits(),
-            sim.apply_profiles(&pa, &pb, &mut scratch).to_bits()
-        );
-    }
-
-    #[test]
-    fn scratch_reuse_does_not_leak_state_across_calls() {
-        let mut scratch = SimScratch::new();
-        let (p1, p2) = profile_pair("a long first string here", "sh");
-        // Prime the buffers with a large pair, then verify a small pair.
-        let _ = StringSimilarity::LevenshteinDistance.apply_profiles(&p1, &p2, &mut scratch);
-        let _ = StringSimilarity::Jaro.apply_profiles(&p1, &p2, &mut scratch);
-        let (q1, q2) = profile_pair("ab", "ba");
-        for sim in [
-            StringSimilarity::LevenshteinDistance,
-            StringSimilarity::Jaro,
-            StringSimilarity::NeedlemanWunsch,
-            StringSimilarity::SmithWaterman,
-            StringSimilarity::MongeElkan,
-        ] {
-            assert_eq!(
-                sim.apply("ab", "ba").to_bits(),
-                sim.apply_profiles(&q1, &q2, &mut scratch).to_bits(),
-                "{sim:?}"
-            );
-        }
     }
 }

@@ -3,9 +3,11 @@
 //!
 //! Token sets are sorted deduplicated `Vec<String>`s and the intersection
 //! is a merge join — no tree allocation per call. The interned-profile path
-//! ([`crate::TokenProfile`]) goes further and merge-joins `u32` id slices.
+//! ([`crate::eval_families`]) merge-joins `u32` id slices instead, once per
+//! tokenizer, and shares [`set_score`]'s arithmetic.
 
 use crate::tokenize::Tokenizer;
+use crate::StringSimilarity;
 
 fn intersection_size(a: &[String], b: &[String]) -> usize {
     let (mut i, mut j, mut n) = (0, 0, 0);
@@ -31,42 +33,19 @@ fn intersection_size(a: &[String], b: &[String]) -> usize {
 /// assert!((s - 2.0 / 3.0).abs() < 1e-12);
 /// ```
 pub fn jaccard(a: &str, b: &str, tok: Tokenizer) -> f64 {
-    let sa = tok.sorted_tokens(a);
-    let sb = tok.sorted_tokens(b);
-    if sa.is_empty() && sb.is_empty() {
-        return 1.0;
-    }
-    let inter = intersection_size(&sa, &sb);
-    let union = sa.len() + sb.len() - inter;
-    inter as f64 / union as f64
+    on_sets(StringSimilarity::Jaccard(tok), tok, a, b)
 }
 
 /// Dice similarity `2|A ∩ B| / (|A| + |B|)` over token sets.
 pub fn dice(a: &str, b: &str, tok: Tokenizer) -> f64 {
-    let sa = tok.sorted_tokens(a);
-    let sb = tok.sorted_tokens(b);
-    if sa.is_empty() && sb.is_empty() {
-        return 1.0;
-    }
-    if sa.is_empty() || sb.is_empty() {
-        return 0.0;
-    }
-    2.0 * intersection_size(&sa, &sb) as f64 / (sa.len() + sb.len()) as f64
+    on_sets(StringSimilarity::Dice(tok), tok, a, b)
 }
 
 /// Set cosine similarity `|A ∩ B| / sqrt(|A| * |B|)` over token sets
 /// (the Ochiai coefficient, which is what `py_stringmatching.Cosine`
 /// computes on token sets).
 pub fn cosine(a: &str, b: &str, tok: Tokenizer) -> f64 {
-    let sa = tok.sorted_tokens(a);
-    let sb = tok.sorted_tokens(b);
-    if sa.is_empty() && sb.is_empty() {
-        return 1.0;
-    }
-    if sa.is_empty() || sb.is_empty() {
-        return 0.0;
-    }
-    intersection_size(&sa, &sb) as f64 / ((sa.len() as f64) * (sb.len() as f64)).sqrt()
+    on_sets(StringSimilarity::Cosine(tok), tok, a, b)
 }
 
 /// Raw shared-token count `|A ∩ B|` over token sets (unnormalized).
@@ -77,22 +56,42 @@ pub fn cosine(a: &str, b: &str, tok: Tokenizer) -> f64 {
 /// the normalization of Jaccard/Dice/cosine. Not part of the Table II
 /// feature battery.
 pub fn overlap_size(a: &str, b: &str, tok: Tokenizer) -> f64 {
-    let sa = tok.sorted_tokens(a);
-    let sb = tok.sorted_tokens(b);
-    intersection_size(&sa, &sb) as f64
+    on_sets(StringSimilarity::OverlapSize(tok), tok, a, b)
 }
 
 /// Overlap coefficient `|A ∩ B| / min(|A|, |B|)` over token sets.
 pub fn overlap_coefficient(a: &str, b: &str, tok: Tokenizer) -> f64 {
+    on_sets(StringSimilarity::OverlapCoefficient(tok), tok, a, b)
+}
+
+/// `sim` on the token sets of `a` and `b` under `tok`.
+fn on_sets(sim: StringSimilarity, tok: Tokenizer, a: &str, b: &str) -> f64 {
     let sa = tok.sorted_tokens(a);
     let sb = tok.sorted_tokens(b);
-    if sa.is_empty() && sb.is_empty() {
+    set_score(sim, intersection_size(&sa, &sb), sa.len(), sb.len())
+}
+
+/// A token-set measure from `|A ∩ B|`, `|A|` and `|B|`: the arithmetic the
+/// `&str` functions and [`crate::eval_families`] share. The normalized
+/// measures score two empty sets 1 and one empty set 0; the raw
+/// [`overlap_size`] is the plain count.
+pub(crate) fn set_score(sim: StringSimilarity, inter: usize, na: usize, nb: usize) -> f64 {
+    if let StringSimilarity::OverlapSize(_) = sim {
+        return inter as f64;
+    }
+    if na == 0 && nb == 0 {
         return 1.0;
     }
-    if sa.is_empty() || sb.is_empty() {
+    if na == 0 || nb == 0 {
         return 0.0;
     }
-    intersection_size(&sa, &sb) as f64 / sa.len().min(sb.len()) as f64
+    match sim {
+        StringSimilarity::Jaccard(_) => inter as f64 / (na + nb - inter) as f64,
+        StringSimilarity::Dice(_) => 2.0 * inter as f64 / (na + nb) as f64,
+        StringSimilarity::Cosine(_) => inter as f64 / ((na as f64) * (nb as f64)).sqrt(),
+        StringSimilarity::OverlapCoefficient(_) => inter as f64 / na.min(nb) as f64,
+        _ => unreachable!("{sim:?} is not a token-set measure"),
+    }
 }
 
 #[cfg(test)]

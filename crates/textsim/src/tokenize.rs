@@ -11,7 +11,7 @@ use std::collections::BTreeSet;
 /// behaviour of the `py_stringmatching` tokenizers Magellan uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Tokenizer {
-    /// Split on runs of ASCII whitespace.
+    /// Split on runs of Unicode `White_Space` chars (`str::split_whitespace`).
     Whitespace,
     /// Sliding character q-grams of the given width. Strings are padded with
     /// `#` on both sides (q-1 pad characters), so even strings shorter than

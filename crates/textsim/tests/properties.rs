@@ -219,7 +219,8 @@ fn unicode_string(rng: &mut StdRng) -> String {
         .collect()
 }
 
-/// All 16 Table-II string similarities.
+/// All 16 Table-II string similarities, plus the raw overlap counts the
+/// labeling functions use.
 fn table2_similarities() -> Vec<StringSimilarity> {
     use StringSimilarity::*;
     let mut sims = vec![
@@ -238,9 +239,28 @@ fn table2_similarities() -> Vec<StringSimilarity> {
             Dice(tok),
             Cosine(tok),
             OverlapCoefficient(tok),
+            OverlapSize(tok),
         ]);
     }
     sims
+}
+
+/// Assert that one family evaluation over profiles of `a` and `b` gives
+/// every measure the bits of the `&str` function.
+fn assert_families_match_strings(sims: &[StringSimilarity], a: &str, b: &str) {
+    let mut interner = TokenInterner::new();
+    let pa = TokenProfile::build(a, &mut interner);
+    let pb = TokenProfile::build(b, &mut interner);
+    let mut out = vec![0.0; sims.len()];
+    eval_families(sims, &pa, &pb, &mut out);
+    for (sim, via_profile) in sims.iter().zip(&out) {
+        let via_string = sim.apply(a, b);
+        assert_eq!(
+            via_string.to_bits(),
+            via_profile.to_bits(),
+            "{sim:?} diverged on {a:?} vs {b:?}: {via_string} != {via_profile}"
+        );
+    }
 }
 
 #[test]
@@ -248,19 +268,7 @@ fn profile_similarities_bit_identical_to_string_path() {
     let sims = table2_similarities();
     check(|rng| {
         let (a, b) = (unicode_string(rng), unicode_string(rng));
-        let mut interner = TokenInterner::new();
-        let pa = TokenProfile::build(&a, &mut interner);
-        let pb = TokenProfile::build(&b, &mut interner);
-        let mut scratch = SimScratch::new();
-        for sim in &sims {
-            let via_string = sim.apply(&a, &b);
-            let via_profile = sim.apply_profiles(&pa, &pb, &mut scratch);
-            assert_eq!(
-                via_string.to_bits(),
-                via_profile.to_bits(),
-                "{sim:?} diverged on {a:?} vs {b:?}: {via_string} != {via_profile}"
-            );
-        }
+        assert_families_match_strings(&sims, &a, &b);
     });
 }
 
@@ -269,17 +277,115 @@ fn profile_similarities_bit_identical_on_ascii_words() {
     let sims = table2_similarities();
     check(|rng| {
         let (a, b) = (word_string(rng), word_string(rng));
-        let mut interner = TokenInterner::new();
-        let pa = TokenProfile::build(&a, &mut interner);
-        let pb = TokenProfile::build(&b, &mut interner);
-        let mut scratch = SimScratch::new();
-        for sim in &sims {
-            assert_eq!(
-                sim.apply(&a, &b).to_bits(),
-                sim.apply_profiles(&pa, &pb, &mut scratch).to_bits(),
-                "{sim:?} diverged on {a:?} vs {b:?}"
-            );
+        assert_families_match_strings(&sims, &a, &b);
+    });
+}
+
+/// A 0–200 char string (so masks cross the 64- and 128-char word
+/// boundaries) from one of four shapes: a two- or three-symbol alphabet
+/// with long runs of repeats, an alphabet mixing `é`, a CJK char and a
+/// non-BMP char, whitespace-separated words that repeat and include tokens
+/// longer than 64 chars, or plain ASCII words.
+fn long_string(rng: &mut StdRng) -> String {
+    const SMALL: &[char] = &['a', 'b', 'a', 'a', ' '];
+    const WIDE: &[char] = &['a', 'b', 'é', '東', '𝄞', ' '];
+    let len = rng.random_range(0..=200usize);
+    let pick = |rng: &mut StdRng, alphabet: &[char]| alphabet[rng.random_range(0..alphabet.len())];
+    match rng.random_range(0..4u32) {
+        0 => {
+            let k = rng.random_range(2..=SMALL.len());
+            (0..len).map(|_| pick(rng, &SMALL[..k])).collect()
         }
+        1 => (0..len).map(|_| pick(rng, WIDE)).collect(),
+        2 => {
+            let long_token = "x".repeat(63) + "yz";
+            let words = ["sony", "sony", "tv", "é東𝄞", long_token.as_str()];
+            let mut s = String::new();
+            while s.chars().count() < len {
+                s.push_str(words[rng.random_range(0..words.len())]);
+                for _ in 0..rng.random_range(1..=3usize) {
+                    s.push(pick(rng, &[' ', ' ', '\t']));
+                }
+            }
+            s.chars().take(len).collect()
+        }
+        _ => {
+            const ASCII: &[u8] = b"abcdefghijklmnopqrstuvwxyz0123456789 ";
+            (0..len)
+                .map(|_| ASCII[rng.random_range(0..ASCII.len())] as char)
+                .collect()
+        }
+    }
+}
+
+/// `s` after a few random substitutions, insertions and deletions drawn
+/// from its own chars, so the pair shares long aligned runs.
+fn mutate(rng: &mut StdRng, s: &str) -> String {
+    let mut chars: Vec<char> = s.chars().collect();
+    for _ in 0..rng.random_range(0..=6usize) {
+        let pool = if chars.is_empty() {
+            vec!['q']
+        } else {
+            chars.clone()
+        };
+        let c = pool[rng.random_range(0..pool.len())];
+        let at = rng.random_range(0..=chars.len());
+        match rng.random_range(0..3u32) {
+            0 if at < chars.len() => chars[at] = c,
+            1 if at < chars.len() => {
+                chars.remove(at);
+            }
+            _ => chars.insert(at, c),
+        }
+    }
+    chars.into_iter().collect()
+}
+
+/// A pair of long strings: independent draws, or a draw and its mutation.
+fn long_pair(rng: &mut StdRng) -> (String, String) {
+    let a = long_string(rng);
+    let b = if rng.random_range(0..2u32) == 0 {
+        mutate(rng, &a)
+    } else {
+        long_string(rng)
+    };
+    (a, b)
+}
+
+#[test]
+fn families_bit_identical_past_the_word_boundary() {
+    let sims = table2_similarities();
+    assert_families_match_strings(&sims, "", "");
+    check(|rng| {
+        let (a, b) = long_pair(rng);
+        assert_families_match_strings(&sims, &a, &b);
+        assert_families_match_strings(&sims, &b, &a);
+    });
+}
+
+#[test]
+fn align_scores_match_textbook_at_both_lane_widths() {
+    let expect = |a: &str, b: &str| (needleman_wunsch(a, b), smith_waterman(a, b));
+    let bits = |(nw, sw): (f64, f64)| (nw.to_bits(), sw.to_bits());
+    for (a, b) in [("", ""), ("", "ab"), ("ab", ""), ("dva", "deeva")] {
+        let (ac, bc): (Vec<char>, Vec<char>) = (a.chars().collect(), b.chars().collect());
+        assert_eq!(bits(align_scores::<i16>(&ac, &bc)), bits(expect(a, b)));
+        assert_eq!(bits(align_scores::<i32>(&ac, &bc)), bits(expect(a, b)));
+    }
+    check(|rng| {
+        let (a, b) = long_pair(rng);
+        let (ac, bc): (Vec<char>, Vec<char>) = (a.chars().collect(), b.chars().collect());
+        let want = bits(expect(&a, &b));
+        assert_eq!(
+            bits(align_scores::<i16>(&ac, &bc)),
+            want,
+            "i16 on {a:?} vs {b:?}"
+        );
+        assert_eq!(
+            bits(align_scores::<i32>(&ac, &bc)),
+            want,
+            "i32 on {a:?} vs {b:?}"
+        );
     });
 }
 

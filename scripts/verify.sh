@@ -67,6 +67,13 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 echo "== cargo build --release --offline =="
 cargo build --release --offline --workspace
 
+echo "== similarity kernels vs the textbook oracle in a release build (em-text) =="
+# The workspace test runs below are debug builds, which keep overflow
+# checks on the kernels' integer lanes. This one checks the code the
+# benchmarks and production run: optimized, with the anti-diagonal
+# alignment loop vectorized, against the &str oracle functions.
+cargo test -q --release --offline -p em-text
+
 echo "== cargo test --offline (EM_THREADS=1) =="
 EM_THREADS=1 cargo test -q --offline --workspace
 
