@@ -15,6 +15,7 @@
 
 use em_data::{CatalogSpec, ScaleCatalog};
 use em_rt::{derive_seed, StdRng};
+use em_serve::compact::INLINE_BYTES;
 use em_serve::{DeltaList, IncrementalIndex, IndexOptions};
 use em_table::{RecordPair, Schema, Table, Value};
 use std::collections::{HashMap, HashSet};
@@ -71,6 +72,61 @@ fn delta_list_round_trips_random_sequences() {
             assert!(!inserted.insert(v), "duplicate insert must be rejected");
         }
         assert_eq!(inserted.iter().collect::<Vec<_>>(), vals, "case {case}");
+        // Same variant, same bytes, same cached count and last.
+        assert_eq!(inserted, pushed, "case {case}");
+        assert_eq!(inserted.count(), pushed.count(), "case {case}");
+        assert_eq!(inserted.last(), pushed.last(), "case {case}");
+    }
+
+    // The inline/spill edge: 30 one-byte varints fill the inline buffer
+    // exactly, 31 spill.
+    let full: Vec<u32> = (0..INLINE_BYTES as u32).collect();
+    assert!(matches!(
+        DeltaList::from_sorted(&full),
+        DeltaList::Inline { len, .. } if usize::from(len) == INLINE_BYTES
+    ));
+    let over: Vec<u32> = (0..=INLINE_BYTES as u32).collect();
+    assert!(matches!(
+        DeltaList::from_sorted(&over),
+        DeltaList::Spill { .. }
+    ));
+    // Gaps on each side of every varint width edge, and the largest value.
+    let mut sets: Vec<Vec<u32>> = vec![full, over];
+    for bits in [7, 14, 21, 28] {
+        for g in [(1u32 << bits) - 1, 1 << bits] {
+            sets.push(vec![0, g]);
+            sets.push(vec![3, 3 + g, 3 + 2 * g]);
+            sets.push(vec![1, g - 1, g, g + 1, 2 * g + 1]);
+        }
+    }
+    sets.push(vec![0, u32::MAX]);
+    sets.push(vec![0, 1, u32::MAX - 1, u32::MAX]);
+    sets.push(vec![1 << 28, u32::MAX]);
+    for (case, set) in sets.iter().enumerate() {
+        // Ascending (after-the-last appends), descending (every insert
+        // before the first), and shuffled (between two values).
+        let mut shuffled = set.clone();
+        for i in (1..shuffled.len()).rev() {
+            shuffled.swap(i, rng.random_range(0..i + 1));
+        }
+        let descending: Vec<u32> = set.iter().rev().copied().collect();
+        for order in [set, &descending, &shuffled] {
+            let mut list = DeltaList::new();
+            let mut held: Vec<u32> = Vec::new();
+            for &v in order {
+                assert!(list.insert(v), "case {case}: insert {v}");
+                let at = held.partition_point(|&h| h < v);
+                held.insert(at, v);
+                let want = DeltaList::from_sorted(&held);
+                assert_eq!(list, want, "case {case}: after inserting {v}");
+                assert_eq!(list.count(), want.count(), "case {case}");
+                assert_eq!(list.last(), want.last(), "case {case}");
+            }
+            for &v in order {
+                assert!(!list.insert(v), "case {case}: duplicate {v} accepted");
+            }
+            assert_eq!(list, DeltaList::from_sorted(set), "case {case}");
+        }
     }
 }
 

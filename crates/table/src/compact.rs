@@ -15,11 +15,15 @@
 //!   they outgrow it.
 //!
 //! Appending a value larger than the current maximum is O(1) (the common
-//! case: catalog rows are ingested in ascending order). Inserting into the
-//! middle — a re-upsert of an old row id — decodes, splices, and re-encodes
-//! the one affected list. Decoding is a forward walk; there is no random
-//! access, which is fine because every consumer (probe, compaction,
-//! invariant check) walks whole lists.
+//! case when catalog rows are ingested in ascending order). Inserting into
+//! the middle — the re-upsert of an existing row, which serving churn does
+//! on most writes — walks the stream to the first larger value and splits
+//! that one gap varint into two in place: a forward decode up to the
+//! insertion point plus one shift of the tail bytes, with no decoded copy.
+//! Either way the bytes equal what [`DeltaList::from_sorted`] encodes for
+//! the same set. Decoding is a forward walk; there is no random access,
+//! which is fine because every consumer (probe, compaction, invariant
+//! check) walks whole lists.
 
 /// Inline payload capacity. 30 bytes keeps the enum at the size its `Spill`
 /// variant forces anyway (`Vec<u8>` + count + last ≈ 32 bytes + tag), so
@@ -27,9 +31,10 @@
 /// with no heap allocation — deeper than the zipf tail needs.
 pub const INLINE_BYTES: usize = 30;
 
-/// Encode `v` as a LEB128 varint into `buf`, returning the byte count (≤ 5).
+/// Encode `v` as a LEB128 varint at the start of `buf`, returning the byte
+/// count (≤ 5).
 #[inline]
-fn encode_varint(mut v: u32, buf: &mut [u8; 5]) -> usize {
+fn encode_varint(mut v: u32, buf: &mut [u8]) -> usize {
     let mut n = 0;
     loop {
         let byte = (v & 0x7f) as u8;
@@ -148,12 +153,26 @@ impl DeltaList {
 
     /// Walk the decoded values in ascending order.
     pub fn iter(&self) -> DeltaIter<'_> {
-        DeltaIter {
-            bytes: self.bytes(),
-            pos: 0,
-            prev: 0,
-            first: true,
+        DeltaIter::new(self.bytes())
+    }
+
+    /// How many held values also appear in `sorted` (strictly ascending):
+    /// one merge walk, no allocation.
+    pub(crate) fn intersection_size(&self, sorted: &[u32]) -> usize {
+        let (mut n, mut j) = (0, 0);
+        for x in self.iter() {
+            while j < sorted.len() && sorted[j] < x {
+                j += 1;
+            }
+            if j == sorted.len() {
+                break;
+            }
+            if sorted[j] == x {
+                n += 1;
+                j += 1;
+            }
         }
+        n
     }
 
     /// True when `v` is held (forward walk; lists are short or this is the
@@ -174,16 +193,10 @@ impl DeltaList {
         match self {
             DeltaList::Inline { len, buf } => {
                 // Walk once for count/last (cheap: ≤ INLINE_BYTES bytes).
-                let (mut count, mut last, mut pos) = (0u32, 0u32, 0usize);
                 let used = usize::from(*len);
-                while pos < used {
-                    let gap = decode_varint(&buf[..used], &mut pos);
-                    last = if count == 0 { gap } else { last + gap };
-                    count += 1;
-                }
+                let (count, last) = tally(&buf[..used]);
                 assert!(count == 0 || v > last, "push must be ascending");
-                let gap = if count == 0 { v } else { v - last };
-                let n = encode_varint(gap, &mut scratch);
+                let n = encode_varint(v - last, &mut scratch);
                 if used + n <= INLINE_BYTES {
                     buf[used..used + n].copy_from_slice(&scratch[..n]);
                     *len = (used + n) as u8;
@@ -210,30 +223,76 @@ impl DeltaList {
     }
 
     /// Insert `v` keeping the sequence strictly ascending. Returns `false`
-    /// (and changes nothing) when `v` is already present. Values beyond the
-    /// current maximum take the O(1) append path; interior inserts decode
-    /// and re-encode this one list.
+    /// (and changes nothing) when `v` is already present. A value beyond
+    /// the current maximum takes the O(1) append path. An interior insert
+    /// walks to the first value `next` above `v` and replaces the gap
+    /// varint `next − prev` with the two varints `v − prev` and `next − v`
+    /// in place: a decode up to the insertion point plus one shift of the
+    /// tail. An inline list stays inline while it fits in
+    /// [`INLINE_BYTES`] and spills once otherwise, so the result is
+    /// byte-for-byte what [`Self::from_sorted`] encodes for the same set.
     pub fn insert(&mut self, v: u32) -> bool {
-        match self.last() {
-            None => {
-                self.push(v);
-                return true;
-            }
-            Some(last) if v > last => {
-                self.push(v);
-                return true;
-            }
-            Some(last) if v == last => return false,
-            _ => {}
+        if self.last().is_none_or(|last| v > last) {
+            self.push(v);
+            return true;
         }
-        let mut vals: Vec<u32> = self.iter().collect();
-        let Err(at) = vals.binary_search(&v) else {
-            return false;
-        };
-        vals.insert(at, v);
-        *self = Self::from_sorted(&vals);
-        true
+        // Some value is ≥ v. The first value is a gap from 0, so one walk
+        // covers an insert before it too.
+        let bytes = self.bytes();
+        let (mut pos, mut prev) = (0usize, 0u32);
+        loop {
+            let at = pos;
+            let next = prev + decode_varint(bytes, &mut pos);
+            if next == v {
+                return false;
+            }
+            if next > v {
+                let mut split = [0u8; 10];
+                let n = encode_varint(v - prev, &mut split);
+                let n = n + encode_varint(next - v, &mut split[n..]);
+                self.splice(at, pos, &split[..n]);
+                return true;
+            }
+            prev = next;
+        }
     }
+
+    /// Replace the encoded bytes `at..end` (one gap varint) with `split`
+    /// (its two halves) and count the new value. Splitting a gap never
+    /// shortens it: the larger half needs at most one byte fewer than the
+    /// whole, and the other half at least one byte. So an inline buffer
+    /// only grows, and its bytes past `len` stay zero, as a push leaves
+    /// them.
+    fn splice(&mut self, at: usize, end: usize, split: &[u8]) {
+        debug_assert!(split.len() >= end - at, "a split gap never shrinks");
+        match self {
+            DeltaList::Inline { len, buf } => {
+                let used = usize::from(*len);
+                let grown = used - (end - at) + split.len();
+                if grown <= INLINE_BYTES {
+                    buf.copy_within(end..used, at + split.len());
+                    buf[at..at + split.len()].copy_from_slice(split);
+                    *len = grown as u8;
+                } else {
+                    let mut bytes = Vec::with_capacity(grown);
+                    bytes.extend_from_slice(&buf[..at]);
+                    bytes.extend_from_slice(split);
+                    bytes.extend_from_slice(&buf[end..used]);
+                    let (count, last) = tally(&bytes);
+                    *self = DeltaList::Spill { bytes, count, last };
+                }
+            }
+            DeltaList::Spill { bytes, count, .. } => {
+                bytes.splice(at..end, split.iter().copied());
+                *count += 1;
+            }
+        }
+    }
+}
+
+/// Count and last value of an encoded stream (last is 0 when empty).
+fn tally(bytes: &[u8]) -> (u32, u32) {
+    DeltaIter::new(bytes).fold((0, 0), |(count, _), v| (count + 1, v))
 }
 
 /// Forward decoder over a [`DeltaList`].
@@ -241,7 +300,16 @@ pub struct DeltaIter<'a> {
     bytes: &'a [u8],
     pos: usize,
     prev: u32,
-    first: bool,
+}
+
+impl<'a> DeltaIter<'a> {
+    fn new(bytes: &'a [u8]) -> Self {
+        DeltaIter {
+            bytes,
+            pos: 0,
+            prev: 0,
+        }
+    }
 }
 
 impl Iterator for DeltaIter<'_> {
@@ -252,9 +320,8 @@ impl Iterator for DeltaIter<'_> {
         if self.pos >= self.bytes.len() {
             return None;
         }
-        let gap = decode_varint(self.bytes, &mut self.pos);
-        self.prev = if self.first { gap } else { self.prev + gap };
-        self.first = false;
+        // The first value is stored absolute, which is its gap from 0.
+        self.prev += decode_varint(self.bytes, &mut self.pos);
         Some(self.prev)
     }
 }
@@ -305,6 +372,16 @@ mod tests {
         assert!(!l.insert(60));
         assert!(l.insert(1));
         assert_eq!(l.iter().collect::<Vec<_>>(), vec![1, 10, 20, 30, 50, 60]);
+    }
+
+    #[test]
+    fn intersection_size_merges_with_a_sorted_slice() {
+        let l = DeltaList::from_sorted(&[2, 5, 9, 40, 41]);
+        assert_eq!(l.intersection_size(&[]), 0);
+        assert_eq!(l.intersection_size(&[1, 3, 50]), 0);
+        assert_eq!(l.intersection_size(&[2, 9, 41]), 3);
+        assert_eq!(l.intersection_size(&[0, 5, 6, 40, 41, 99]), 3);
+        assert_eq!(DeltaList::new().intersection_size(&[1, 2]), 0);
     }
 
     #[test]

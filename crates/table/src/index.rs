@@ -4,16 +4,22 @@
 //! time; the batch [`OverlapBlocker`](crate::OverlapBlocker) bulk-builds
 //! one over its right table and probes it with the left, so the two agree
 //! by construction. A candidate pair shares at least `min_overlap`
-//! lowercase word tokens, interned to dense `u32` ids and counted by a
-//! run-length scan. The index is built to survive million-record catalogs:
+//! lowercase word tokens, interned to dense `u32` ids. The index is built
+//! to survive million-record catalogs:
 //!
 //! * **Compact postings.** Each token's record list is a [`DeltaList`]:
 //!   strictly-ascending row offsets stored as LEB128 varint gaps, inline
-//!   (no heap allocation) for the zipf tail of rare tokens.
+//!   (no heap allocation) for the zipf tail of rare tokens. Re-adding an
+//!   existing row splices one gap in place.
 //! * **Row-range shards.** The catalog is partitioned into contiguous
 //!   spans of [`shard_span`](IncrementalIndex::shard_span) rows. Posting
 //!   lists are per-shard (local offsets fit small varints) and the probe
 //!   fans out over a (query-chunk × shard) grid on the `em-rt` pool.
+//! * **Counting probes.** A probe task walks the query's posting lists
+//!   once, counting shared tokens per local row in a per-thread array of
+//!   stamped slots that is never cleared between queries. A row becomes a
+//!   candidate when its count reaches `min_overlap`, so only candidates
+//!   are sorted, never the raw hits.
 //! * **Deferred retraction.** Removing or replacing a record does not
 //!   splice every affected posting list (that is O(tokens × list length)).
 //!   Instead the old entries stay encoded, the shard's `stale` debt grows,
@@ -45,12 +51,13 @@
 //! merged serially in (query, shard) order, and compaction triggers depend
 //! only on per-shard debt counters.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
 
 use crate::compact::DeltaList;
 use crate::pairs::RecordPair;
 use crate::table::Table;
-use em_text::{intersection_size_sorted, TokenInterner};
+use em_text::TokenInterner;
 
 /// Catalog records upserted into the index.
 static UPSERTS: em_obs::Counter = em_obs::Counter::new("serve.index_upserts");
@@ -139,6 +146,40 @@ struct Shard {
     /// Sorted local rows with at least one retired encoded pair; probe hits
     /// on these rows are recounted exactly against the record truth.
     stale_rows: Vec<u32>,
+}
+
+/// One thread's overlap counters for probe tasks: a `(stamp, count)` slot
+/// per local row of the largest shard probed so far. A slot counts for the
+/// current (query, shard) pass only when it carries the pass's stamp, so a
+/// new pass just takes the next stamp instead of clearing the slots; they
+/// are zeroed only when the stamp wraps.
+#[derive(Default)]
+struct OverlapCounts {
+    stamp: u32,
+    slots: Vec<(u32, u32)>,
+    /// Local rows whose count reached `min_overlap` in the current pass.
+    joined: Vec<u32>,
+}
+
+impl OverlapCounts {
+    /// Start a pass over a shard holding `rows` local rows.
+    fn begin(&mut self, rows: usize) {
+        if self.slots.len() < rows {
+            self.slots.resize(rows, (0, 0));
+        }
+        if self.stamp == u32::MAX {
+            self.slots.fill((0, 0));
+            self.stamp = 0;
+        }
+        self.stamp += 1;
+        self.joined.clear();
+    }
+}
+
+thread_local! {
+    /// Reused by every probe task that runs on this thread, whatever its
+    /// index or shard.
+    static COUNTS: RefCell<OverlapCounts> = RefCell::new(OverlapCounts::default());
 }
 
 /// Lowercase `word` into `buf` (ASCII, matching `str::to_ascii_lowercase`).
@@ -452,6 +493,7 @@ impl IncrementalIndex {
         let writer = em_rt::SliceWriter::new(&mut buffers);
         let mut recounts: Vec<u64> = vec![0; n_tasks];
         let recount_writer = em_rt::SliceWriter::new(&mut recounts);
+        let min_overlap = u32::try_from(self.min_overlap).unwrap_or(u32::MAX);
         em_rt::parallel_for(n_tasks, jobs, |t| {
             // Safety: each task index is handed out exactly once, so this
             // is the only thread touching slot `t` of either buffer.
@@ -460,52 +502,58 @@ impl IncrementalIndex {
             let (chunk, shard_i) = (t / n_shards, t % n_shards);
             let shard = &self.shards[shard_i];
             let base = shard_i * self.shard_span;
+            let rows = (self.records.len() - base).min(self.shard_span);
             let q_end = ((chunk + 1) * QUERY_CHUNK).min(nq);
-            let mut hits: Vec<u32> = Vec::new();
             let q_range = chunk * QUERY_CHUNK..q_end;
-            for (q, ids) in q_range.clone().zip(&query_ids[q_range]) {
-                if ids.is_empty() {
-                    continue;
-                }
-                hits.clear();
-                for id in ids {
-                    if let Some(list) = shard.postings.get(id) {
-                        hits.extend(list.iter());
-                    }
-                }
-                hits.sort_unstable();
-                // Run-length scan: each local row appears once per shared
-                // encoded token, an upper bound on the live overlap.
-                let mut k = 0;
-                while k < hits.len() {
-                    let local = hits[k];
-                    let mut j = k + 1;
-                    while j < hits.len() && hits[j] == local {
-                        j += 1;
-                    }
-                    let count = j - k;
-                    k = j;
-                    if count < self.min_overlap {
+            COUNTS.with_borrow_mut(|counts| {
+                for (q, ids) in q_range.clone().zip(&query_ids[q_range]) {
+                    if ids.is_empty() {
                         continue;
                     }
-                    let row = base + local as usize;
-                    if shard.stale_rows.binary_search(&local).is_ok() {
-                        // Retired entries may inflate the count: recount
-                        // exactly against the record truth.
-                        *task_recounts += 1;
-                        let Some(rec) = &self.records[row] else {
-                            continue; // dead row, postings not yet compacted
+                    counts.begin(rows);
+                    let OverlapCounts {
+                        stamp,
+                        slots,
+                        joined,
+                    } = counts;
+                    // Each local row is counted once per shared encoded
+                    // token, an upper bound on the live overlap.
+                    for id in ids {
+                        let Some(list) = shard.postings.get(id) else {
+                            continue;
                         };
-                        let live: Vec<u32> = rec.iter().collect();
-                        let exact = intersection_size_sorted(&live, ids);
-                        if exact >= self.min_overlap {
-                            out.push((q as u32, row as u32, exact as u32));
+                        for local in list.iter() {
+                            let slot = &mut slots[local as usize];
+                            if slot.0 == *stamp {
+                                slot.1 += 1;
+                            } else {
+                                *slot = (*stamp, 1);
+                            }
+                            if slot.1 == min_overlap {
+                                joined.push(local);
+                            }
                         }
-                    } else {
-                        out.push((q as u32, row as u32, count as u32));
+                    }
+                    joined.sort_unstable();
+                    for &local in joined.iter() {
+                        let row = base + local as usize;
+                        if shard.stale_rows.binary_search(&local).is_ok() {
+                            // Retired entries may inflate the count: recount
+                            // exactly against the record truth.
+                            *task_recounts += 1;
+                            let Some(rec) = &self.records[row] else {
+                                continue; // dead row, postings not yet compacted
+                            };
+                            let exact = rec.intersection_size(ids) as u32;
+                            if exact >= min_overlap {
+                                out.push((q as u32, row as u32, exact));
+                            }
+                        } else {
+                            out.push((q as u32, row as u32, slots[local as usize].1));
+                        }
                     }
                 }
-            }
+            });
         });
         stats.stale_recounts = recounts.iter().sum();
 
@@ -955,6 +1003,115 @@ mod tests {
             index.candidates(&queries, 0),
             mirror.candidates(&queries, 0)
         );
+    }
+
+    /// A one-column `name` table: `None` cells are null.
+    fn names(values: &[Option<String>]) -> Table {
+        let mut t = Table::new(crate::Schema::new(["name"]));
+        for v in values {
+            let cell = v.clone().map_or(crate::Value::Null, crate::Value::Text);
+            t.push_row(vec![cell]).unwrap();
+        }
+        t
+    }
+
+    /// `n` names of 1–5 words over a 24-word vocabulary, so every row
+    /// shares tokens with many others.
+    fn random_names(n: usize, seed: u64) -> Vec<Option<String>> {
+        let mut rng = em_rt::StdRng::seed_from_u64(seed);
+        (0..n)
+            .map(|_| {
+                let len = rng.random_range(1..6);
+                let words: Vec<String> = (0..len)
+                    .map(|_| format!("w{}", rng.random_range(0..24)))
+                    .collect();
+                Some(words.join(" "))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn probe_counts_never_leak_between_queries_shards_or_indexes() {
+        let mut rows = random_names(300, 7);
+        let queries = names(&random_names(30, 8));
+        for min_overlap in [1, 2, 3] {
+            // Many 8-row shards, one shard far larger than the catalog,
+            // and three 128-row shards; every probe runs on this thread.
+            let mut indexes: Vec<IncrementalIndex> = [8, 4096, 128]
+                .iter()
+                .map(|&shard_span| {
+                    let opts = IndexOptions {
+                        min_overlap,
+                        shard_span,
+                        ..IndexOptions::default()
+                    };
+                    IncrementalIndex::build_with_options("name", opts, &names(&rows)).unwrap()
+                })
+                .collect();
+            for round in 0..2 {
+                let want = brute_force(&queries, &names(&rows), min_overlap);
+                for q in 0..queries.len() {
+                    let query = queries.slice_rows(q..q + 1);
+                    let want: Vec<RecordPair> = want
+                        .iter()
+                        .filter(|p| p.left == q)
+                        .map(|p| RecordPair::new(0, p.right))
+                        .collect();
+                    for index in &indexes {
+                        assert_eq!(
+                            index.candidates(&query, 1),
+                            want,
+                            "min_overlap {min_overlap}, round {round}, query {q}, span {}",
+                            index.shard_span()
+                        );
+                    }
+                }
+                for index in &indexes {
+                    assert_eq!(
+                        index.candidates(&queries, 1),
+                        brute_force(&queries, &names(&rows), min_overlap)
+                    );
+                }
+                // Churn every index the same way, so the next round also
+                // probes stale-marked rows.
+                let fresh = random_names(rows.len(), 100 + round);
+                for row in (0..rows.len()).step_by(3) {
+                    rows[row] = if row % 2 == 0 {
+                        fresh[row].clone()
+                    } else {
+                        None
+                    };
+                    for index in &mut indexes {
+                        index.upsert(row, rows[row].as_deref());
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn probe_counts_survive_the_stamp_wrap() {
+        let rows = names(&random_names(300, 9));
+        let queries = names(&random_names(30, 10));
+        let vocabulary: Vec<String> = (0..24).map(|w| format!("w{w}")).collect();
+        let everything = names(&[Some(vocabulary.join(" "))]);
+        let index = IncrementalIndex::build("name", 2, &rows).unwrap();
+        let wrap = || COUNTS.with_borrow_mut(|counts| counts.stamp = u32::MAX);
+        // A query holding every word stamps every row's slot with the
+        // first stamp after a wrap...
+        wrap();
+        assert_eq!(
+            index.candidates(&everything, 1),
+            brute_force(&everything, &rows, 2)
+        );
+        // ...which the next wrap hands out again: left uncleared, those
+        // slots would add to the first query's counts.
+        wrap();
+        assert_eq!(
+            index.candidates(&queries, 1),
+            brute_force(&queries, &rows, 2)
+        );
+        COUNTS.with_borrow(|counts| assert!(counts.stamp as usize <= queries.len()));
     }
 
     /// Plant one violation in a healthy index whose row 0 is retired (its

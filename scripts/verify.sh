@@ -74,6 +74,13 @@ echo "== similarity kernels vs the textbook oracle in a release build (em-text) 
 # alignment loop vectorized, against the &str oracle functions.
 cargo test -q --release --offline -p em-text
 
+echo "== posting splice and counting probe in a release build (em-table, em-serve) =="
+# Same reason: DeltaList's in-place gap splice does u32 gap arithmetic and
+# the probe counts overlaps in u32 slots. Debug builds trap on overflow,
+# release builds wrap, so the index's oracle and parity tests run once
+# more as the optimized code that serves.
+cargo test -q --release --offline -p em-table -p em-serve
+
 echo "== cargo test --offline (EM_THREADS=1) =="
 EM_THREADS=1 cargo test -q --offline --workspace
 
