@@ -17,15 +17,50 @@
 //!   holds the same char, which is the first hit of the textbook's
 //!   ascending scan. Transpositions walk the two match masks in order, so
 //!   the counts, and the score built from them, are the textbook's.
-//! * **Needleman-Wunsch + Smith-Waterman** — one anti-diagonal pass over
-//!   integer lanes ([`align_scores`]). Unit scores keep every cell of the
-//!   `f64` DP a small integer, which `f64` holds exactly, so the integer
-//!   result converts to the same bits; the one exception is the `-0.0` the
-//!   `f64` DP returns for NW of two empty strings, reproduced here.
-//! * **Monge-Elkan** — the Jaro kernel on token segments of `b`'s masks. An
-//!   `a` token that also occurs in `b` scores 1.0 without a Jaro-Winkler
-//!   scan: Jaro-Winkler rounds to at most 1.0 for any strings and is
-//!   exactly 1.0 for identical ones, so 1.0 is that token's maximum.
+//! * **Needleman-Wunsch + Smith-Waterman** — one bit-parallel pass over
+//!   the shorter string's masks ([`align`]): 64 DP rows per word, one
+//!   column per char of the other string. Both measures are symmetric, so
+//!   either string can be the pattern.
+//!   - *Deltas.* Under match 1 / mismatch 0 / gap −1 the differences
+//!     `ΔV = H[i][j] − H[i−1][j]` and `ΔH = H[i][j] − H[i][j−1]` lie in
+//!     −1..=2, so `u = ΔV+1` and `v = ΔH+1` fit two bit planes each. From
+//!     `H[i][j] = max(H[i−1][j−1] + s, H[i−1][j] − 1, H[i][j−1] − 1)`,
+//!     `s = [a_i = b_j]`, a cell maps the `u` from its left and the `v`
+//!     from above to `v' = max(max(2+s, v) − u, 0)` and
+//!     `u' = max(max(2+s, u) − v, 0)`.
+//!   - *The carry.* `max(2+s, v)` is `2 + (s ∨ [v = 3])`, so all a row
+//!     needs from the row above is the bit `[v = 3]`, and it passes
+//!     `v' = 3` down exactly where `u = 0` and that bit or `s` is set: with
+//!     `z = [u = 0]` and `g = z ∧ s`, `y_i = g_i ∨ (z_i ∧ y_{i−1})`. That is
+//!     a carry chain, so one add resolves a whole word: the carry into
+//!     row `i` of `z + g + carry-in` is `y_{i−1}`. Each word hands its
+//!     bottom row's `y` and `v` to the word below.
+//!   - *Scores.* NW's borders `H[i][0] = −i` and `H[0][j] = −j` give
+//!     `u = v = 0` there, and its score `H[m][n]` is `−n` plus the sum of
+//!     `u − 1` down the last column. SW's DP is NW's with zero borders
+//!     (`u = v = 1`): mismatch 0 keeps every cell at least its diagonal
+//!     predecessor, so no cell drops below the border's 0, SW's clamp at 0
+//!     never acts, and each diagonal's maximum is its last cell, which lies
+//!     on the last row or the last column. SW's score is the largest prefix
+//!     sum of `v − 1` along the last row or of `u − 1` down the last
+//!     column.
+//!   - Every cell of the textbook `f64` DPs is a small integer, so the
+//!     integer scores convert to the same bits; the one exception is the
+//!     `-0.0` the `f64` DP returns for NW of two empty strings, reproduced
+//!     here.
+//! * **Monge-Elkan** — one Jaro-Winkler per distinct (`a` token, `b`
+//!   token) pair. Both token lists are deduplicated by content; each
+//!   distinct `a` token's best score is computed once and added once per
+//!   occurrence, in `a`'s token order, the textbook's summation order.
+//!   `max` returns one of its operands and no score is NaN or `-0.0`, so
+//!   the maximum over distinct `b` tokens has the bits of the maximum over
+//!   occurrences. Two tokens of at most 64 chars run a one-word Jaro on
+//!   masks cut from `b`'s at the `b` token's offset, with the textbook's
+//!   greedy order and counts; a longer token runs the string kernel on its
+//!   segment of `b`'s masks. An `a` token that also occurs in `b` scores
+//!   1.0 without a scan: Jaro-Winkler rounds to at most 1.0 for any
+//!   strings and is exactly 1.0 for identical ones, so 1.0 is that token's
+//!   maximum.
 //! * **Token sets** — one merge join of the profiles' sorted id slices per
 //!   tokenizer feeds every set measure of that tokenizer.
 //!
@@ -33,10 +68,10 @@
 //! it, never stored on profiles: serving keeps every profile it has built,
 //! so per-profile masks would grow its memory with the catalog.
 
-use crate::profile::{intersection_size_sorted, TokenProfile};
+use crate::profile::{intersection_size_sorted, span_chars, TokenProfile};
 use crate::{edit, jaro, setsim, StringSimilarity, Tokenizer};
 use std::cell::RefCell;
-use std::ops::{Add, Range, Sub};
+use std::ops::Range;
 
 /// Mask rows for the ASCII chars, indexed by code point; non-ASCII chars
 /// get rows after these through a sorted side table.
@@ -72,7 +107,7 @@ impl CharMasks {
             self.rows.resize(need, 0);
         }
         for (j, &c) in s.iter().enumerate() {
-            let r = self.slot(c) * self.words + j / 64;
+            let r = self.start(c) + j / 64;
             self.rows[r] |= 1 << (j % 64);
         }
     }
@@ -84,23 +119,36 @@ impl CharMasks {
             return;
         }
         for &c in s {
-            let r = self.slot(c) * self.words;
+            let r = self.start(c);
             self.rows[r..r + self.words].fill(0);
         }
     }
 
-    fn slot(&self, c: char) -> usize {
-        if c.is_ascii() {
+    /// Index of the first word of `c`'s row in `rows`.
+    fn start(&self, c: char) -> usize {
+        let slot = if c.is_ascii() {
             c as usize
         } else {
             ASCII + self.side.binary_search(&c).unwrap_or(self.side.len())
-        }
+        };
+        slot * self.words
     }
 
     /// The mask row of `c` (all zero when the string does not hold it).
     fn row(&self, c: char) -> &[u64] {
-        let r = self.slot(c) * self.words;
+        let r = self.start(c);
         &self.rows[r..r + self.words]
+    }
+
+    /// Bits `seg` of the row starting at `start`, shifted down to bit 0;
+    /// `seg` spans at most 64 positions.
+    fn window(&self, start: usize, seg: &Range<usize>) -> u64 {
+        let (k, off, len) = (start + seg.start / 64, seg.start % 64, seg.len());
+        let mut w = self.rows[k] >> off;
+        if off + len > 64 {
+            w |= self.rows[k + 1] << (64 - off);
+        }
+        w & (!0 >> (64 - len))
     }
 }
 
@@ -108,21 +156,25 @@ impl CharMasks {
 /// grown to the workload's longest string.
 #[derive(Debug, Default)]
 struct Scratch {
-    /// Masks of `b`: Jaro, Monge-Elkan, and Levenshtein when `b` is the
-    /// pattern.
+    /// Masks of `b`: Jaro, Monge-Elkan, and the pattern of Levenshtein and
+    /// the alignment pass unless `a` is shorter.
     b_masks: CharMasks,
-    /// Masks of `a`: Levenshtein when `a` is the shorter string.
+    /// Masks of `a`: the pattern when `a` is the shorter string.
     a_masks: CharMasks,
     /// Myers' vertical delta vectors, one word per pattern block.
     pv: Vec<u64>,
     mv: Vec<u64>,
+    /// The alignment pass's `ΔV + 1` planes of NW and of SW, one pair per
+    /// pattern block.
+    align: Vec<[Planes; 2]>,
     /// Jaro's used positions of `b` and matched positions of `a`.
     used: Vec<u64>,
     hit: Vec<u64>,
-    /// `b` reversed, so both chars of an anti-diagonal run forward.
-    rb: Vec<char>,
-    lanes16: Vec<i16>,
-    lanes32: Vec<i32>,
+    /// Monge-Elkan: `b`'s distinct token spans, each `a` token's best
+    /// score, and the mask row starts of one `a` token's chars.
+    b_tokens: Vec<(u32, u32)>,
+    best: Vec<f64>,
+    row_starts: Vec<usize>,
 }
 
 thread_local! {
@@ -168,6 +220,7 @@ pub fn eval_families(
             a,
             b,
             s: &mut scratch,
+            a_loaded: false,
             b_loaded: false,
             lev: None,
             jaro: None,
@@ -178,6 +231,9 @@ pub fn eval_families(
         };
         for (slot, &sim) in out.iter_mut().zip(sims) {
             *slot = pair.value(sim);
+        }
+        if pair.a_loaded {
+            pair.s.a_masks.clear(a.chars());
         }
         if pair.b_loaded {
             pair.s.b_masks.clear(b.chars());
@@ -190,6 +246,7 @@ struct Pair<'a> {
     a: &'a TokenProfile,
     b: &'a TokenProfile,
     s: &'a mut Scratch,
+    a_loaded: bool,
     b_loaded: bool,
     lev: Option<usize>,
     jaro: Option<f64>,
@@ -258,23 +315,29 @@ impl Pair<'_> {
         }
     }
 
+    /// Load the masks of the pattern of the symmetric DPs (Levenshtein and
+    /// the alignment pass): the shorter string, with ties going to `b`,
+    /// whose masks Jaro and Monge-Elkan share. Returns whether it is `a`.
+    fn load_pattern(&mut self) -> bool {
+        let a_is_pattern = self.a.chars().len() < self.b.chars().len();
+        if !a_is_pattern {
+            self.load_b();
+        } else if !self.a_loaded {
+            self.s.a_masks.load(self.a.chars());
+            self.a_loaded = true;
+        }
+        a_is_pattern
+    }
+
     fn lev(&mut self) -> usize {
         if let Some(d) = self.lev {
             return d;
         }
+        let a_is_pattern = self.load_pattern();
         let (ac, bc) = (self.a.chars(), self.b.chars());
-        // Edit distance is symmetric: the shorter string is the pattern
-        // (ties go to `b`, whose masks Jaro and Monge-Elkan share).
-        let a_is_pattern = ac.len() < bc.len();
-        if !a_is_pattern {
-            self.load_b();
-        }
         let s = &mut *self.s;
         let d = if a_is_pattern {
-            s.a_masks.load(ac);
-            let d = myers(&s.a_masks, ac.len(), bc, &mut s.pv, &mut s.mv);
-            s.a_masks.clear(ac);
-            d
+            myers(&s.a_masks, ac.len(), bc, &mut s.pv, &mut s.mv)
         } else {
             myers(&s.b_masks, bc.len(), ac, &mut s.pv, &mut s.mv)
         };
@@ -296,12 +359,13 @@ impl Pair<'_> {
         if let Some(v) = self.align {
             return v;
         }
+        let a_is_pattern = self.load_pattern();
         let (ac, bc) = (self.a.chars(), self.b.chars());
         let s = &mut *self.s;
-        let v = if ac.len() + bc.len() < i16::LIMIT {
-            align_in::<i16>(ac, bc, &mut s.rb, &mut s.lanes16)
+        let v = if a_is_pattern {
+            align(&s.a_masks, ac.len(), bc, &mut s.align)
         } else {
-            align_in::<i32>(ac, bc, &mut s.rb, &mut s.lanes32)
+            align(&s.b_masks, bc.len(), ac, &mut s.align)
         };
         *self.align.insert(v)
     }
@@ -317,21 +381,46 @@ impl Pair<'_> {
         self.load_b();
         let (ac, bc) = (self.a.chars(), self.b.chars());
         let s = &mut *self.s;
+        // `b`'s distinct tokens, and one best score per `a` token: a
+        // repeat copies its first occurrence's. A linear search per token
+        // is proportionate, since the scan compares every pair of distinct
+        // tokens anyway.
+        s.b_tokens.clear();
+        for &y in tb {
+            let yc = span_chars(bc, y);
+            if !s.b_tokens.iter().any(|&t| span_chars(bc, t) == yc) {
+                s.b_tokens.push(y);
+            }
+        }
+        s.best.clear();
         let mut total = 0.0;
-        let range = |(lo, hi): (u32, u32)| lo as usize..hi as usize;
-        for &span in ta {
-            let x = &ac[range(span)];
-            total += if tb.iter().any(|&y| &bc[range(y)] == x) {
+        for (i, &span) in ta.iter().enumerate() {
+            let x = span_chars(ac, span);
+            let repeat = ta[..i].iter().position(|&t| span_chars(ac, t) == x);
+            let best = if let Some(first) = repeat {
+                s.best[first]
+            } else if s.b_tokens.iter().any(|&y| span_chars(bc, y) == x) {
                 1.0
             } else {
-                tb.iter()
+                let bm = &s.b_masks;
+                s.row_starts.clear();
+                s.row_starts.extend(x.iter().map(|&c| bm.start(c)));
+                s.b_tokens
+                    .iter()
                     .map(|&y| {
-                        let prefix = jaro::common_prefix(x.iter(), bc[range(y)].iter());
-                        let j = jaro_masked(x, bc, range(y), &s.b_masks, &mut s.used, &mut s.hit);
+                        let (seg, yc) = (y.0 as usize..y.1 as usize, span_chars(bc, y));
+                        let prefix = jaro::common_prefix(x.iter(), yc.iter());
+                        let j = if x.len() > 64 || yc.len() > 64 {
+                            jaro_masked(x, bc, seg, bm, &mut s.used, &mut s.hit)
+                        } else {
+                            jaro_word(x, yc, |i| bm.window(s.row_starts[i], &seg))
+                        };
                         jaro::winkler(j, prefix)
                     })
                     .fold(f64::NEG_INFINITY, f64::max)
             };
+            s.best.push(best);
+            total += best;
         }
         total / ta.len() as f64
     }
@@ -459,116 +548,158 @@ fn set_bits(words: &[u64], base: usize) -> impl Iterator<Item = usize> + '_ {
     })
 }
 
-/// Integer lane type of the anti-diagonal alignment pass ([`align_scores`]):
-/// `i16` or `i32`.
-pub trait AlignLane:
-    Copy + Ord + Default + From<bool> + Into<f64> + Add<Output = Self> + Sub<Output = Self>
-{
-    /// Inputs must satisfy `|a| + |b| < LIMIT`, which keeps every cell and
-    /// intermediate of both DPs inside the lane.
-    const LIMIT: usize;
-    /// The lane value of a cell count below [`AlignLane::LIMIT`].
-    fn from_len(n: usize) -> Self;
-}
-
-impl AlignLane for i16 {
-    const LIMIT: usize = i16::MAX as usize;
-    fn from_len(n: usize) -> Self {
-        n as i16
-    }
-}
-
-impl AlignLane for i32 {
-    const LIMIT: usize = i32::MAX as usize;
-    fn from_len(n: usize) -> Self {
-        n as i32
-    }
-}
-
-/// Needleman-Wunsch and Smith-Waterman scores of `a` vs `b` in one
-/// anti-diagonal pass over `T` lanes: the same values, bit for bit, as
-/// [`needleman_wunsch`](crate::needleman_wunsch) and
-/// [`smith_waterman`](crate::smith_waterman) on the source strings.
-/// [`eval_families`] runs it at `i16` when `|a| + |b| < i16::MAX` and at
-/// `i32` otherwise; either width gives the same result wherever it fits.
-///
-/// ```
-/// let (a, b): (Vec<char>, Vec<char>) = ("dva".chars().collect(), "deeva".chars().collect());
-/// assert_eq!(em_text::align_scores::<i16>(&a, &b), (1.0, 2.0));
-/// assert_eq!(em_text::align_scores::<i32>(&a, &b), (1.0, 2.0));
-/// ```
-///
-/// # Panics
-///
-/// If `|a| + |b| >= T::LIMIT`.
-pub fn align_scores<T: AlignLane>(a: &[char], b: &[char]) -> (f64, f64) {
-    align_in::<T>(a, b, &mut Vec::new(), &mut Vec::new())
-}
-
-/// [`align_scores`] on caller-owned buffers. Cell `(i, j)` of diagonal
-/// `d = i + j` sits at index `i` of that diagonal's lane vector, and three
-/// rotating diagonals per DP suffice: a cell reads `(i-1, j-1)` from
-/// diagonal `d-2` and `(i-1, j)`, `(i, j-1)` from `d-1`. With `b` reversed,
-/// a diagonal's interior is one run of equal-length slices the compiler
-/// vectorizes, since no cell waits on a neighbour of its own diagonal.
-fn align_in<T: AlignLane>(
-    a: &[char],
-    b: &[char],
-    rb: &mut Vec<char>,
-    lanes: &mut Vec<T>,
-) -> (f64, f64) {
+/// Jaro similarity of two non-empty strings of at most 64 chars each, in
+/// one word: `eq(i)` is the mask of `b`'s positions holding `a[i]`. The
+/// same greedy matching and counts as [`jaro_masked`], with the window cut
+/// by shifts instead of branches.
+fn jaro_word(a: &[char], b: &[char], eq: impl Fn(usize) -> u64) -> f64 {
     let (la, lb) = (a.len(), b.len());
-    assert!(la + lb < T::LIMIT, "alignment inputs too long for the lane");
-    if la == 0 || lb == 0 {
+    let window = (la.max(lb) / 2).saturating_sub(1);
+    let (mut used, mut hit) = (0u64, 0u64);
+    for i in 0..la {
+        let (lo, hi) = (i.saturating_sub(window), (i + window + 1).min(lb));
+        let cand = eq(i) & !used & (!0 << lo) & (!0 >> (64 - hi));
+        let first = cand & cand.wrapping_neg();
+        used |= first;
+        hit |= u64::from(first != 0) << i;
+    }
+    let m = used.count_ones() as usize;
+    if m == 0 {
+        return 0.0;
+    }
+    let mut half_transposed = 0;
+    while hit != 0 {
+        let (i, j) = (hit.trailing_zeros(), used.trailing_zeros());
+        half_transposed += usize::from(a[i as usize] != b[j as usize]);
+        hit &= hit - 1;
+        used &= used - 1;
+    }
+    jaro::score(m, half_transposed / 2, la, lb)
+}
+
+/// Values in `0..=3` for 64 DP rows, one bit plane each: bit 1 in `hi`,
+/// bit 0 in `lo`.
+#[derive(Debug, Default, Clone, Copy)]
+struct Planes {
+    hi: u64,
+    lo: u64,
+}
+
+impl Planes {
+    /// `max(2 + t − x, 0)` per row, for `t` in `{0, 1}`: the update of
+    /// either delta, where `2 + t` is `max(2 + s, other delta)`.
+    fn step(t: u64, x: Planes) -> Planes {
+        // Where t is 0 the low bit is [x = 1], and where t is 1 it is
+        // [x even]: a select between the two.
+        let x_is_one = !x.hi & x.lo;
+        Planes {
+            hi: !x.hi & (t | !x.lo),
+            lo: x_is_one ^ (t & (!x.lo ^ x_is_one)),
+        }
+    }
+
+    /// The value of row `r`.
+    fn at(self, r: usize) -> isize {
+        (2 * (self.hi >> r & 1) + (self.lo >> r & 1)) as isize
+    }
+
+    /// The sum of the values of rows `0..rows`.
+    fn sum(self, rows: usize) -> isize {
+        let mask = !0 >> (64 - rows);
+        (2 * (self.hi & mask).count_ones() + (self.lo & mask).count_ones()) as isize
+    }
+}
+
+/// What one 64-row block of a column hands the block below it: the bit
+/// `[v = 3]` of its bottom row's `ΔH + 1`, and that `v`, in bit 0.
+#[derive(Debug, Clone, Copy)]
+struct Carry {
+    y: u64,
+    v: Planes,
+}
+
+/// One 64-row block of one alignment column: `eq` marks the rows whose
+/// pattern char equals the column's text char, and `u` holds the block's
+/// `ΔV + 1` planes, updated from the previous column to this one. Returns
+/// the block's outgoing `ΔH + 1` planes (row `i`'s at bit `i`).
+fn align_block(eq: u64, u: &mut Planes, carry: &mut Carry) -> Planes {
+    // Row i passes v = 3 down (y_i) where u = 0 and the row matches or
+    // receives v = 3 from above: y_i = g_i | (z_i & y_{i-1}) with
+    // generate g = z & eq and propagate z. That is a carry chain, so one
+    // add resolves it: the add's carry into row i is y_{i-1}.
+    let z = !(u.hi | u.lo);
+    let g = z & eq;
+    let y_in = z.wrapping_add(g).wrapping_add(carry.y) ^ z ^ g;
+    let v = Planes::step(eq | y_in, *u);
+    let v_in = Planes {
+        hi: v.hi << 1 | carry.v.hi,
+        lo: v.lo << 1 | carry.v.lo,
+    };
+    *u = Planes::step(eq | (u.hi & u.lo), v_in);
+    carry.y = (g | (z & y_in)) >> 63;
+    carry.v = Planes {
+        hi: v.hi >> 63,
+        lo: v.lo >> 63,
+    };
+    v
+}
+
+/// Needleman-Wunsch and Smith-Waterman scores of a pattern of length `m`,
+/// whose masks are `pm`, against `text`, in one bit-parallel pass (see the
+/// module docs for the recurrence): the same values, bit for bit, as
+/// [`needleman_wunsch`](crate::needleman_wunsch) and
+/// [`smith_waterman`](crate::smith_waterman) on the source strings, in
+/// either order. `cols` holds the `ΔV + 1` planes of NW and of SW, one
+/// pair per 64-row block.
+fn align(pm: &CharMasks, m: usize, text: &[char], cols: &mut Vec<[Planes; 2]>) -> (f64, f64) {
+    if m == 0 {
         // The f64 NW DP's corner is -(0 as f64), so two empty strings
         // score -0.0; SW never leaves its +0.0 start.
-        return (-((la + lb) as f64), 0.0);
+        return (-(text.len() as f64), 0.0);
     }
-    rb.clear();
-    rb.extend(b.iter().rev());
-    lanes.clear();
-    lanes.resize(6 * (la + 1), T::default());
-    let mut diagonals = lanes.chunks_exact_mut(la + 1);
-    let mut next = || diagonals.next().expect("six diagonals");
-    let (mut nw2, mut nw1, mut nw0) = (next(), next(), next());
-    let (mut sw2, mut sw1, mut sw0) = (next(), next(), next());
-    let (zero, one) = (T::default(), T::from(true));
-    let mut best = zero;
-    for d in 0..=la + lb {
-        // Border cells: row 0 and column 0, both -d for NW and 0 for SW.
-        if d <= lb {
-            nw0[0] = zero - T::from_len(d);
-            sw0[0] = zero;
+    // Column 0: NW's H[i][0] = -i gives ΔV = -1 (u = 0) and SW's zero
+    // border ΔV = 0 (u = 1).
+    cols.clear();
+    cols.resize(
+        pm.words,
+        [Planes { hi: 0, lo: 0 }, Planes { hi: 0, lo: !0 }],
+    );
+    let bottom = (m - 1) % 64;
+    let (mut sw_row, mut sw_best) = (0isize, 0isize);
+    for &c in text {
+        // Row 0: NW's H[0][j] = -j gives ΔH = -1 (v = 0) and SW's zero
+        // border ΔH = 0 (v = 1).
+        let mut nw_carry = Carry {
+            y: 0,
+            v: Planes { hi: 0, lo: 0 },
+        };
+        let mut sw_carry = Carry {
+            y: 0,
+            v: Planes { hi: 0, lo: 1 },
+        };
+        let mut sw_v = Planes::default();
+        for (&e, [nw_u, sw_u]) in pm.row(c).iter().zip(cols.iter_mut()) {
+            align_block(e, nw_u, &mut nw_carry);
+            sw_v = align_block(e, sw_u, &mut sw_carry);
         }
-        if d <= la {
-            nw0[d] = zero - T::from_len(d);
-            sw0[d] = zero;
-        }
-        // Interior rows i in lo..=hi; cell (i, d-i) compares a[i-1] with
-        // b[d-i-1] = rb[lb-d+i].
-        let lo = d.saturating_sub(lb).max(1);
-        let hi = la.min(d.saturating_sub(1));
-        if lo <= hi {
-            let len = hi - lo + 1;
-            let chars = a[lo - 1..].iter().zip(&rb[lb + lo - d..]);
-            let cells = nw0[lo..lo + len].iter_mut().zip(&mut sw0[lo..lo + len]);
-            let nw_in = nw2[lo - 1..].iter().zip(&nw1[lo - 1..]).zip(&nw1[lo..]);
-            let sw_in = sw2[lo - 1..].iter().zip(&sw1[lo - 1..]).zip(&sw1[lo..]);
-            for (((nw, sw), (x, y)), (((&nd, &nu), &nl), ((&sd, &su), &sl))) in
-                cells.zip(chars).zip(nw_in.zip(sw_in))
-            {
-                let hit = T::from(x == y);
-                *nw = (nd + hit).max(nu.max(nl) - one);
-                *sw = (sd + hit).max(su.max(sl) - one).max(zero);
-                best = best.max(*sw);
-            }
-        }
-        std::mem::swap(&mut nw2, &mut nw1);
-        std::mem::swap(&mut nw1, &mut nw0);
-        std::mem::swap(&mut sw2, &mut sw1);
-        std::mem::swap(&mut sw1, &mut sw0);
+        // SW's last row, H[m][j] = H[m][j-1] + ΔH, is one place its
+        // maximum can be.
+        sw_row += sw_v.at(bottom) - 1;
+        sw_best = sw_best.max(sw_row);
     }
-    (nw1[la].into(), best.into())
+    // The last column, H[i][n] = H[0][n] + Σ ΔV down to row i: NW's score
+    // is its bottom cell, and SW's maximum can also be in it.
+    let mut nw_score = -((m + text.len()) as isize);
+    let mut sw_col = 0isize;
+    for (k, [nw_u, sw_u]) in cols.iter().enumerate() {
+        let rows = (m - 64 * k).min(64);
+        nw_score += nw_u.sum(rows);
+        for r in 0..rows {
+            sw_col += sw_u.at(r) - 1;
+            sw_best = sw_best.max(sw_col);
+        }
+    }
+    (nw_score as f64, sw_best as f64)
 }
 
 #[cfg(test)]
@@ -653,14 +784,9 @@ mod tests {
             crate::needleman_wunsch("", "").to_bits(),
             (-0.0f64).to_bits()
         );
-        assert_eq!(
-            align_scores::<i16>(&[], &[]).0.to_bits(),
-            (-0.0f64).to_bits()
-        );
-        assert_eq!(
-            align_scores::<i32>(&[], &[]).0.to_bits(),
-            (-0.0f64).to_bits()
-        );
+        let got = align(&CharMasks::default(), 0, &[], &mut Vec::new());
+        assert_eq!(got.0.to_bits(), (-0.0f64).to_bits());
+        assert_eq!(got.1.to_bits(), 0.0f64.to_bits());
     }
 
     #[test]
@@ -694,6 +820,21 @@ mod tests {
         assert_eq!(masks.row('b'), &[0]);
         masks.clear(&s);
         assert!(masks.rows.iter().all(|&w| w == 0));
+    }
+
+    #[test]
+    fn mask_windows_cut_token_segments_across_words() {
+        let mut masks = CharMasks::default();
+        let s = chars(&("ab".repeat(40) + "a"));
+        masks.load(&s);
+        let a = masks.start('a');
+        assert_eq!(masks.window(a, &(0..3)), 0b101);
+        assert_eq!(masks.window(a, &(1..4)), 0b010);
+        // Positions 60..80 straddle the first word boundary.
+        assert_eq!(masks.window(a, &(60..80)), 0x5_5555);
+        assert_eq!(masks.window(a, &(16..80)), 0x5555_5555_5555_5555);
+        assert_eq!(masks.window(masks.start('z'), &(60..80)), 0);
+        masks.clear(&s);
     }
 
     #[test]

@@ -16,9 +16,9 @@
 //! The `&str` functions are the textbook definitions. Feature generation
 //! runs [`eval_families`] on precomputed [`TokenProfile`]s instead: one
 //! call per attribute pair evaluates each measure family once on an exact
-//! kernel (bit-parallel Levenshtein and Jaro, one integer anti-diagonal
-//! pass for Needleman-Wunsch and Smith-Waterman), with the same `f64` bits
-//! as the `&str` functions.
+//! kernel (bit-parallel Levenshtein and Jaro, one bit-parallel pass for
+//! Needleman-Wunsch and Smith-Waterman, one Jaro-Winkler per distinct token
+//! pair for Monge-Elkan), with the same `f64` bits as the `&str` functions.
 //!
 //! ```
 //! use em_text::{StringSimilarity, Tokenizer};
@@ -42,7 +42,7 @@ pub use align::{
     needleman_wunsch, needleman_wunsch_normalized, smith_waterman, smith_waterman_normalized,
 };
 pub use edit::{exact_match, levenshtein_distance, levenshtein_similarity};
-pub use family::{align_scores, eval_families, AlignLane};
+pub use family::eval_families;
 pub use hybrid::{monge_elkan, monge_elkan_with};
 pub use jaro::{jaro, jaro_winkler};
 pub use numeric::{

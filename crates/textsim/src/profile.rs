@@ -27,7 +27,7 @@
 //! strings and must be driven serially in a fixed order so ids never depend
 //! on the thread count.
 
-use crate::tokenize::Tokenizer;
+use crate::tokenize::{Tokenizer, QGRAM_PAD};
 use std::collections::HashMap;
 
 /// The q-gram width the profile precomputes (Table II uses QGram(3) only).
@@ -107,13 +107,26 @@ impl TokenInterner {
 /// The parallel-safe half of profile construction: everything about one
 /// string except the token ids. See the module docs for why the split
 /// exists.
+///
+/// A draft holds no token strings. Whitespace tokens stay spans into the
+/// chars, and each 3-gram is its three code points packed into a `u64`
+/// (21 bits each, first char highest). Both lists are sorted and
+/// deduplicated by content: code-point order is UTF-8 byte order, so they
+/// come out in `String` order, the order [`TokenProfile::from_draft`]
+/// interns them in. Token strings are built only there, one at a time in
+/// a reused buffer.
 #[derive(Debug, Clone)]
 pub struct ProfileDraft {
     chars: Vec<char>,
     ws_spans: Vec<(u32, u32)>,
-    ws_unique: Vec<String>,
-    qgram_unique: Vec<String>,
+    /// One span per distinct whitespace token, in string order.
+    ws_unique: Vec<(u32, u32)>,
+    /// Distinct packed 3-grams, ascending (string order).
+    qgram_unique: Vec<u64>,
 }
+
+/// Bits per code point in a packed 3-gram (`char::MAX` is below 2^21).
+const CODE_BITS: u32 = 21;
 
 impl ProfileDraft {
     /// Tokenize and dedupe `s` (the expensive part; no shared state).
@@ -135,13 +148,23 @@ impl ProfileDraft {
         if let Some(s0) = start {
             ws_spans.push((s0 as u32, chars.len() as u32));
         }
-        let mut ws_unique: Vec<String> = ws_spans
-            .iter()
-            .map(|&(a, b)| chars[a as usize..b as usize].iter().collect())
-            .collect();
-        ws_unique.sort_unstable();
-        ws_unique.dedup();
-        let mut qgram_unique = crate::tokenize::qgrams(s, PROFILE_QGRAM);
+        let mut ws_unique = ws_spans.clone();
+        ws_unique.sort_unstable_by(|&x, &y| span_chars(&chars, x).cmp(span_chars(&chars, y)));
+        ws_unique.dedup_by(|x, y| span_chars(&chars, *x) == span_chars(&chars, *y));
+        // The 3-grams of `qgrams(s, 3)`: windows over `s` padded with two
+        // pad chars on each side, rolled into one `u64` char by char.
+        let mut qgram_unique = Vec::with_capacity(chars.len() + 2);
+        if !chars.is_empty() {
+            const PAD: [char; PROFILE_QGRAM - 1] = [QGRAM_PAD; PROFILE_QGRAM - 1];
+            let mask = (1u64 << (CODE_BITS * PROFILE_QGRAM as u32)) - 1;
+            let mut gram = 0u64;
+            for (k, &c) in PAD.iter().chain(&chars).chain(&PAD).enumerate() {
+                gram = (gram << CODE_BITS | u64::from(c)) & mask;
+                if k + 1 >= PROFILE_QGRAM {
+                    qgram_unique.push(gram);
+                }
+            }
+        }
         qgram_unique.sort_unstable();
         qgram_unique.dedup();
         ProfileDraft {
@@ -151,6 +174,27 @@ impl ProfileDraft {
             qgram_unique,
         }
     }
+}
+
+/// The chars of a packed 3-gram, first char first.
+fn unpack(gram: u64) -> [char; PROFILE_QGRAM] {
+    std::array::from_fn(|k| {
+        let shift = (PROFILE_QGRAM - 1 - k) as u32 * CODE_BITS;
+        let code = (gram >> shift) as u32 & ((1 << CODE_BITS) - 1);
+        char::from_u32(code).expect("packed from a char")
+    })
+}
+
+/// Intern the token `chars` spell, built in the reused buffer `buf`.
+fn intern_chars(interner: &mut TokenInterner, buf: &mut String, chars: &[char]) -> u32 {
+    buf.clear();
+    buf.extend(chars);
+    interner.intern(buf)
+}
+
+/// The chars of the token at `span` (`[start, end)` into `chars`).
+pub(crate) fn span_chars(chars: &[char], (start, end): (u32, u32)) -> &[char] {
+    &chars[start as usize..end as usize]
 }
 
 /// Everything the Table-II similarity functions need about one string,
@@ -168,12 +212,17 @@ pub struct TokenProfile {
 impl TokenProfile {
     /// Intern a draft's tokens (the serial part — call in a fixed order).
     pub fn from_draft(draft: ProfileDraft, interner: &mut TokenInterner) -> Self {
-        let mut ws_ids: Vec<u32> = draft.ws_unique.iter().map(|t| interner.intern(t)).collect();
+        let mut buf = String::new();
+        let mut ws_ids: Vec<u32> = draft
+            .ws_unique
+            .iter()
+            .map(|&span| intern_chars(interner, &mut buf, span_chars(&draft.chars, span)))
+            .collect();
         ws_ids.sort_unstable();
         let mut qgram_ids: Vec<u32> = draft
             .qgram_unique
             .iter()
-            .map(|t| interner.intern(t))
+            .map(|&gram| intern_chars(interner, &mut buf, &unpack(gram)))
             .collect();
         qgram_ids.sort_unstable();
         TokenProfile {

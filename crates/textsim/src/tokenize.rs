@@ -53,6 +53,9 @@ impl Tokenizer {
     }
 }
 
+/// The char q-grams are padded with.
+pub(crate) const QGRAM_PAD: char = '#';
+
 /// Character q-grams with `#` padding on both ends, mirroring
 /// `py_stringmatching.QgramTokenizer(padding=True)`.
 ///
@@ -62,7 +65,7 @@ pub fn qgrams(s: &str, q: usize) -> Vec<String> {
     if s.is_empty() {
         return Vec::new();
     }
-    let pad = "#".repeat(q.saturating_sub(1));
+    let pad = QGRAM_PAD.to_string().repeat(q.saturating_sub(1));
     let padded: Vec<char> = format!("{pad}{s}{pad}").chars().collect();
     if padded.len() < q {
         return vec![padded.iter().collect()];

@@ -282,16 +282,29 @@ fn profile_similarities_bit_identical_on_ascii_words() {
 }
 
 /// A 0–200 char string (so masks cross the 64- and 128-char word
-/// boundaries) from one of four shapes: a two- or three-symbol alphabet
+/// boundaries) from one of five shapes: a two- or three-symbol alphabet
 /// with long runs of repeats, an alphabet mixing `é`, a CJK char and a
 /// non-BMP char, whitespace-separated words that repeat and include tokens
-/// longer than 64 chars, or plain ASCII words.
+/// longer than 64 chars, heavily repeated tokens from a small vocabulary of
+/// near-duplicates (64 and 65 chars among them), so that two draws share
+/// some tokens and Monge-Elkan scores many repeats of the others, or plain
+/// ASCII words.
 fn long_string(rng: &mut StdRng) -> String {
     const SMALL: &[char] = &['a', 'b', 'a', 'a', ' '];
     const WIDE: &[char] = &['a', 'b', 'é', '東', '𝄞', ' '];
     let len = rng.random_range(0..=200usize);
     let pick = |rng: &mut StdRng, alphabet: &[char]| alphabet[rng.random_range(0..alphabet.len())];
-    match rng.random_range(0..4u32) {
+    let words = |rng: &mut StdRng, vocabulary: &[&str]| {
+        let mut s = String::new();
+        while s.chars().count() < len {
+            s.push_str(vocabulary[rng.random_range(0..vocabulary.len())]);
+            for _ in 0..rng.random_range(1..=3usize) {
+                s.push(pick(rng, &[' ', ' ', '\t']));
+            }
+        }
+        s.chars().take(len).collect()
+    };
+    match rng.random_range(0..5u32) {
         0 => {
             let k = rng.random_range(2..=SMALL.len());
             (0..len).map(|_| pick(rng, &SMALL[..k])).collect()
@@ -299,15 +312,14 @@ fn long_string(rng: &mut StdRng) -> String {
         1 => (0..len).map(|_| pick(rng, WIDE)).collect(),
         2 => {
             let long_token = "x".repeat(63) + "yz";
-            let words = ["sony", "sony", "tv", "é東𝄞", long_token.as_str()];
-            let mut s = String::new();
-            while s.chars().count() < len {
-                s.push_str(words[rng.random_range(0..words.len())]);
-                for _ in 0..rng.random_range(1..=3usize) {
-                    s.push(pick(rng, &[' ', ' ', '\t']));
-                }
-            }
-            s.chars().take(len).collect()
+            words(rng, &["sony", "sony", "tv", "é東𝄞", long_token.as_str()])
+        }
+        3 => {
+            const NEAR: &[&str] = &["sony", "sony", "sonny", "soyn", "tv", "tvs", "é東𝄞", "é東"];
+            let (t64, t65) = ("x".repeat(62) + "yz", "x".repeat(63) + "yz");
+            let mut vocabulary = NEAR.to_vec();
+            vocabulary.extend(["sony", "tv", "hd", "hdmi", &t64, &t65]);
+            words(rng, &vocabulary)
         }
         _ => {
             const ASCII: &[u8] = b"abcdefghijklmnopqrstuvwxyz0123456789 ";
@@ -363,30 +375,119 @@ fn families_bit_identical_past_the_word_boundary() {
     });
 }
 
+/// Needleman-Wunsch and Smith-Waterman through `eval_families` against the
+/// textbook DPs, in both argument orders: the alignment pass takes the
+/// shorter string as its pattern (`b` on a tie), so each string of an
+/// equal-length pair serves as the pattern once.
+fn assert_alignment_matches_textbook(a: &str, b: &str) {
+    let sims = [
+        StringSimilarity::NeedlemanWunsch,
+        StringSimilarity::SmithWaterman,
+    ];
+    assert_families_match_strings(&sims, a, b);
+    assert_families_match_strings(&sims, b, a);
+}
+
+/// A pattern of `m` chars over a three-char background with runs of
+/// distinct chars across positions 58..70 and 122..134 (clipped to `m`),
+/// and a longer text holding the same runs two positions later over a
+/// background that agrees with the pattern's only here and there. Aligning
+/// the runs carries matches across the pattern's 64-row word boundaries.
+fn run_fixture(m: usize) -> (String, String) {
+    const RUN: &[char] = &['m', 'n', 'o', 'é', 'q', 'r', '東', 't', 'u', '𝄞', 'w', 'x'];
+    let run = |i: usize| {
+        [58, 122]
+            .into_iter()
+            .find(|&start| (start..start + RUN.len()).contains(&i))
+            .map(|start| RUN[i - start])
+    };
+    let pattern = (0..m).map(|i| run(i).unwrap_or(['a', 'b', 'c'][i % 3]));
+    let text = (0..m + 9).map(|j| {
+        j.checked_sub(2)
+            .and_then(run)
+            .unwrap_or(['a', 'c', 'd', 'b'][j % 4])
+    });
+    (pattern.collect(), text.collect())
+}
+
 #[test]
-fn align_scores_match_textbook_at_both_lane_widths() {
-    let expect = |a: &str, b: &str| (needleman_wunsch(a, b), smith_waterman(a, b));
-    let bits = |(nw, sw): (f64, f64)| (nw.to_bits(), sw.to_bits());
-    for (a, b) in [("", ""), ("", "ab"), ("ab", ""), ("dva", "deeva")] {
-        let (ac, bc): (Vec<char>, Vec<char>) = (a.chars().collect(), b.chars().collect());
-        assert_eq!(bits(align_scores::<i16>(&ac, &bc)), bits(expect(a, b)));
-        assert_eq!(bits(align_scores::<i32>(&ac, &bc)), bits(expect(a, b)));
+fn alignment_pass_matches_textbook_with_either_string_as_pattern() {
+    let sims = [
+        StringSimilarity::NeedlemanWunsch,
+        StringSimilarity::SmithWaterman,
+    ];
+    let mut interner = TokenInterner::new();
+    let empty = TokenProfile::build("", &mut interner);
+    let mut out = [1.0; 2];
+    eval_families(&sims, &empty, &empty, &mut out);
+    assert_eq!(
+        out.map(f64::to_bits),
+        [(-0.0f64).to_bits(), 0.0f64.to_bits()]
+    );
+    for (a, b) in [
+        ("", ""),
+        ("", "x"),
+        ("", "ab東"),
+        ("a", "a"),
+        ("a", "b"),
+        ("é", "東é"),
+        ("𝄞", "a𝄞b"),
+        ("dva", "deeva"),
+        // SW's best cell ("xyz") is on the last column, off the last row.
+        ("xyzabc", "qqqqqqqxyz"),
+    ] {
+        assert_alignment_matches_textbook(a, b);
+    }
+    for m in [63, 64, 65, 127, 128, 129] {
+        let (pattern, text) = run_fixture(m);
+        assert_eq!(pattern.chars().count(), m);
+        assert_alignment_matches_textbook(&pattern, &text);
+        // Equal lengths: each string is the pattern in one of the orders.
+        let same_length: String = text.chars().skip(2).take(m).collect();
+        assert_alignment_matches_textbook(&pattern, &same_length);
+        let shifted: String = text.chars().skip(1).collect();
+        assert_alignment_matches_textbook(&pattern, &shifted);
+        // The pattern's head closing the text: SW's maximum sits on the
+        // last column, with a prefix sum that crosses a word boundary.
+        let head: String = pattern.chars().take((m - 2).min(70)).collect();
+        assert_alignment_matches_textbook(&pattern, &("z".repeat(m) + &head));
     }
     check(|rng| {
         let (a, b) = long_pair(rng);
-        let (ac, bc): (Vec<char>, Vec<char>) = (a.chars().collect(), b.chars().collect());
-        let want = bits(expect(&a, &b));
-        assert_eq!(
-            bits(align_scores::<i16>(&ac, &bc)),
-            want,
-            "i16 on {a:?} vs {b:?}"
-        );
-        assert_eq!(
-            bits(align_scores::<i32>(&ac, &bc)),
-            want,
-            "i32 on {a:?} vs {b:?}"
-        );
+        assert_alignment_matches_textbook(&a, &b);
     });
+}
+
+#[test]
+fn profile_token_ids_match_interning_sorted_token_strings() {
+    // ASCII, two- three- and four-byte UTF-8, whitespace runs, and `#`
+    // inside the text, where it meets the q-gram pad char.
+    let values = [
+        "new york café",
+        "東京 tower #1",
+        "a#b ## #",
+        "𝄞 clef 𝄞𝄞 é",
+        "#",
+        "",
+        "  é東𝄞#a  tower ",
+        "café café east",
+    ];
+    let mut via_profiles = TokenInterner::new();
+    let mut via_strings = TokenInterner::new();
+    for s in values {
+        let profile = TokenProfile::build(s, &mut via_profiles);
+        for tok in [Tokenizer::Whitespace, Tokenizer::QGram(PROFILE_QGRAM)] {
+            let ids: Vec<u32> = tok
+                .sorted_tokens(s)
+                .iter()
+                .map(|t| via_strings.intern(t))
+                .collect();
+            let mut sorted = ids.clone();
+            sorted.sort_unstable();
+            assert_eq!(profile.token_ids(tok), Some(sorted.as_slice()), "{s:?}");
+        }
+    }
+    assert_eq!(via_profiles.export(), via_strings.export());
 }
 
 #[test]

@@ -69,9 +69,9 @@ cargo build --release --offline --workspace
 
 echo "== similarity kernels vs the textbook oracle in a release build (em-text) =="
 # The workspace test runs below are debug builds, which keep overflow
-# checks on the kernels' integer lanes. This one checks the code the
-# benchmarks and production run: optimized, with the anti-diagonal
-# alignment loop vectorized, against the &str oracle functions.
+# checks on the kernels' integer arithmetic. This one checks the code the
+# benchmarks and production run, optimized, against the &str oracle
+# functions.
 cargo test -q --release --offline -p em-text
 
 echo "== posting splice and counting probe in a release build (em-table, em-serve) =="
