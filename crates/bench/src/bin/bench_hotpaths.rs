@@ -6,8 +6,10 @@
 //! path (pool width 1) against its worker path on the same workload, and
 //! Table-II feature generation through the uncached `&str` path against
 //! the interned feature cache on short (Fodors-Zagats) and long (Abt-Buy)
-//! text, asserted bit-identical before timing. Writes `BENCH_hotpaths.json`
-//! (override the path with the first CLI argument).
+//! text, asserted bit-identical before timing. The samples of each
+//! comparison's sides are interleaved, so host drift does not land in its
+//! ratio. Writes `BENCH_hotpaths.json` (override the path with the first
+//! CLI argument).
 //!
 //! Thread count comes from `EM_THREADS` when set, else defaults to 4 so the
 //! serial-vs-pool comparison is stable across machines; the host's actual
@@ -35,9 +37,9 @@ fn dataset(n: usize, d: usize, seed: u64) -> (Matrix, Vec<usize>) {
     (Matrix::from_rows(&rows), y)
 }
 
-/// Time `f` as `{name}/{serial}` on a one-thread pool, then as
-/// `{name}/{pool}` at `threads`: the pool width is the only serial/parallel
-/// switch.
+/// Time `f` as `{name}/{serial}` on a one-thread pool and as
+/// `{name}/{pool}` at `threads`, samples interleaved: the pool width is the
+/// only serial/parallel switch.
 fn serial_vs_pool<T>(
     h: &mut Harness,
     name: &str,
@@ -45,10 +47,12 @@ fn serial_vs_pool<T>(
     threads: usize,
     mut f: impl FnMut() -> T,
 ) {
-    em_rt::set_threads(1);
-    h.bench(&format!("{name}/{serial}"), &mut f);
+    let names = [format!("{name}/{serial}"), format!("{name}/{pool}")];
+    h.bench_interleaved(&names, |variant| {
+        em_rt::set_threads(if variant == 0 { 1 } else { threads });
+        f()
+    });
     em_rt::set_threads(threads);
-    h.bench(&format!("{name}/{pool}"), f);
 }
 
 fn main() {
@@ -119,20 +123,21 @@ fn main() {
                 .all(|(x, y)| x.to_bits() == y.to_bits()),
             "{label}: cached features differ from the uncached path"
         );
-        let name = format!("featuregen_{label}_table2");
-        h.bench(&format!("{name}/uncached"), || {
-            generator.generate(a, b, &pairs)
-        });
-        h.bench(&format!("{name}/cached_cold"), || {
-            generator.cached(a, b).generate(a, b, &pairs)
-        });
-        if warm_row {
+        let mut warm = warm_row.then(|| {
             let mut warm = generator.cached(a, b);
             let _ = warm.generate(a, b, &pairs);
-            h.bench(&format!("{name}/cached_warm"), || {
-                warm.generate(a, b, &pairs)
-            });
-        }
+            warm
+        });
+        let variants = ["uncached", "cached_cold", "cached_warm"];
+        let names: Vec<String> = variants[..if warm_row { 3 } else { 2 }]
+            .iter()
+            .map(|variant| format!("featuregen_{label}_table2/{variant}"))
+            .collect();
+        h.bench_interleaved(&names, |variant| match variant {
+            0 => generator.generate(a, b, &pairs),
+            1 => generator.cached(a, b).generate(a, b, &pairs),
+            _ => warm.as_mut().expect("warm row").generate(a, b, &pairs),
+        });
     }
 
     // -- 5-fold cross-validation of the default forest pipeline --------------

@@ -122,11 +122,45 @@ impl Harness {
         let samples_ns: Vec<f64> = (0..self.samples)
             .map(|_| run_sample(iters, &mut f))
             .collect();
-        let result = BenchResult {
+        self.record(BenchResult {
             name: name.to_string(),
             iters,
             samples_ns,
-        };
+        })
+    }
+
+    /// Measure the variants of one comparison with their samples
+    /// interleaved (A, B, A, B, …): `f(i)` runs variant `i` once, and its
+    /// result is recorded under `names[i]` as [`Self::bench`] records it.
+    /// Each variant calibrates its own iteration count, then warmup and
+    /// measured samples go round the variants in turn, so host drift over
+    /// the run lands on every variant alike instead of on their ratio.
+    pub fn bench_interleaved<T>(
+        &mut self,
+        names: &[impl AsRef<str>],
+        mut f: impl FnMut(usize) -> T,
+    ) {
+        let iters: Vec<u64> = (0..names.len()).map(|i| calibrate(&mut || f(i))).collect();
+        let mut samples_ns = vec![Vec::with_capacity(self.samples); names.len()];
+        for round in 0..WARMUP_SAMPLES + self.samples {
+            for (i, &n) in iters.iter().enumerate() {
+                let ns = run_sample(n, &mut || f(i));
+                if round >= WARMUP_SAMPLES {
+                    samples_ns[i].push(ns);
+                }
+            }
+        }
+        for ((name, iters), samples_ns) in names.iter().zip(iters).zip(samples_ns) {
+            self.record(BenchResult {
+                name: name.as_ref().to_string(),
+                iters,
+                samples_ns,
+            });
+        }
+    }
+
+    /// Print one result's summary line and keep it.
+    fn record(&mut self, result: BenchResult) -> &BenchResult {
         eprintln!(
             "{:<44} {:>12}  [{} .. {}]  x{}",
             result.name,
@@ -228,6 +262,36 @@ mod tests {
         assert_eq!(fmt_ns(2_500.0), "2.50 µs");
         assert_eq!(fmt_ns(3_000_000.0), "3.00 ms");
         assert_eq!(fmt_ns(1_500_000_000.0), "1.500 s");
+    }
+
+    #[test]
+    fn interleaved_samples_go_round_the_variants() {
+        let mut h = Harness {
+            suite: "t".into(),
+            samples: 3,
+            results: Vec::new(),
+        };
+        let mut order = Vec::new();
+        h.bench_interleaved(&["a", "b"], |i| {
+            // One call is a whole 20 ms sample, so calibration picks one
+            // iteration and `order` holds one entry per sample.
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            order.push(i);
+        });
+        let names: Vec<&str> = h.results().iter().map(|r| r.name.as_str()).collect();
+        assert_eq!(names, ["a", "b"]);
+        assert!(h
+            .results()
+            .iter()
+            .all(|r| r.iters == 1 && r.samples_ns.len() == 3));
+        // After one calibration call per variant, the warmup and measured
+        // samples alternate.
+        let after_calibration = &order[2..];
+        assert_eq!(after_calibration.len(), 2 * (WARMUP_SAMPLES + 3));
+        assert!(after_calibration
+            .iter()
+            .enumerate()
+            .all(|(k, &i)| i == k % 2));
     }
 
     #[test]

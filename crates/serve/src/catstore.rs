@@ -39,11 +39,14 @@
 //! [`CatalogStore::fetch_rows`] gathers a batch of rows into a [`Table`],
 //! serving repeats from a bounded in-memory cache of decoded rows.
 //! Eviction is seeded random replacement driven by a [`StdRng`] owned by
-//! the cache: rows in an append-only store are immutable, so a cache hit
-//! can never be stale, and because every fetch runs on the matcher's
-//! coordinator thread the eviction sequence is a pure function of the
-//! access sequence and the seed — cached vs uncached (capacity 0) fetches
-//! return bit-identical tables at any `EM_THREADS`.
+//! the cache, and each gather admits its freshly read rows in row order:
+//! rows in an append-only store are immutable, so a cache hit can never
+//! be stale, and because the store has one owner that fetches batches in
+//! arrival order (a matcher's `match_batch` caller, or its stream's fetch
+//! stage), the eviction sequence — and with it every hit and miss count
+//! — is a pure function of the access sequence and the seed. Cached vs
+//! uncached (capacity 0) fetches return bit-identical tables at any
+//! `EM_THREADS`.
 
 use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
@@ -140,7 +143,7 @@ fn row_from_payload(payload: &[u8], schema: &Schema) -> Result<Vec<Value>, Strin
 }
 
 /// Per-gather effects, for the matcher's batch telemetry.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FetchStats {
     /// Rows requested (including repeats within the batch).
     pub requested: u64,
@@ -578,6 +581,11 @@ impl CatalogStore {
             };
             out.push_row(values).expect("schema arity holds");
         }
+        // Admit in row order: the map's iteration order follows its random
+        // hash seed, and would make the eviction sequence (so later hits)
+        // differ from run to run.
+        let mut fresh: Vec<(u32, Vec<Value>)> = fresh.into_iter().collect();
+        fresh.sort_unstable_by_key(|&(row, _)| row);
         for (row, values) in fresh {
             self.cache.insert(row, values);
         }

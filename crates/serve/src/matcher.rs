@@ -14,25 +14,30 @@
 //!   so resident memory scales with the per-batch working set, not the
 //!   catalog, and retirements survive restarts.
 //!
-//! Both run one batch step: probe → gather only the sorted distinct
-//! candidate rows (read from the store, or copied out of the table) →
-//! rebind the feature cache to the gathered slice and featurize (span
-//! `serve.featurize`) → predict. Output is bit-identical across the two
-//! catalogs (the private `Serving::step` documents why), at any
-//! `EM_THREADS`, with the store's hot-row cache on or off.
+//! Both run one batch step in two halves over disjoint state: *fetch*
+//! (probe → gather only the sorted distinct candidate rows, read from the
+//! store or copied out of the table → remap the pairs to slice-local
+//! rows) owns the catalog and the probe and gather totals; *featurize*
+//! (rebind the feature cache to the gathered slice and featurize, span
+//! `serve.featurize`) owns the feature cache. Prediction follows. Output
+//! is bit-identical across the two catalogs (the private
+//! `Gathered::featurize` documents why), at any `EM_THREADS`, with the
+//! store's hot-row cache on or off.
 //!
 //! ## Streaming design
 //!
 //! `match_stream` pulls query tables from an [`em_rt::channel()`] and runs a
-//! three-stage pipeline, mirroring the async-SMBO coordinator/worker shape
+//! four-stage pipeline, mirroring the async-SMBO coordinator/worker shape
 //! in `em-automl`:
 //!
-//! * **Coordinator** (the calling thread) — receives batches in arrival
-//!   order and runs the batch step up to prediction (probe and
-//!   featurization are internally parallel on the `em-rt` pool), then
-//!   ships the featurized batch to the predict workers. Featurization
-//!   mutates the cache, so it stays on one thread — which is also what
-//!   makes cache evolution independent of worker scheduling.
+//! * **Fetch stage** (one dedicated thread per stream) — receives batches
+//!   in arrival order, spends a credit on each, and runs the fetch half
+//!   of the batch step. It runs ahead of featurization by up to the
+//!   credits left, so probing and gathering overlap it.
+//! * **Coordinator** (the calling thread) — receives fetched batches in
+//!   arrival order, runs the featurize half, and ships the featurized
+//!   batch to the predict workers. Featurization is the stream's only
+//!   serial stage: the cache it mutates lives here alone.
 //! * **Predict workers** — dedicated threads racing over the job channel;
 //!   each scores whole batches through the fitted pipeline. Per-batch
 //!   prediction is a pure function of the feature matrix, so racing is
@@ -40,17 +45,31 @@
 //! * **Emitter** — reorders finished batches by sequence number and sends
 //!   [`BatchOutput`]s strictly in input order.
 //!
-//! **Backpressure**: the coordinator spends one credit per batch and the
-//! emitter returns a credit per *emitted* batch, so at most
-//! [`StreamOptions::max_in_flight`] batches occupy memory between
-//! featurization and emission — a slow consumer stalls the coordinator
-//! rather than growing the unbounded channels.
+//! Probe and featurization are internally parallel on the `em-rt` pool.
+//! When both ask for it at once, the pool runs one and the other runs
+//! inline on its own thread, which changes no result.
 //!
-//! **Determinism**: candidate probing, featurization, and prediction are
-//! each bit-deterministic at any thread count (pool discipline as per
-//! `em-rt`), batches enter the cache in arrival order, and emission is
-//! sequence-ordered — so the full output stream is bit-identical whether
-//! `EM_THREADS` is 1 or 64, with tracing on or off.
+//! **Backpressure**: the fetch stage spends one credit when it picks a
+//! batch up and the emitter returns one per *emitted* batch, so at most
+//! [`StreamOptions::max_in_flight`] batches are held between fetch pickup
+//! and emission — a slow consumer stalls the fetch stage rather than
+//! growing the unbounded channels.
+//!
+//! **Determinism**, stage by stage: the fetch stage is the only thread
+//! that probes the index, reads the store (and moves its hot-row cache)
+//! or adds to the totals, and does so in arrival order; the coordinator
+//! is the only thread that touches the feature cache, also in arrival
+//! order; prediction is pure; emission is sequence-ordered. Probing and
+//! featurization are each bit-deterministic at any pool width (pool
+//! discipline as per `em-rt`), so the full output stream, and the probe
+//! and gather totals, are bit-identical to `match_batch` one batch at a
+//! time, whether `EM_THREADS` is 1 or 64, with tracing on or off.
+//!
+//! **Failure**: each channel is fed by one stage that owns its sender, so
+//! a stage that panics (a store gather that fails its CRC check does, by
+//! design) closes its output as it unwinds; the stages downstream drain
+//! and exit, and `match_stream` re-raises the first panic in stage order
+//! instead of hanging or returning a short stream.
 
 use crate::artifact::ModelArtifact;
 use crate::catstore::{CatalogStore, FetchStats};
@@ -62,6 +81,7 @@ use em_obs::live::{RequestLog, RequestRecord};
 use em_obs::{Counter, Histogram};
 use em_rt::{Json, Receiver, Sender};
 use em_table::{RecordPair, Schema, Table};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -71,7 +91,7 @@ static BATCHES: Counter = Counter::new("serve.batches");
 static PAIRS_SCORED: Counter = Counter::new("serve.pairs_scored");
 /// Pairs the model declared matches.
 static MATCHES: Counter = Counter::new("serve.matches");
-/// End-to-end per-batch latency, ns: coordinator pickup to ordered
+/// End-to-end per-batch latency, ns: fetch-stage pickup to ordered
 /// emission in `match_stream`, call to return in `match_batch`.
 static BATCH_NS: Histogram = Histogram::new("serve.batch_ns");
 /// Candidate pairs per batch.
@@ -117,8 +137,9 @@ pub struct BatchOutput {
 /// Tuning knobs for [`Matcher::match_stream`].
 #[derive(Debug, Clone, Copy)]
 pub struct StreamOptions {
-    /// Maximum batches between featurization and emission (credit-based
-    /// backpressure; min 1).
+    /// Maximum batches held between fetch-stage pickup and emission
+    /// (credit-based backpressure; min 1). Also how far the fetch stage
+    /// can run ahead of featurization.
     pub max_in_flight: usize,
     /// Dedicated predict-worker threads (0 = pool width minus one, min 1).
     pub predict_workers: usize,
@@ -133,12 +154,13 @@ impl Default for StreamOptions {
     }
 }
 
-/// A work item flowing coordinator -> predict workers.
-struct PredictJob {
+/// A batch between two `match_stream` stages: its arrival ordinal, query
+/// count and fetch-pickup instant travel with what the last stage made.
+struct InFlight<T> {
     seq: usize,
     n_queries: usize,
     started: Instant,
-    batch: Featurized,
+    batch: T,
 }
 
 /// Per-batch stage timings and probe effects, carried alongside the batch
@@ -251,38 +273,40 @@ impl Catalog {
     }
 }
 
-/// Everything the batch step mutates. The fitted pipeline stays outside,
-/// so predict workers can share it while the stream coordinator steps.
-struct Serving {
+/// What the first half of the batch step mutates: the catalog (with the
+/// store's hot-row cache) and the running probe and gather totals. The
+/// feature cache and the fitted pipeline stay outside, so a stream can
+/// fetch one batch while its coordinator featurizes another.
+struct Fetcher {
     catalog: Catalog,
-    cache: FeatureCache,
     /// Cumulative probe effects across every batch this matcher served.
     probe_totals: ProbeStats,
     /// Cumulative store-gather effects (all zero on a resident table).
     fetch_totals: FetchStats,
 }
 
-/// One batch after [`Serving::step`], awaiting prediction.
+/// One batch after [`Fetcher::fetch`], awaiting featurization.
+struct Gathered {
+    /// Candidates in generation order, right side as a catalog row.
+    pairs: Vec<RecordPair>,
+    /// The same candidates, right side as a row of `slice`.
+    local_pairs: Vec<RecordPair>,
+    /// The sorted distinct candidate rows.
+    slice: Table,
+    telem: BatchTelemetry,
+}
+
+/// One batch after [`Gathered::featurize`], awaiting prediction.
 struct Featurized {
     pairs: Vec<RecordPair>,
     features: Matrix,
     telem: BatchTelemetry,
 }
 
-impl Serving {
-    /// The batch step `match_batch` and the `match_stream` coordinator
-    /// share: probe → gather the sorted distinct candidate rows → rebind
-    /// the cache to (queries, gathered slice) and featurize under
-    /// `serve.featurize`. Prediction is [`Featurized::predict`].
-    ///
-    /// Features equal a whole-catalog featurization bit for bit: every
-    /// similarity is a pure function of the two cell values (token-id
-    /// assignment order never changes an intersection size), and the
-    /// store's row codec round-trips cells bit-exactly, so featurizing
-    /// `(queries, slice)` under slice-local indices equals featurizing
-    /// `(queries, catalog)` under global ones, pair for pair, whichever
-    /// catalog backs the matcher.
-    fn step(&mut self, queries: &Table) -> Featurized {
+impl Fetcher {
+    /// The batch step up to featurization: probe → gather the sorted
+    /// distinct candidate rows → remap the pairs to slice-local rows.
+    fn fetch(&mut self, queries: &Table) -> Gathered {
         let t_probe = Instant::now();
         let (pairs, probe) = self.catalog.index().candidates_with_stats(queries, 0);
         let probe_ns = t_probe.elapsed().as_nanos() as u64;
@@ -301,14 +325,6 @@ impl Serving {
             })
             .collect();
         let fetch_ns = t_fetch.elapsed().as_nanos() as u64;
-        let t_feat = Instant::now();
-        let features = {
-            let _span = em_obs::span!("serve.featurize");
-            self.cache.rebind_left(queries);
-            self.cache.rebind_right(&slice);
-            self.cache.generate(queries, &slice, &local_pairs)
-        };
-        let featurize_ns = t_feat.elapsed().as_nanos() as u64;
         let totals = &mut self.probe_totals;
         totals.pruned_tokens += probe.pruned_tokens;
         totals.capped_queries += probe.capped_queries;
@@ -317,17 +333,47 @@ impl Serving {
         totals.requested += fetch.requested;
         totals.cache_hits += fetch.cache_hits;
         totals.rows_read += fetch.rows_read;
-        Featurized {
+        Gathered {
             pairs,
-            features,
+            local_pairs,
+            slice,
             telem: BatchTelemetry {
                 probe_ns,
-                featurize_ns,
-                predict_ns: 0,
                 fetch_ns,
                 probe,
                 fetch,
+                ..BatchTelemetry::default()
             },
+        }
+    }
+}
+
+impl Gathered {
+    /// The batch step's featurization: rebind `cache` to (queries,
+    /// gathered slice) and featurize under `serve.featurize`. Prediction
+    /// is [`Featurized::predict`].
+    ///
+    /// Features equal a whole-catalog featurization bit for bit: every
+    /// similarity is a pure function of the two cell values (token-id
+    /// assignment order never changes an intersection size), and the
+    /// store's row codec round-trips cells bit-exactly, so featurizing
+    /// `(queries, slice)` under slice-local indices equals featurizing
+    /// `(queries, catalog)` under global ones, pair for pair, whichever
+    /// catalog backs the matcher.
+    fn featurize(self, cache: &mut FeatureCache, queries: &Table) -> Featurized {
+        let t_feat = Instant::now();
+        let features = {
+            let _span = em_obs::span!("serve.featurize");
+            cache.rebind_left(queries);
+            cache.rebind_right(&self.slice);
+            cache.generate(queries, &self.slice, &self.local_pairs)
+        };
+        let mut telem = self.telem;
+        telem.featurize_ns = t_feat.elapsed().as_nanos() as u64;
+        Featurized {
+            pairs: self.pairs,
+            features,
+            telem,
         }
     }
 }
@@ -348,7 +394,8 @@ impl Featurized {
 /// cache, assembled from a [`ModelArtifact`].
 pub struct Matcher {
     pipeline: FittedEmPipeline,
-    serving: Serving,
+    fetcher: Fetcher,
+    cache: FeatureCache,
 }
 
 /// Reject a catalog whose schema disagrees with the artifact that will
@@ -416,12 +463,11 @@ impl Matcher {
     }
 
     fn assemble(artifact: ModelArtifact, catalog: Catalog) -> Self {
-        let cache = FeatureCache::unbound(artifact.generator());
         Matcher {
+            cache: FeatureCache::unbound(artifact.generator()),
             pipeline: artifact.pipeline,
-            serving: Serving {
+            fetcher: Fetcher {
                 catalog,
-                cache,
                 probe_totals: ProbeStats::default(),
                 fetch_totals: FetchStats::default(),
             },
@@ -430,7 +476,7 @@ impl Matcher {
 
     /// The catalog store, when this matcher is store-backed.
     pub fn catalog_store(&self) -> Option<&CatalogStore> {
-        match &self.serving.catalog {
+        match &self.fetcher.catalog {
             Catalog::Memory { .. } => None,
             Catalog::Store { store, .. } => Some(store),
         }
@@ -438,26 +484,26 @@ impl Matcher {
 
     /// The blocking index (read access; see [`Self::retire`] for updates).
     pub fn index(&self) -> &IncrementalIndex {
-        self.serving.catalog.index()
+        self.fetcher.catalog.index()
     }
 
     /// Cumulative probe effects (pruned tokens, capped queries, stale
     /// recounts) across every batch this matcher has served.
     pub fn probe_totals(&self) -> ProbeStats {
-        self.serving.probe_totals
+        self.fetcher.probe_totals
     }
 
     /// Cumulative store-gather effects across every batch (all zero for
     /// in-memory matchers).
     pub fn fetch_totals(&self) -> FetchStats {
-        self.serving.fetch_totals
+        self.fetcher.fetch_totals
     }
 
     /// Reconfigure the store's hot-row cache (see
     /// [`CatalogStore::configure_cache`]; capacity 0 disables it). Returns
     /// false — and does nothing — on an in-memory matcher.
     pub fn configure_hot_cache(&mut self, capacity: usize, seed: u64) -> bool {
-        match &mut self.serving.catalog {
+        match &mut self.fetcher.catalog {
             Catalog::Memory { .. } => false,
             Catalog::Store { store, .. } => {
                 store.configure_cache(capacity, seed);
@@ -470,7 +516,7 @@ impl Matcher {
     /// [`FeatureCache::set_memo_cap`]) — recommended for long-running
     /// streams over unbounded query vocabularies.
     pub fn set_memo_cap(&mut self, cap: Option<usize>) {
-        self.serving.cache.set_memo_cap(cap);
+        self.cache.set_memo_cap(cap);
     }
 
     /// Bound the blocking probe (see
@@ -479,7 +525,7 @@ impl Matcher {
     /// document frequency exceeds `max_posting`. `None` disables either
     /// bound; with both off, candidate sets are exact.
     pub fn set_probe_limits(&mut self, top_k: Option<usize>, max_posting: Option<usize>) {
-        match &mut self.serving.catalog {
+        match &mut self.fetcher.catalog {
             Catalog::Memory { index, .. } => index.set_probe_limits(top_k, max_posting),
             // Probe bounds are runtime tuning, not index state, so they do
             // not WAL-log.
@@ -495,7 +541,7 @@ impl Matcher {
     /// A WAL-backed index can fail to log the retirement; the in-memory
     /// path never fails.
     pub fn retire(&mut self, catalog_row: usize) -> Result<(), String> {
-        match &mut self.serving.catalog {
+        match &mut self.fetcher.catalog {
             Catalog::Memory { index, .. } => {
                 index.remove(catalog_row);
                 Ok(())
@@ -508,7 +554,11 @@ impl Matcher {
     pub fn match_batch(&mut self, queries: &Table) -> Vec<MatchRecord> {
         let _span = em_obs::span!("serve.batch");
         let started = Instant::now();
-        let (out, telem) = self.serving.step(queries).predict(&self.pipeline);
+        let (out, telem) = self
+            .fetcher
+            .fetch(queries)
+            .featurize(&mut self.cache, queries)
+            .predict(&self.pipeline);
         let id = NEXT_BATCH_ID.fetch_add(1, Ordering::Relaxed);
         record_request(
             id,
@@ -547,34 +597,75 @@ impl Matcher {
         } else {
             opts.predict_workers
         };
-        let (job_tx, job_rx) = em_rt::channel::<PredictJob>();
-        let (done_tx, done_rx) = em_rt::channel::<(BatchOutput, Instant, BatchTelemetry)>();
-        let (credit_tx, credit_rx) = em_rt::channel::<()>();
-        for _ in 0..max_in_flight {
-            credit_tx.send(()).expect("credit receiver alive");
-        }
-        // The batch step mutates the serving state; workers only read the
-        // pipeline, so the borrows split here.
-        let pipeline = &self.pipeline;
-        let serving = &mut self.serving;
-        std::thread::scope(|s| {
-            for _ in 0..n_workers {
-                let job_rx = job_rx.clone();
-                let done_tx = done_tx.clone();
-                s.spawn(move || {
-                    while let Some(job) = job_rx.recv() {
-                        let (matches, telem) = job.batch.predict(pipeline);
-                        let out = BatchOutput {
-                            seq: job.seq,
-                            n_queries: job.n_queries,
-                            matches,
-                        };
-                        if done_tx.send((out, job.started, telem)).is_err() {
-                            return;
-                        }
-                    }
-                });
+        // Fetch and featurization mutate disjoint state and the workers
+        // only read the pipeline, so the borrows split here.
+        let Matcher {
+            pipeline,
+            fetcher,
+            cache,
+        } = self;
+        let pipeline = &*pipeline;
+        // Every channel below has one feeding stage, which owns its sender
+        // by value: a stage that panics closes its output as it unwinds,
+        // the stages downstream drain and exit, and the joins below hand
+        // the panic to the caller.
+        let panicked = std::thread::scope(|s| {
+            let (credit_tx, credit_rx) = em_rt::channel::<()>();
+            for _ in 0..max_in_flight {
+                credit_tx.send(()).expect("credit receiver alive");
             }
+            let (fetched_tx, fetched_rx) = em_rt::channel::<InFlight<(Table, Gathered)>>();
+            let (job_tx, job_rx) = em_rt::channel::<InFlight<Featurized>>();
+            let (done_tx, done_rx) = em_rt::channel::<(BatchOutput, Instant, BatchTelemetry)>();
+            // Fetch stage: arrival order, one credit each.
+            let fetch = s.spawn(move || {
+                let mut seq = 0usize;
+                while let Some(queries) = queries.recv() {
+                    if credit_rx.recv().is_none() {
+                        break; // emitter gone: consumer vanished entirely
+                    }
+                    let started = Instant::now();
+                    let gathered = fetcher.fetch(&queries);
+                    let fetched = InFlight {
+                        seq,
+                        n_queries: queries.len(),
+                        started,
+                        batch: (queries, gathered),
+                    };
+                    if fetched_tx.send(fetched).is_err() {
+                        break;
+                    }
+                    seq += 1;
+                }
+            });
+            let workers: Vec<_> = (0..n_workers)
+                .map(|_| {
+                    let (job_rx, done_tx) = (job_rx.clone(), done_tx.clone());
+                    s.spawn(move || {
+                        // Workers share the done channel, so one that
+                        // panics closes it outright: the emitter must not
+                        // wait for the batch the worker took down with it.
+                        let worked = catch_unwind(AssertUnwindSafe(|| {
+                            while let Some(job) = job_rx.recv() {
+                                let (matches, telem) = job.batch.predict(pipeline);
+                                let out = BatchOutput {
+                                    seq: job.seq,
+                                    n_queries: job.n_queries,
+                                    matches,
+                                };
+                                if done_tx.send((out, job.started, telem)).is_err() {
+                                    return;
+                                }
+                            }
+                        }));
+                        if let Err(payload) = worked {
+                            done_tx.close();
+                            resume_unwind(payload);
+                        }
+                    })
+                })
+                .collect();
+            drop((job_rx, done_tx));
             // Emitter: reorder by sequence number, return credits.
             let emitter = s.spawn(move || {
                 type Pending = (BatchOutput, Instant, BatchTelemetry);
@@ -600,32 +691,34 @@ impl Matcher {
                     }
                 }
             });
-            // Coordinator (this thread): arrival order, one credit each.
-            let mut seq = 0usize;
-            while let Some(batch) = queries.recv() {
-                if credit_rx.recv().is_none() {
-                    break; // emitter gone: consumer vanished entirely
-                }
-                let started = Instant::now();
+            // Coordinator (this thread): featurize in arrival order.
+            while let Some(fetched) = fetched_rx.recv() {
                 let _span = em_obs::span!("serve.batch");
-                let job = PredictJob {
-                    seq,
-                    n_queries: batch.len(),
-                    started,
-                    batch: serving.step(&batch),
+                let (queries, gathered) = fetched.batch;
+                let job = InFlight {
+                    seq: fetched.seq,
+                    n_queries: fetched.n_queries,
+                    started: fetched.started,
+                    batch: gathered.featurize(cache, &queries),
                 };
                 if job_tx.send(job).is_err() {
                     break;
                 }
-                seq += 1;
             }
-            // Close the job channel: workers drain and exit, their
-            // `done_tx` clones drop, the emitter drains and exits, and the
-            // scope joins everything.
-            job_tx.close();
-            drop(done_tx);
-            let _ = emitter.join();
+            // Closing the job channel lets the workers drain and exit, and
+            // the emitter after them; the fetch stage has already stopped
+            // feeding, or stops at its next send.
+            drop((job_tx, fetched_rx));
+            let joined: Vec<_> = std::iter::once(fetch)
+                .chain(workers)
+                .chain([emitter])
+                .map(|stage| stage.join())
+                .collect();
+            joined.into_iter().find_map(Result::err)
         });
+        if let Some(payload) = panicked {
+            resume_unwind(payload);
+        }
     }
 }
 

@@ -8,6 +8,12 @@
 //!    store-backed matcher must be bit-identical to the in-memory-`Table`
 //!    matcher, with the hot-row cache enabled and disabled, at
 //!    `EM_THREADS=1` and `8`.
+//! 3. **Run-ahead = one batch at a time** — with its fetch stage running
+//!    ahead of featurization, a stream's outputs and probe and gather
+//!    totals equal per-batch `match_batch`, at any in-flight depth and
+//!    predict-worker count.
+//! 4. **A failing stage ends the stream** — a gather that fails its CRC
+//!    check panics out of `match_stream` instead of hanging it.
 //!
 //! This harness gets its own process so it can resize the global pool.
 
@@ -20,6 +26,7 @@ use em_serve::{
 use em_table::{Schema, Table, Value};
 use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard};
+use std::time::Duration;
 
 /// Tests here may mutate the process-global `em_rt::set_threads` knob, so
 /// they must not interleave.
@@ -241,6 +248,23 @@ fn store_with(dir: &PathBuf, catalog: &Table) -> CatalogStore {
     CatalogStore::open(dir).unwrap()
 }
 
+/// A store-backed matcher over a reopened store under `dir` and a
+/// reopened persistent index beside it.
+fn store_backed_matcher(
+    artifact: &ModelArtifact,
+    dir: &PathBuf,
+    catalog: &Table,
+    attr: &str,
+) -> Matcher {
+    let store = store_with(dir, catalog);
+    let index_dir = dir.with_extension("index");
+    let _ = std::fs::remove_dir_all(&index_dir);
+    let index = IncrementalIndex::build(attr, 1, catalog).unwrap();
+    drop(PersistentIndex::create(&index_dir, index).unwrap());
+    let index = PersistentIndex::open(&index_dir).unwrap();
+    Matcher::with_store(clone_artifact(artifact), store, index).unwrap()
+}
+
 /// One store-backed stream run over a reopened store and a reopened
 /// persistent index. `hot_cache`: `Some((capacity, seed))` reconfigures
 /// the hot-row cache, `None` keeps the default.
@@ -252,13 +276,7 @@ fn run_store_backed(
     batches: &[Table],
     hot_cache: Option<(usize, u64)>,
 ) -> Vec<BatchOutput> {
-    let store = store_with(dir, catalog);
-    let index_dir = dir.with_extension("index");
-    let _ = std::fs::remove_dir_all(&index_dir);
-    let index = IncrementalIndex::build(attr, 1, catalog).unwrap();
-    drop(PersistentIndex::create(&index_dir, index).unwrap());
-    let index = PersistentIndex::open(&index_dir).unwrap();
-    let mut matcher = Matcher::with_store(clone_artifact(artifact), store, index).unwrap();
+    let mut matcher = store_backed_matcher(artifact, dir, catalog, attr);
     if let Some((capacity, seed)) = hot_cache {
         assert!(matcher.configure_hot_cache(capacity, seed));
     }
@@ -271,7 +289,7 @@ fn run_store_backed(
         outputs.iter().any(|o| !o.matches.is_empty()),
         "fetch totals inconsistent with outputs"
     );
-    let _ = std::fs::remove_dir_all(&index_dir);
+    let _ = std::fs::remove_dir_all(dir.with_extension("index"));
     outputs
 }
 
@@ -387,4 +405,135 @@ fn store_backed_match_batch_agrees_and_persistent_retire_wal_logs() {
 
     let _ = std::fs::remove_dir_all(&cat_dir);
     let _ = std::fs::remove_dir_all(&idx_dir);
+}
+
+/// A fresh matcher over `ds.table_b`, store-backed under `dir` or in
+/// memory, with tight probe bounds, a tiny hot-row cache and two retired
+/// rows, so that every probe and gather total a stream accumulates moves.
+fn run_ahead_matcher(
+    artifact: &ModelArtifact,
+    ds: &em_data::EmDataset,
+    attr: &str,
+    dir: Option<&PathBuf>,
+) -> Matcher {
+    let mut matcher = match dir {
+        Some(dir) => {
+            let mut m = store_backed_matcher(artifact, dir, &ds.table_b, attr);
+            assert!(m.configure_hot_cache(8, 0x5EED));
+            m
+        }
+        None => Matcher::new(clone_artifact(artifact), ds.table_b.clone(), attr, 1).unwrap(),
+    };
+    matcher.set_probe_limits(Some(3), Some(4));
+    for row in [1, 4] {
+        matcher.retire(row).unwrap();
+    }
+    matcher
+}
+
+#[test]
+fn run_ahead_stream_equals_batch_path_in_outputs_and_totals() {
+    let _guard = serialize();
+    ensure_pool();
+    let (ds, artifact, attr) = serving_fixture(37);
+    let batches = batches_of(&ds.table_a, 5);
+    let dir = temp_dir("run-ahead");
+    for (tag, store_dir) in [("in-memory", None), ("store-backed", Some(&dir))] {
+        let mut batch_path = run_ahead_matcher(&artifact, &ds, &attr, store_dir);
+        let expected: Vec<BatchOutput> = batches
+            .iter()
+            .enumerate()
+            .map(|(seq, b)| BatchOutput {
+                seq,
+                n_queries: b.len(),
+                matches: batch_path.match_batch(b),
+            })
+            .collect();
+        let (probe, fetch) = (batch_path.probe_totals(), batch_path.fetch_totals());
+        drop(batch_path);
+        assert!(
+            probe.pruned_tokens > 0 && probe.capped_queries > 0,
+            "{tag}: probe bounds never bit: {probe:?}"
+        );
+        if store_dir.is_some() {
+            assert!(
+                fetch.cache_hits > 0 && fetch.rows_read > 0,
+                "{tag}: {fetch:?}"
+            );
+        }
+        for max_in_flight in [1, 4, 16] {
+            for predict_workers in [1, 3] {
+                let tag = format!("{tag}, {max_in_flight} in flight, {predict_workers} workers");
+                let mut matcher = run_ahead_matcher(&artifact, &ds, &attr, store_dir);
+                let opts = StreamOptions {
+                    max_in_flight,
+                    predict_workers,
+                };
+                let outputs = run_stream(&mut matcher, &batches, opts);
+                assert_outputs_bit_identical(&expected, &outputs, &tag);
+                assert_eq!(matcher.probe_totals(), probe, "{tag}: probe totals");
+                assert_eq!(matcher.fetch_totals(), fetch, "{tag}: fetch totals");
+            }
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(dir.with_extension("index"));
+}
+
+/// Flip one payload byte of every frame in `records.dat`, in place, so
+/// each row still frames correctly but fails its CRC check.
+fn corrupt_every_payload(dir: &std::path::Path) {
+    let path = dir.join("records.dat");
+    let mut bytes = std::fs::read(&path).unwrap();
+    let mut at = 0usize;
+    while at < bytes.len() {
+        let len = std::str::from_utf8(&bytes[at..at + 8]).unwrap();
+        let len = usize::from_str_radix(len, 16).unwrap();
+        bytes[at + 18] ^= 1;
+        at += 18 + len + 1;
+    }
+    std::fs::write(&path, bytes).unwrap();
+}
+
+#[test]
+fn corrupt_store_panics_out_of_match_stream_instead_of_hanging() {
+    let _guard = serialize();
+    ensure_pool();
+    let (ds, artifact, attr) = serving_fixture(41);
+    let batches = batches_of(&ds.table_a, 7);
+    let dir = temp_dir("corrupt");
+    let mut matcher = store_backed_matcher(&artifact, &dir, &ds.table_b, &attr);
+    // With the hot-row cache off every gather reads the damaged file.
+    assert!(matcher.configure_hot_cache(0, 1));
+    corrupt_every_payload(&dir);
+
+    // A hung stream must fail this test, not stall it: the stream runs on
+    // its own thread and the verdict comes back through a timed receive.
+    let (tx, rx) = std::sync::mpsc::channel();
+    let streamer = std::thread::spawn(move || {
+        let streamed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_stream(&mut matcher, &batches, StreamOptions::default()).len()
+        }));
+        let _ = tx.send(streamed);
+    });
+    let verdict = rx
+        .recv_timeout(Duration::from_secs(60))
+        .expect("match_stream hung on a corrupt catalog store");
+    streamer
+        .join()
+        .expect("the streaming thread caught the panic");
+    let payload = match verdict {
+        Ok(n) => panic!("match_stream returned {n} batches from a corrupt store"),
+        Err(payload) => payload,
+    };
+    let message = payload
+        .downcast_ref::<String>()
+        .cloned()
+        .unwrap_or_default();
+    assert!(
+        message.contains("catalog store fetch failed") && message.contains("crc mismatch"),
+        "unexpected panic: {message:?}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(dir.with_extension("index"));
 }

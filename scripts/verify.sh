@@ -37,6 +37,23 @@ if command -v flock >/dev/null 2>&1; then
     flock 9
 fi
 
+# Run a step under a wall-clock bound: `bounded SECONDS NAME CMD...`. The
+# steps that run em-serve's tests drive Matcher::match_stream, whose stages
+# hand batches over channels; a stream deadlock there fails the gate with
+# the step's name instead of stalling it. Bounds leave room for compiling
+# the step's test targets from cold.
+bounded() {
+    local seconds="$1" name="$2"
+    shift 2
+    timeout "$seconds" "$@" || {
+        local status=$?
+        if [ "$status" = 124 ]; then
+            echo "error: '$name' did not finish within ${seconds}s" >&2
+        fi
+        exit "$status"
+    }
+}
+
 echo "== checking that all workspace dependencies are path-only =="
 # Inside any [dependencies]-like section, a quoted version number (e.g.
 # `rand = "0.10"` or `version = "1"`) means a registry lookup; every entry
@@ -79,13 +96,16 @@ echo "== posting splice and counting probe in a release build (em-table, em-serv
 # the probe counts overlaps in u32 slots. Debug builds trap on overflow,
 # release builds wrap, so the index's oracle and parity tests run once
 # more as the optimized code that serves.
-cargo test -q --release --offline -p em-table -p em-serve
+bounded 1800 "em-table + em-serve release tests" \
+    cargo test -q --release --offline -p em-table -p em-serve
 
 echo "== cargo test --offline (EM_THREADS=1) =="
-EM_THREADS=1 cargo test -q --offline --workspace
+EM_THREADS=1 bounded 3600 "workspace tests (EM_THREADS=1)" \
+    cargo test -q --offline --workspace
 
 echo "== cargo test --offline (EM_THREADS=8) =="
-EM_THREADS=8 cargo test -q --offline --workspace
+EM_THREADS=8 bounded 3600 "workspace tests (EM_THREADS=8)" \
+    cargo test -q --offline --workspace
 
 echo "== determinism harness with the feature cache disabled (EM_FEATCACHE=off) =="
 # PreparedDataset::prepare must fall back to the uncached &str path and
