@@ -12,8 +12,8 @@
 //!
 //! let mut space = ConfigSpace::new();
 //! space.add("x", Domain::Float { lo: 0.0, hi: 1.0, log: false });
-//! let mut objective = |c: &em_automl::Configuration| -(c.get_float("x").unwrap() - 0.3f64).abs();
-//! let history = run_search(&space, &mut RandomSearch, &mut objective, Budget::Evaluations(50), 0);
+//! let objective = |c: &em_automl::Configuration| -(c.get_float("x").unwrap() - 0.3f64).abs();
+//! let history = run_search(&space, &mut RandomSearch, &objective, Budget::Evaluations(50), 0);
 //! assert!((history.incumbent().unwrap().config.get_float("x").unwrap() - 0.3).abs() < 0.2);
 //! ```
 
@@ -24,8 +24,8 @@ mod space;
 
 pub use config::{Configuration, ParamValue};
 pub use runner::{
-    run_search, run_search_async, run_search_async_report, run_search_with_initial,
-    AsyncSearchReport, Budget, SearchAlgorithm, SearchHistory, Trial,
+    run_search, run_search_async, run_search_with_initial, Budget, SearchAlgorithm, SearchHistory,
+    Trial,
 };
 pub use search::{RandomSearch, SmacParams, SmacSearch, TpeParams, TpeSearch};
 pub use space::{Condition, ConfigSpace, Domain, Param};

@@ -4,6 +4,8 @@
 use crate::config::Configuration;
 use crate::space::ConfigSpace;
 use em_rt::StdRng;
+use std::panic::resume_unwind;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 /// Search budget. The experiments default to evaluation counts for
@@ -12,8 +14,9 @@ use std::time::{Duration, Instant};
 pub enum Budget {
     /// Stop after this many objective evaluations.
     Evaluations(usize),
-    /// Stop once this much wall-clock time has elapsed (the evaluation in
-    /// flight when the deadline passes still completes).
+    /// Stop once this much wall-clock time has elapsed (the round of
+    /// evaluations in flight when the deadline passes still completes and
+    /// is recorded).
     WallClock(Duration),
 }
 
@@ -52,7 +55,13 @@ impl SearchHistory {
 
     /// The best trial so far (ties keep the earliest).
     pub fn incumbent(&self) -> Option<&Trial> {
-        self.trials.iter().max_by(|a, b| {
+        self.incumbent_after(self.len())
+    }
+
+    /// The best of the first `n` trials (ties keep the earliest): what a
+    /// run stopped after `n` evaluations would have returned.
+    pub fn incumbent_after(&self, n: usize) -> Option<&Trial> {
+        self.trials[..n.min(self.len())].iter().max_by(|a, b| {
             a.score
                 .partial_cmp(&b.score)
                 .unwrap()
@@ -142,11 +151,11 @@ pub trait SearchAlgorithm {
 pub fn run_search(
     space: &ConfigSpace,
     algo: &mut dyn SearchAlgorithm,
-    objective: &mut dyn FnMut(&Configuration) -> f64,
+    objective: &(dyn Fn(&Configuration) -> f64 + Sync),
     budget: Budget,
     seed: u64,
 ) -> SearchHistory {
-    run_search_with_initial(space, algo, objective, budget, seed, &[])
+    run_search_async(space, algo, objective, budget, seed, &[], 1)
 }
 
 /// [`run_search`] with warm-start configurations: the `initial` configs are
@@ -157,82 +166,36 @@ pub fn run_search(
 pub fn run_search_with_initial(
     space: &ConfigSpace,
     algo: &mut dyn SearchAlgorithm,
-    objective: &mut dyn FnMut(&Configuration) -> f64,
+    objective: &(dyn Fn(&Configuration) -> f64 + Sync),
     budget: Budget,
     seed: u64,
     initial: &[Configuration],
 ) -> SearchHistory {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut history = SearchHistory::default();
-    let start = Instant::now();
-    let exhausted = |history: &SearchHistory, start: &Instant| match budget {
-        Budget::Evaluations(n) => history.len() >= n,
-        Budget::WallClock(d) => start.elapsed() >= d,
-    };
-    for config in initial {
-        if exhausted(&history, &start) {
-            break;
-        }
-        assert!(
-            space.validate(config).is_ok(),
-            "warm-start configuration is invalid for this space"
-        );
-        let score = objective(config);
-        history.push(config.clone(), score);
-    }
-    loop {
-        if exhausted(&history, &start) {
-            break;
-        }
-        let config = algo.suggest(space, &history, &mut rng);
-        debug_assert!(
-            space.validate(&config).is_ok(),
-            "search algorithm produced an invalid configuration"
-        );
-        let trial = history.len();
-        em_obs::event("search.eval_start", || {
-            vec![("trial", em_rt::Json::from(trial))]
-        });
-        let score = objective(&config);
-        em_obs::event("search.eval_finish", || {
-            vec![
-                ("trial", em_rt::Json::from(trial)),
-                ("score", em_rt::Json::from(score)),
-            ]
-        });
-        history.push(config, score);
-    }
-    history
+    run_search_async(space, algo, objective, budget, seed, initial, 1)
 }
 
-/// Outcome of [`run_search_async_report`]: the history plus per-worker
-/// evaluation counts (empty when the inline path ran).
-#[derive(Debug, Clone)]
-pub struct AsyncSearchReport {
-    /// The search trajectory, identical at any pool width for the same
-    /// inputs.
-    pub history: SearchHistory,
-    /// Evaluations completed by each dedicated worker thread.
-    pub evals_per_worker: Vec<usize>,
-}
-
-/// Asynchronous SMBO: persistent worker threads pull suggestions over an
-/// `em-rt` channel and stream scores back, while the coordinator — the sole
-/// owner of the surrogate and the RNG, so no mutex guards either — commits
-/// results in suggestion order through a reorder buffer and issues the next
-/// wave of suggestions. See [`run_search_async_report`] for the worker
-/// accounting variant.
+/// The search loop, evaluating up to `batch` configurations at once. Each
+/// round checks the budget, takes the next round (up to `batch` warm
+/// starts while any are left, then `algo.suggest_batch(k)` for the `k`
+/// evaluations the budget still allows, at most `batch`), evaluates it, and
+/// commits its scores in suggestion order. The round in flight when a
+/// wall-clock deadline passes still completes and is recorded.
+///
+/// The calling thread is the sole owner of the search algorithm (with its
+/// surrogate) and the RNG, so neither sits behind a lock. A round of one
+/// configuration, or any round on a one-thread pool, is evaluated inline;
+/// otherwise the calling thread and up to `min(k, em_rt::threads()) - 1`
+/// scoped helper threads claim configurations from one atomic counter.
+/// The helpers are dedicated threads, not pool tasks, so the forest fits
+/// inside each evaluation still get the shared `em-rt` pool. A panicking
+/// objective panics out of the search once the round's other evaluations
+/// finish.
 ///
 /// The trajectory depends only on `(space, algo, budget, seed, initial,
-/// batch)`, **never on the pool width**: the coordinator makes the same
-/// `suggest_batch` calls against the same committed history and the same
-/// RNG stream with or without workers, and evaluation results are committed
-/// in suggestion order no matter which worker finished first. At pool width
-/// 1 there are no workers and each round is evaluated inline on the caller
-/// thread; that inline path is the oracle the worker path is tested
-/// against. Workers are dedicated channel-fed threads, which leaves the
-/// shared pool free for nested parallelism inside the objective (e.g.
-/// forest fits).
+/// batch)`, **never on the pool width**: the same `suggest_batch` calls
+/// see the same committed history and RNG stream whichever thread scored
+/// each configuration. At `batch = 1` this is the sequential suggest →
+/// evaluate loop of [`run_search_with_initial`].
 pub fn run_search_async(
     space: &ConfigSpace,
     algo: &mut dyn SearchAlgorithm,
@@ -242,166 +205,107 @@ pub fn run_search_async(
     initial: &[Configuration],
     batch: usize,
 ) -> SearchHistory {
-    run_search_async_report(space, algo, objective, budget, seed, initial, batch).history
-}
-
-/// [`run_search_async`], additionally reporting how many evaluations each
-/// worker thread completed (for scheduling/starvation diagnostics).
-///
-/// Worker count is `min(batch, em_rt::threads() - 1)` — one slot is left
-/// for the coordinator. When that is zero (a pool width of 1) the search
-/// runs inline on the caller thread and still produces the exact same
-/// history and the same `search.eval_start` / `search.eval_finish` events
-/// (with `worker` 0), which is what makes the 1-vs-N-thread determinism
-/// harness able to cover this path.
-pub fn run_search_async_report(
-    space: &ConfigSpace,
-    algo: &mut dyn SearchAlgorithm,
-    objective: &(dyn Fn(&Configuration) -> f64 + Sync),
-    budget: Budget,
-    seed: u64,
-    initial: &[Configuration],
-    batch: usize,
-) -> AsyncSearchReport {
     let batch = batch.max(1);
-    let n_workers = batch.min(em_rt::threads().saturating_sub(1));
     let mut rng = StdRng::seed_from_u64(seed);
     let mut history = SearchHistory::default();
     let start = Instant::now();
-    let exhausted = |history: &SearchHistory, start: &Instant| match budget {
-        Budget::Evaluations(n) => history.len() >= n,
-        Budget::WallClock(d) => start.elapsed() >= d,
-    };
-    // Evaluations left; a wall-clock budget has no count, so like the
-    // sequential runner it offers every warm start and lets the deadline
-    // decide how many are committed.
-    let remaining = |history: &SearchHistory| match budget {
-        Budget::Evaluations(n) => n.saturating_sub(history.len()),
-        Budget::WallClock(_) => usize::MAX,
-    };
-    let warm: Vec<Configuration> = initial.iter().take(remaining(&history)).cloned().collect();
-    for config in &warm {
-        assert!(
-            space.validate(config).is_ok(),
-            "warm-start configuration is invalid for this space"
-        );
-    }
-
-    if n_workers == 0 {
-        // Inline path: the identical suggest/commit sequence, evaluated on
-        // the caller thread (the objective is pure, so scoring a suggestion
-        // before or after its batch-mates cannot change any committed value).
-        let mut round = warm;
-        loop {
-            for config in round.drain(..) {
-                if exhausted(&history, &start) {
-                    break;
-                }
-                let score = traced_eval(objective, history.len(), 0, &config);
-                history.push(config, score);
-            }
-            if exhausted(&history, &start) {
-                break;
-            }
-            let k = remaining(&history).min(batch).max(1);
-            round = algo.suggest_batch(space, &history, &mut rng, k);
-            assert!(!round.is_empty(), "suggest_batch returned no candidates");
-        }
-        return AsyncSearchReport {
-            history,
-            evals_per_worker: Vec::new(),
+    let mut warm = initial.iter();
+    loop {
+        let remaining = match budget {
+            Budget::Evaluations(n) => n.saturating_sub(history.len()),
+            Budget::WallClock(d) if start.elapsed() >= d => 0,
+            Budget::WallClock(_) => usize::MAX,
         };
-    }
-
-    let (job_tx, job_rx) = em_rt::channel::<(usize, Configuration)>();
-    let (result_tx, result_rx) = em_rt::channel::<(usize, usize, f64)>();
-    let mut evals_per_worker = vec![0usize; n_workers];
-
-    std::thread::scope(|s| {
-        for w in 0..n_workers {
-            let jobs = job_rx.clone();
-            let results = result_tx.clone();
-            s.spawn(move || {
-                while let Some((ix, config)) = jobs.recv() {
-                    let score = traced_eval(objective, ix, w, &config);
-                    if results.send((ix, w, score)).is_err() {
-                        break;
-                    }
-                }
-            });
+        if remaining == 0 {
+            break;
         }
-        // The workers hold their own clones; dropping these keeps channel
-        // close semantics tied to the coordinator (job_tx) and the worker
-        // set (result_tx clones).
-        drop(job_rx);
-        drop(result_tx);
-
-        let mut round = warm;
-        loop {
-            // Dispatch the round; workers race for jobs over the channel.
-            let base = history.len();
-            for (i, config) in round.iter().enumerate() {
-                job_tx
-                    .send((base + i, config.clone()))
-                    .expect("workers alive while coordinator dispatches");
+        let k = remaining.min(batch);
+        let round: Vec<Configuration> = if !warm.as_slice().is_empty() {
+            let round: Vec<Configuration> = warm.by_ref().take(k).cloned().collect();
+            for config in &round {
+                assert!(
+                    space.validate(config).is_ok(),
+                    "warm-start configuration is invalid for this space"
+                );
             }
-            // Reorder buffer: collect every score of the round, then commit
-            // in suggestion order regardless of completion order.
-            let mut scores: std::collections::BTreeMap<usize, f64> =
-                std::collections::BTreeMap::new();
-            while scores.len() < round.len() {
-                let (ix, w, score) = result_rx.recv().expect("a worker result per job");
-                evals_per_worker[w] += 1;
-                scores.insert(ix, score);
-            }
-            for (i, config) in round.drain(..).enumerate() {
-                if exhausted(&history, &start) {
-                    break;
-                }
-                history.push(config, scores[&(base + i)]);
-            }
-            if exhausted(&history, &start) {
-                break;
-            }
-            let k = remaining(&history).min(batch).max(1);
-            round = algo.suggest_batch(space, &history, &mut rng, k);
-            assert!(!round.is_empty(), "suggest_batch returned no candidates");
+            round
+        } else {
+            let round = algo.suggest_batch(space, &history, &mut rng, k);
+            assert!(
+                (1..=k).contains(&round.len()),
+                "suggest_batch must return between 1 and {k} candidates"
+            );
             for config in &round {
                 debug_assert!(
                     space.validate(config).is_ok(),
                     "search algorithm produced an invalid configuration"
                 );
             }
+            round
+        };
+        let scores = evaluate_round(objective, history.len(), &round);
+        for (config, score) in round.into_iter().zip(scores) {
+            history.push(config, score);
         }
-        // Closing the job channel sends workers home; the scope joins them.
-        job_tx.close();
-    });
-
-    AsyncSearchReport {
-        history,
-        evals_per_worker,
     }
+    history
 }
 
-/// Score `config` as trial `trial` on async worker `worker`, bracketed by
-/// the `search.eval_start` / `search.eval_finish` trace events.
+/// Score `round`, whose first configuration is trial `base`, and return
+/// the scores in round order. The caller and `width - 1` scoped helpers
+/// claim configurations from one counter; at width 1 (a round of one, or a
+/// one-thread pool) no helper is spawned and the caller scores the round
+/// inline. Scoring order cannot change a score: the objective is a pure
+/// function of the configuration.
+fn evaluate_round(
+    objective: &(dyn Fn(&Configuration) -> f64 + Sync),
+    base: usize,
+    round: &[Configuration],
+) -> Vec<f64> {
+    let width = round.len().min(em_rt::threads());
+    // Relaxed: the counter only hands out indices; the scores come back
+    // through the joins.
+    let next = AtomicUsize::new(0);
+    let claim = || {
+        let mut scored = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(config) = round.get(i) else {
+                return scored;
+            };
+            scored.push((i, traced_eval(objective, base + i, config)));
+        }
+    };
+    let mut scores = vec![f64::NAN; round.len()];
+    std::thread::scope(|s| {
+        let helpers: Vec<_> = (1..width).map(|_| s.spawn(claim)).collect();
+        let mine = claim();
+        // A helper's panic is re-raised here; one on this thread unwinds
+        // out of the scope, which first waits for every helper to finish.
+        let theirs = helpers
+            .into_iter()
+            .flat_map(|h| h.join().unwrap_or_else(|panic| resume_unwind(panic)));
+        for (i, score) in mine.into_iter().chain(theirs) {
+            scores[i] = score;
+        }
+    });
+    scores
+}
+
+/// Score `config` as trial `trial`, bracketed by the `search.eval_start` /
+/// `search.eval_finish` trace events.
 fn traced_eval(
     objective: &(dyn Fn(&Configuration) -> f64 + Sync),
     trial: usize,
-    worker: usize,
     config: &Configuration,
 ) -> f64 {
     em_obs::event("search.eval_start", || {
-        vec![
-            ("trial", em_rt::Json::from(trial)),
-            ("worker", em_rt::Json::from(worker)),
-        ]
+        vec![("trial", em_rt::Json::from(trial))]
     });
     let score = objective(config);
     em_obs::event("search.eval_finish", || {
         vec![
             ("trial", em_rt::Json::from(trial)),
-            ("worker", em_rt::Json::from(worker)),
             ("score", em_rt::Json::from(score)),
         ]
     });
@@ -437,13 +341,7 @@ mod tests {
     fn evaluation_budget_is_exact() {
         let space = quadratic_space();
         let mut algo = RandomSearch;
-        let h = run_search(
-            &space,
-            &mut algo,
-            &mut objective,
-            Budget::Evaluations(37),
-            0,
-        );
+        let h = run_search(&space, &mut algo, &objective, Budget::Evaluations(37), 0);
         assert_eq!(h.len(), 37);
     }
 
@@ -451,13 +349,7 @@ mod tests {
     fn incumbent_is_the_max() {
         let space = quadratic_space();
         let mut algo = RandomSearch;
-        let h = run_search(
-            &space,
-            &mut algo,
-            &mut objective,
-            Budget::Evaluations(50),
-            1,
-        );
+        let h = run_search(&space, &mut algo, &objective, Budget::Evaluations(50), 1);
         let best = h.incumbent().unwrap();
         for t in h.trials() {
             assert!(t.score <= best.score);
@@ -469,13 +361,7 @@ mod tests {
     fn trace_is_monotone_nondecreasing() {
         let space = quadratic_space();
         let mut algo = RandomSearch;
-        let h = run_search(
-            &space,
-            &mut algo,
-            &mut objective,
-            Budget::Evaluations(40),
-            2,
-        );
+        let h = run_search(&space, &mut algo, &objective, Budget::Evaluations(40), 2);
         let trace = h.best_score_trace();
         for w in trace.windows(2) {
             assert!(w[1] >= w[0]);
@@ -489,14 +375,14 @@ mod tests {
         let h1 = run_search(
             &space,
             &mut RandomSearch,
-            &mut objective,
+            &objective,
             Budget::Evaluations(20),
             7,
         );
         let h2 = run_search(
             &space,
             &mut RandomSearch,
-            &mut objective,
+            &objective,
             Budget::Evaluations(20),
             7,
         );
@@ -512,7 +398,7 @@ mod tests {
         let h = run_search(
             &space,
             &mut RandomSearch,
-            &mut objective,
+            &objective,
             Budget::WallClock(Duration::from_millis(20)),
             3,
         );
@@ -527,7 +413,7 @@ mod tests {
         let h = run_search_with_initial(
             &space,
             &mut RandomSearch,
-            &mut objective,
+            &objective,
             Budget::Evaluations(10),
             0,
             std::slice::from_ref(&good),
@@ -551,12 +437,27 @@ mod tests {
         let h = run_search_with_initial(
             &space,
             &mut RandomSearch,
-            &mut objective,
+            &objective,
             Budget::Evaluations(3),
             0,
             &configs,
         );
         assert_eq!(h.len(), 3);
+    }
+
+    #[test]
+    fn incumbent_after_keeps_the_earliest_of_tied_maxima() {
+        let mut h = SearchHistory::default();
+        for score in [0.5, 0.9, 0.9, 1.0, 0.9] {
+            h.push(Configuration::default(), score);
+        }
+        let best = |n: usize| h.incumbent_after(n).map(|t| t.index);
+        assert_eq!(best(0), None);
+        assert_eq!(best(1), Some(0));
+        assert_eq!(best(3), Some(1));
+        assert_eq!(best(4), Some(3));
+        assert_eq!(best(99), Some(3));
+        assert_eq!(h.incumbent().map(|t| t.index), Some(3));
     }
 
     #[test]

@@ -127,16 +127,8 @@ impl SearchAlgorithm for SmacSearch {
         history: &SearchHistory,
         rng: &mut StdRng,
     ) -> Configuration {
-        let n = history.len();
-        if n < self.params.n_init {
-            return space.sample(rng);
-        }
-        if self.params.interleave > 0 && n.is_multiple_of(self.params.interleave) {
-            return space.sample(rng);
-        }
-        self.ranked_candidates(space, history, rng)
-            .into_iter()
-            .next()
+        self.suggest_batch(space, history, rng, 1)
+            .pop()
             .expect("candidate pool is never empty")
     }
 
@@ -157,7 +149,7 @@ impl SearchAlgorithm for SmacSearch {
         }
         // Slot i is random exactly when trial n + i would be random in the
         // sequential schedule; one surrogate fit ranks candidates for every
-        // other slot, in order. At k = 1 this is `suggest`, RNG draws and all.
+        // other slot, in order. `suggest` is the case k = 1.
         let interleave = self.params.interleave;
         let random = |i: usize| interleave > 0 && (n + i).is_multiple_of(interleave);
         let mut ranked = if (0..k).all(random) {
@@ -284,11 +276,11 @@ mod tests {
             let hs = run_search(
                 &space,
                 &mut SmacSearch::default(),
-                &mut hard_objective,
+                &hard_objective,
                 budget,
                 seed,
             );
-            let hr = run_search(&space, &mut RandomSearch, &mut hard_objective, budget, seed);
+            let hr = run_search(&space, &mut RandomSearch, &hard_objective, budget, seed);
             if hs.best_score() >= hr.best_score() - 1e-9 {
                 smac_wins += 1;
             }
@@ -302,7 +294,7 @@ mod tests {
         let h = run_search(
             &space,
             &mut SmacSearch::default(),
-            &mut hard_objective,
+            &hard_objective,
             Budget::Evaluations(20),
             3,
         );
@@ -318,14 +310,14 @@ mod tests {
         let a = run_search(
             &space,
             &mut SmacSearch::default(),
-            &mut hard_objective,
+            &hard_objective,
             Budget::Evaluations(25),
             9,
         );
         let b = run_search(
             &space,
             &mut SmacSearch::default(),
-            &mut hard_objective,
+            &hard_objective,
             Budget::Evaluations(25),
             9,
         );

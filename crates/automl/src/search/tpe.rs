@@ -249,7 +249,7 @@ mod tests {
         let h = run_search(
             &space,
             &mut TpeSearch::default(),
-            &mut peak_objective,
+            &peak_objective,
             Budget::Evaluations(60),
             0,
         );
@@ -275,11 +275,11 @@ mod tests {
             let ht = run_search(
                 &space,
                 &mut TpeSearch::default(),
-                &mut peak_objective,
+                &peak_objective,
                 budget,
                 seed,
             );
-            let hr = run_search(&space, &mut RandomSearch, &mut peak_objective, budget, seed);
+            let hr = run_search(&space, &mut RandomSearch, &peak_objective, budget, seed);
             if ht.best_score() >= hr.best_score() - 1e-9 {
                 wins += 1;
             }
@@ -301,7 +301,7 @@ mod tests {
             "algo",
             ["a"],
         );
-        let mut objective = |c: &Configuration| {
+        let objective = |c: &Configuration| {
             if c.get_str("algo") == Some("a") {
                 1.0 - (c.get_float("a:x").unwrap() - 0.5).abs()
             } else {
@@ -311,7 +311,7 @@ mod tests {
         let h = run_search(
             &space,
             &mut TpeSearch::default(),
-            &mut objective,
+            &objective,
             Budget::Evaluations(50),
             1,
         );

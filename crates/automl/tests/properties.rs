@@ -142,7 +142,7 @@ fn search_history_is_well_formed() {
         let h = run_search(
             &space,
             &mut RandomSearch,
-            &mut toy_objective,
+            &toy_objective,
             Budget::Evaluations(n),
             seed,
         );
@@ -170,7 +170,7 @@ fn smac_and_tpe_produce_valid_configs() {
                 run_search(
                     &space,
                     &mut SmacSearch::default(),
-                    &mut toy_objective,
+                    &toy_objective,
                     Budget::Evaluations(16),
                     seed,
                 )
@@ -178,7 +178,7 @@ fn smac_and_tpe_produce_valid_configs() {
                 run_search(
                     &space,
                     &mut TpeSearch::default(),
-                    &mut toy_objective,
+                    &toy_objective,
                     Budget::Evaluations(16),
                     seed,
                 )

@@ -2,8 +2,8 @@
 //! `em-rt` pool: blocking candidate generation, stratified k-fold
 //! cross-validation, forest fitting, permutation feature importances, and
 //! benchmark dataset synthesis — on a one-thread pool vs the full width,
-//! flipped with `em_rt::set_threads` — plus the async SMBO runner's inline
-//! path (pool width 1) against its worker path on the same workload, and
+//! flipped with `em_rt::set_threads` — plus the search loop's round
+//! evaluator at width 1 against full width on the same workload, and
 //! Table-II feature generation through the uncached `&str` path against
 //! the interned feature cache on short (Fodors-Zagats) and long (Abt-Buy)
 //! text, asserted bit-identical before timing. The samples of each
@@ -184,11 +184,11 @@ fn main() {
         || em_data::Benchmark::DblpScholar.generate_scaled(0, 0.5),
     );
 
-    // -- async SMBO: inline path vs worker path -------------------------------
+    // -- batched search: round evaluator at width 1 vs full width ------------
     // The objective fits a small forest so evaluations cost something real.
-    // At pool width 1 the runner evaluates inline on the caller thread; at
-    // full width it feeds dedicated workers over a channel. Same space,
-    // seed, budget, batch and trajectory.
+    // At pool width 1 each round of 4 is scored inline on the caller
+    // thread; at full width the caller and helper threads share it. Same
+    // space, seed, budget, batch and trajectory.
     let (sx, sy) = dataset(240, 8, 2);
     let space = automl_em::build_space(automl_em::SpaceOptions::default());
     let objective = |c: &em_automl::Configuration| -> f64 {
@@ -199,7 +199,7 @@ fn main() {
     serial_vs_pool(
         &mut h,
         "smbo_16evals_batch4",
-        ["inline", "async_workers"],
+        ["width_1", "full_width"],
         threads,
         || {
             run_search_async(
@@ -277,10 +277,11 @@ fn main() {
         ),
         (
             "smbo_16evals_batch4",
-            "inline",
-            "async_workers",
-            "SMAC, 16 evaluations, batch 4, small-forest objective: the \
-             async runner's inline path (pool width 1) vs its worker path",
+            "width_1",
+            "full_width",
+            "SMAC, 16 evaluations, batch 4, small-forest objective: each \
+             round scored inline on a one-thread pool vs by the caller and \
+             helper threads at full width",
         ),
     ] {
         let base = median(&format!("{name}/{baseline}"));
@@ -312,8 +313,8 @@ fn main() {
                  (em_rt::set_threads(1)); pool = the shared em-rt worker \
                  pool at full width. Every pair is bit-identical output by \
                  construction (see crates/core/tests/determinism.rs); the \
-                 async SMBO row compares the runner's inline path against \
-                 its channel-fed workers on an identical trajectory; the \
+                 smbo row compares the search loop's round evaluator at \
+                 width 1 against full width on an identical trajectory; the \
                  featuregen rows compare the uncached &str \
                  path against the interned FeatureCache (EM_FEATCACHE \
                  toggles the same paths inside PreparedDataset::prepare), \

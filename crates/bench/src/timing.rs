@@ -1,11 +1,10 @@
 //! Minimal in-repo timing harness replacing `criterion`: auto-calibrated
-//! iteration counts, a warmup phase, median-of-N sampling, a compact text
-//! report, and JSON output through `em_rt::Json`.
+//! iteration counts, a warmup phase, median-of-N sampling with the samples
+//! of compared variants interleaved, a compact text report, and JSON
+//! output through `em_rt::Json`.
 //!
-//! Knobs (environment):
-//! - `EM_BENCH_SAMPLES`: measured samples per benchmark (default 11).
-//! - `EM_BENCH_OUT`: when set, the harness writes its JSON report to this
-//!   path on [`Harness::finish`].
+//! Knob (environment): `EM_BENCH_SAMPLES`, measured samples per benchmark
+//! (default 11).
 
 use em_rt::Json;
 use std::hint::black_box;
@@ -112,29 +111,13 @@ impl Harness {
         }
     }
 
-    /// Measure `f`, batching iterations up to ~20 ms per sample, and record
-    /// the result under `name`.
-    pub fn bench<T>(&mut self, name: &str, mut f: impl FnMut() -> T) -> &BenchResult {
-        let iters = calibrate(&mut f);
-        for _ in 0..WARMUP_SAMPLES {
-            run_sample(iters, &mut f);
-        }
-        let samples_ns: Vec<f64> = (0..self.samples)
-            .map(|_| run_sample(iters, &mut f))
-            .collect();
-        self.record(BenchResult {
-            name: name.to_string(),
-            iters,
-            samples_ns,
-        })
-    }
-
     /// Measure the variants of one comparison with their samples
     /// interleaved (A, B, A, B, …): `f(i)` runs variant `i` once, and its
-    /// result is recorded under `names[i]` as [`Self::bench`] records it.
-    /// Each variant calibrates its own iteration count, then warmup and
-    /// measured samples go round the variants in turn, so host drift over
-    /// the run lands on every variant alike instead of on their ratio.
+    /// result is recorded under `names[i]`. Each variant calibrates its own
+    /// iteration count (batching iterations up to ~20 ms per sample), then
+    /// warmup and measured samples go round the variants in turn, so host
+    /// drift over the run lands on every variant alike instead of on their
+    /// ratio.
     pub fn bench_interleaved<T>(
         &mut self,
         names: &[impl AsRef<str>],
@@ -160,7 +143,7 @@ impl Harness {
     }
 
     /// Print one result's summary line and keep it.
-    fn record(&mut self, result: BenchResult) -> &BenchResult {
+    fn record(&mut self, result: BenchResult) {
         eprintln!(
             "{:<44} {:>12}  [{} .. {}]  x{}",
             result.name,
@@ -170,7 +153,6 @@ impl Harness {
             result.iters,
         );
         self.results.push(result);
-        self.results.last().expect("just pushed")
     }
 
     /// All results so far.
@@ -195,18 +177,6 @@ impl Harness {
                 Json::arr(self.results.iter().map(BenchResult::to_json)),
             ),
         ])
-    }
-
-    /// Print the JSON report to stdout and, when `EM_BENCH_OUT` is set,
-    /// write it there too. Call this at the end of each bench `main`.
-    pub fn finish(&self) {
-        let rendered = self.to_json().render_pretty(2);
-        println!("{rendered}");
-        if let Ok(path) = std::env::var("EM_BENCH_OUT") {
-            std::fs::write(&path, rendered + "\n")
-                .unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-            eprintln!("report written to {path}");
-        }
     }
 }
 

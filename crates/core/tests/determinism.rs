@@ -9,7 +9,7 @@
 //! 3. stratified k-fold `cross_val_f1`,
 //! 4. permutation feature importances,
 //! 5. `em-data` benchmark synthesis,
-//! 6. the async SMBO search trajectory (serial fallback vs worker threads),
+//! 6. the batched search trajectory (inline rounds vs helper threads),
 //! 7. cached feature generation (`FeatureCache`): profile building and memo
 //!    filling at any thread count, bit-identical to the uncached path,
 //! 8. `em-weak` labeling-function application and label-model EM fitting
@@ -312,10 +312,11 @@ fn results_are_identical_with_tracing_on_and_off() {
 #[test]
 fn async_smbo_trajectory_is_thread_count_invariant() {
     let _guard = serialize();
-    // End-to-end: the full AutoML-EM driver with async candidate
-    // evaluation, run once with a 1-thread pool (the inline path) and once
-    // with a multi-worker pool — same seed, identical trajectory, including
-    // the forest fits nested inside each objective evaluation.
+    // End-to-end: the full AutoML-EM driver with batched candidate
+    // evaluation, run once with a 1-thread pool (every round inline) and
+    // once with a wide pool (rounds on helper threads) — same seed,
+    // identical trajectory, including the forest fits nested inside each
+    // objective evaluation.
     let ds = em_data::Benchmark::FodorsZagats.generate_scaled(2, 0.2);
     let prep = automl_em::PreparedDataset::prepare(&ds, FeatureScheme::AutoMlEm, 2);
     let (xt, yt) = prep.train();

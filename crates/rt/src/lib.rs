@@ -15,7 +15,7 @@
 //!   [`derive_seed`] per-task stream-splitting discipline that keeps
 //!   parallel sections bit-identical across thread counts.
 //! * [`channel`](mod@channel) — a blocking MPMC channel (`Mutex<VecDeque>` + `Condvar`)
-//!   for coordinator/worker protocols such as the async SMBO scheduler.
+//!   for coordinator/worker protocols such as the serving stream's stages.
 //! * [`sync`] — `parking_lot`-flavored wrappers over `std::sync` (a
 //!   [`sync::Mutex`] whose `lock()` returns the guard directly).
 //! * [`json`] — a minimal JSON value/writer/parser for benchmark and

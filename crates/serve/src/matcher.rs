@@ -27,8 +27,7 @@
 //! ## Streaming design
 //!
 //! `match_stream` pulls query tables from an [`em_rt::channel()`] and runs a
-//! four-stage pipeline, mirroring the async-SMBO coordinator/worker shape
-//! in `em-automl`:
+//! four-stage pipeline of dedicated threads around one coordinator:
 //!
 //! * **Fetch stage** (one dedicated thread per stream) — receives batches
 //!   in arrival order, spends a credit on each, and runs the fetch half
@@ -296,11 +295,13 @@ struct Gathered {
     telem: BatchTelemetry,
 }
 
-/// One batch after [`Gathered::featurize`], awaiting prediction.
+/// One batch after [`Gathered::featurize`], awaiting prediction. It keeps
+/// the whole gathered batch, so the slice and the local pairs are freed by
+/// [`Featurized::predict`] on a predict worker, off the stream's serial
+/// featurization stage.
 struct Featurized {
-    pairs: Vec<RecordPair>,
+    gathered: Gathered,
     features: Matrix,
-    telem: BatchTelemetry,
 }
 
 impl Fetcher {
@@ -360,7 +361,7 @@ impl Gathered {
     /// `(queries, slice)` under slice-local indices equals featurizing
     /// `(queries, catalog)` under global ones, pair for pair, whichever
     /// catalog backs the matcher.
-    fn featurize(self, cache: &mut FeatureCache, queries: &Table) -> Featurized {
+    fn featurize(mut self, cache: &mut FeatureCache, queries: &Table) -> Featurized {
         let t_feat = Instant::now();
         let features = {
             let _span = em_obs::span!("serve.featurize");
@@ -368,12 +369,10 @@ impl Gathered {
             cache.rebind_right(&self.slice);
             cache.generate(queries, &self.slice, &self.local_pairs)
         };
-        let mut telem = self.telem;
-        telem.featurize_ns = t_feat.elapsed().as_nanos() as u64;
+        self.telem.featurize_ns = t_feat.elapsed().as_nanos() as u64;
         Featurized {
-            pairs: self.pairs,
+            gathered: self,
             features,
-            telem,
         }
     }
 }
@@ -383,8 +382,8 @@ impl Featurized {
     fn predict(self, pipeline: &FittedEmPipeline) -> (Vec<MatchRecord>, BatchTelemetry) {
         let _span = em_obs::span!("serve.predict");
         let t_pred = Instant::now();
-        let matches = score_pairs(pipeline, &self.pairs, &self.features);
-        let mut telem = self.telem;
+        let matches = score_pairs(pipeline, &self.gathered.pairs, &self.features);
+        let mut telem = self.gathered.telem;
         telem.predict_ns = t_pred.elapsed().as_nanos() as u64;
         (matches, telem)
     }
