@@ -161,13 +161,14 @@ fn persistence_check(cat: &ScaleCatalog, index: IncrementalIndex) -> f64 {
     let want = p.candidates(&queries, 0);
     drop(p);
     let t0 = Instant::now();
-    let mut reopened = PersistentIndex::open(&dir).expect("recovery");
+    let reopened = PersistentIndex::open(&dir).expect("recovery");
     let secs = t0.elapsed().as_secs_f64();
-    // Probe bounds are a serving-config knob, not on-disk state: re-apply
-    // the ones the pre-shutdown index was probing with.
-    reopened
-        .index_mut()
-        .set_probe_limits(Some(TOP_K), Some(MAX_POSTING));
+    // The checkpoint carries the probe bounds the index was serving with.
+    assert_eq!(
+        reopened.index().options(),
+        options(em_serve::DEFAULT_SHARD_SPAN, true),
+        "recovered probe bounds diverged"
+    );
     reopened.index().verify_invariants().expect("invariants");
     assert_eq!(
         reopened.candidates(&queries, 0),
@@ -334,9 +335,6 @@ fn scored_row(cat: &ScaleCatalog, artifact_path: &str, records: usize) -> Json {
         "scored: store + index reopened in {}",
         fmt_ns(reopen_secs * 1e9)
     );
-    // Probe bounds are runtime tuning, not on-disk state: re-apply after
-    // the snapshot round trip.
-    matcher.set_probe_limits(Some(TOP_K), Some(MAX_POSTING));
 
     // Store-backed phase, with its own HWM window: one pipelined stream
     // for throughput, then per-batch one-shot calls for latency quantiles.

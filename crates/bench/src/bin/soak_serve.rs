@@ -182,12 +182,13 @@ fn main() {
     let queries = cat.queries(9_000_000, 50);
     let want = p.candidates(&queries, 0);
     let live = p.index().len();
+    let options = p.index().options();
     drop(p);
-    let mut reopened =
-        PersistentIndex::open(&dir).unwrap_or_else(|e| fail(&format!("reopen: {e}")));
-    // Probe bounds are serving config, not on-disk state: re-apply them so
-    // the recovered index answers under the same limits it ran with.
-    reopened.index_mut().set_probe_limits(Some(64), Some(4096));
+    let reopened = PersistentIndex::open(&dir).unwrap_or_else(|e| fail(&format!("reopen: {e}")));
+    // The checkpoint carries the probe bounds the index ran with.
+    if reopened.index().options() != options {
+        fail("recovered probe bounds drifted");
+    }
     if let Err(e) = reopened.index().verify_invariants() {
         fail(&format!("recovered invariant violation: {e}"));
     }

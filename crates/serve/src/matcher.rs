@@ -523,11 +523,15 @@ impl Matcher {
     /// highest-overlap candidates per query and prune query tokens whose
     /// document frequency exceeds `max_posting`. `None` disables either
     /// bound; with both off, candidate sets are exact.
+    ///
+    /// On a store-backed matcher the bounds are part of the index
+    /// checkpoint but are not logged: they reach disk with the next
+    /// [`PersistentIndex::snapshot`], and a reopen before that restores
+    /// the last checkpoint's bounds (see [`crate::store`]).
     pub fn set_probe_limits(&mut self, top_k: Option<usize>, max_posting: Option<usize>) {
         match &mut self.fetcher.catalog {
             Catalog::Memory { index, .. } => index.set_probe_limits(top_k, max_posting),
-            // Probe bounds are runtime tuning, not index state, so they do
-            // not WAL-log.
+            // Not WAL-logged: the bounds persist with the next checkpoint.
             Catalog::Store { index, .. } => index.index_mut().set_probe_limits(top_k, max_posting),
         }
     }

@@ -1,16 +1,34 @@
-//! Snapshot + append-only replay-log persistence for the serving index.
+//! Checkpoint + append-only replay-log persistence for the serving index.
 //!
 //! The pre-scale serving layer persisted the whole index as one JSON
 //! document per save — O(catalog) bytes rewritten for every record change.
-//! [`IndexStore`] replaces that with the classic snapshot + WAL split:
+//! [`IndexStore`] replaces that with the classic checkpoint + WAL split:
 //!
-//! * **`snapshot.json`** — the index's attribute, `min_overlap`,
-//!   `shard_span`, interned tokens in id order and each row's token ids
-//!   (postings are derived state, rebuilt on load), written atomically
-//!   (temp file + rename). This module owns the codec; the index itself
-//!   lives in `em-table`, which has no JSON helpers.
+//! * **`snapshot.json`** — a binary checkpoint of the index, written
+//!   atomically (temp file + rename). The file keeps the name it had when
+//!   it held JSON, for good: index directories are addressed by their two
+//!   file names (the benchmark's `index_churn` copies them by name), and
+//!   with one name for both formats a migration is a single rename that
+//!   leaves no legacy file to remove. Its first eight bytes say which
+//!   format it holds. The frame:
+//!
+//!   | bytes  | field                                                   |
+//!   |--------|---------------------------------------------------------|
+//!   | 0..8   | magic `em-index`                                        |
+//!   | 8..12  | format version, `u32` LE (2; the JSON snapshot was 1)   |
+//!   | 12..20 | payload length, `u64` LE                                |
+//!   | 20..24 | payload CRC-32 (IEEE), `u32` LE                         |
+//!   | 24..   | payload                                                 |
+//!
+//!   The payload is [`IncrementalIndex::write_checkpoint`]'s: the
+//!   attribute, `min_overlap`, `shard_span`, `top_k` and `max_posting`,
+//!   the interned tokens in id order, each row's encoded token ids (or
+//!   none), and each shard's posting lists as (token id, encoded local
+//!   rows) in ascending token order, compacted. A reopen copies those
+//!   bytes straight into the index's lists; it parses no JSON and
+//!   rebuilds no postings, and the probe bounds come back with the rest.
 //! * **`wal.log`** — an append-only log of upsert/remove operations applied
-//!   since the snapshot. Each record is framed as
+//!   since the checkpoint. Each record is framed as
 //!
 //!   ```text
 //!   llllllll cccccccc <payload>\n
@@ -21,20 +39,38 @@
 //!   JSON object (`{"op":"upsert","row":N,"value":...}` or
 //!   `{"op":"remove","row":N}`).
 //!
-//! Recovery ([`IndexStore::open`]) loads the snapshot, replays the log, and
-//! verifies the index's postings invariants. The frame format makes torn
-//! writes detectable and recoverable: a crash mid-append leaves a final
-//! record that is a strict prefix of a valid frame, which recovery drops
-//! (truncating the log back to the last complete record) — the index state
-//! is then exactly the pre-crash state minus the interrupted write. Any
-//! *interior* damage — a header that is not hex-and-spaces, a payload whose
-//! CRC does not match, a missing `\n` terminator — is a hard error, never a
+//! Recovery ([`IndexStore::open`]) loads the checkpoint, which must pass
+//! [`IncrementalIndex::verify_invariants`], replays the log, and verifies
+//! the index again when the log held operations. The frame format makes
+//! torn writes detectable and recoverable: a crash mid-append leaves a
+//! final record that is a strict prefix of a valid frame, which recovery
+//! drops (truncating the log back to the last complete record) — the index
+//! state is then exactly the pre-crash state minus the interrupted write.
+//! Any *interior* damage — a header that is not hex-and-spaces, a payload
+//! whose CRC does not match, a missing `\n` terminator, a checkpoint whose
+//! length, CRC or contents do not check out — is a hard error, never a
 //! silently wrong index.
 //!
 //! Replaying an operation is idempotent (an upsert carries the record's
 //! absolute value, not a delta), so [`IndexStore::snapshot`] can rename the
-//! new snapshot into place *before* truncating the log: a crash between
-//! the two steps merely replays ops the snapshot already contains.
+//! new checkpoint into place *before* truncating the log: a crash between
+//! the two steps merely replays ops the checkpoint already contains.
+//!
+//! **Probe bounds persist as of the last checkpoint.** `top_k` and
+//! `max_posting` are probe tuning, not catalog operations, so the log does
+//! not carry them. A change made through [`PersistentIndex::index_mut`] (or
+//! [`Matcher::set_probe_limits`](crate::Matcher::set_probe_limits) on a
+//! store-backed matcher) reaches disk with the next
+//! [`IndexStore::snapshot`]; a reopen before that restores the bounds of
+//! the last checkpoint. Callers that need new bounds to survive a restart
+//! snapshot after setting them, or set them again after open.
+//!
+//! **Legacy directories.** A `snapshot.json` that does not start with the
+//! magic is a version-1 JSON snapshot (attribute, `min_overlap`,
+//! `shard_span`, tokens and each row's token ids; postings rebuilt on
+//! load; probe bounds off). It still loads, and nothing writes one any
+//! more: the first [`IndexStore::snapshot`] of such a directory renames a
+//! binary checkpoint over it, then truncates the log, which migrates it.
 
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -59,6 +95,13 @@ static G_WAL_BYTES: em_obs::live::Gauge = em_obs::live::Gauge::new("serve.wal_by
 
 /// Frame header: 8 hex length digits, space, 8 hex CRC digits, space.
 pub(crate) const HEADER_LEN: usize = 18;
+
+/// First bytes of a binary checkpoint.
+pub const CHECKPOINT_MAGIC: [u8; 8] = *b"em-index";
+/// Checkpoint format version this build writes and reads.
+const CHECKPOINT_VERSION: u32 = 2;
+/// Checkpoint frame: magic, version, payload length, payload CRC-32.
+const CHECKPOINT_HEADER: usize = 24;
 
 /// CRC-32 (IEEE 802.3, reflected polynomial) lookup table, built at
 /// compile time so the crate stays dependency-free.
@@ -91,28 +134,65 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     !c
 }
 
-/// Render `index` as the `snapshot.json` document.
-fn snapshot_to_json(index: &IncrementalIndex) -> Json {
-    Json::obj([
-        ("attribute", Json::from(index.attribute())),
-        ("min_overlap", Json::from(index.min_overlap())),
-        ("shard_span", Json::from(index.shard_span())),
-        ("tokens", Json::arr(index.tokens().map(Json::from))),
-        (
-            "records",
-            Json::arr(index.records().iter().map(|t| match t {
-                None => Json::Null,
-                Some(ids) => Json::arr(ids.iter().map(|id| Json::from(u64::from(id)))),
-            })),
-        ),
-    ])
+/// `index`'s checkpoint file: the frame header, then the payload
+/// [`IncrementalIndex::write_checkpoint`] appends.
+pub fn encode_checkpoint(index: &IncrementalIndex) -> Vec<u8> {
+    let mut out = Vec::new();
+    out.extend_from_slice(&CHECKPOINT_MAGIC);
+    out.extend_from_slice(&CHECKPOINT_VERSION.to_le_bytes());
+    out.resize(CHECKPOINT_HEADER, 0);
+    index.write_checkpoint(&mut out);
+    let payload_len = (out.len() - CHECKPOINT_HEADER) as u64;
+    let crc = crc32(&out[CHECKPOINT_HEADER..]);
+    out[12..20].copy_from_slice(&payload_len.to_le_bytes());
+    out[20..24].copy_from_slice(&crc.to_le_bytes());
+    out
 }
 
-/// Load a [`snapshot_to_json`] document through
-/// [`IncrementalIndex::from_parts`], which rebuilds postings and rejects
-/// out-of-range or unsorted token ids. Rows are decoded one at a time as
-/// the index consumes them. Documents written before sharding (no
-/// `shard_span` field) load with the default span.
+/// Load an [`encode_checkpoint`] file: check the frame, then hand the
+/// payload to [`IncrementalIndex::from_checkpoint`], which returns only a
+/// verified index.
+///
+/// # Errors
+/// Fails on a short or foreign header, an unknown version, a length that
+/// is not the payload's, a CRC mismatch, or any payload defect.
+pub fn decode_checkpoint(bytes: &[u8]) -> Result<IncrementalIndex, String> {
+    let Some((header, payload)) = bytes.split_at_checked(CHECKPOINT_HEADER) else {
+        return Err("checkpoint: header truncated".into());
+    };
+    let field = |range: std::ops::Range<usize>| {
+        header[range]
+            .iter()
+            .rev()
+            .fold(0u64, |v, &b| (v << 8) | u64::from(b))
+    };
+    if header[..8] != CHECKPOINT_MAGIC {
+        return Err("checkpoint: bad magic".into());
+    }
+    let version = field(8..12);
+    if version != u64::from(CHECKPOINT_VERSION) {
+        return Err(format!(
+            "checkpoint: version {version} unsupported (this build reads {CHECKPOINT_VERSION})"
+        ));
+    }
+    let len = field(12..20);
+    if len != payload.len() as u64 {
+        return Err(format!(
+            "checkpoint: length {len} != {} payload bytes",
+            payload.len()
+        ));
+    }
+    if field(20..24) != u64::from(crc32(payload)) {
+        return Err("checkpoint: crc mismatch".into());
+    }
+    IncrementalIndex::from_checkpoint(payload).map_err(|e| format!("checkpoint: {e}"))
+}
+
+/// Load a version-1 JSON snapshot through [`IncrementalIndex::from_parts`],
+/// which rebuilds postings and rejects out-of-range or unsorted token ids,
+/// then verify it as every loaded checkpoint is. Rows are decoded one at a
+/// time as the index consumes them. Documents written before sharding (no
+/// `shard_span` field) load with the default span; probe bounds load off.
 fn snapshot_from_json(j: &Json) -> Result<IncrementalIndex, String> {
     let attribute = jsonio::as_str(jsonio::field(j, "attribute")?)?;
     let tokens = jsonio::field(j, "tokens")?
@@ -145,7 +225,20 @@ fn snapshot_from_json(j: &Json) -> Result<IncrementalIndex, String> {
                 .collect::<Result<Vec<u32>, String>>()
                 .map(Some),
         });
-    IncrementalIndex::from_parts(attribute, opts, tokens, records)
+    let index = IncrementalIndex::from_parts(attribute, opts, tokens, records)?;
+    index.verify_invariants()?;
+    Ok(index)
+}
+
+/// Load `snapshot.json` in whichever format its first bytes name.
+fn load_snapshot(path: &Path) -> Result<IncrementalIndex, String> {
+    let bytes = fs::read(path).map_err(|e| io_err("read", path, e))?;
+    if bytes.starts_with(&CHECKPOINT_MAGIC) {
+        return decode_checkpoint(&bytes);
+    }
+    let text = std::str::from_utf8(&bytes).map_err(|e| format!("snapshot: {e}"))?;
+    let doc = Json::parse(text).map_err(|e| format!("snapshot: {e}"))?;
+    snapshot_from_json(&doc).map_err(|e| format!("snapshot: {e}"))
 }
 
 /// One replayable operation.
@@ -288,8 +381,9 @@ pub(crate) fn io_err(what: &str, path: &Path, e: std::io::Error) -> String {
     format!("{what} {}: {e}", path.display())
 }
 
-/// On-disk home of one serving index: `snapshot.json` + `wal.log` in a
-/// directory. See the module docs for the format and recovery rules.
+/// On-disk home of one serving index: the `snapshot.json` checkpoint +
+/// `wal.log` in a directory. See the module docs for the format and
+/// recovery rules.
 pub struct IndexStore {
     dir: PathBuf,
     log: File,
@@ -330,19 +424,20 @@ impl IndexStore {
         Ok(store)
     }
 
-    /// Recover the index persisted in `dir`: load the snapshot, replay the
-    /// log (dropping a torn final record and truncating the file back to
-    /// the last complete frame), and verify the index invariants.
+    /// Recover the index persisted in `dir`: load the checkpoint (binary,
+    /// or a legacy JSON snapshot) and verify it, replay the log (dropping a
+    /// torn final record and truncating the file back to the last complete
+    /// frame), and verify the index again when the log held operations.
+    /// The loaded index is verified before the log replays onto it, so
+    /// replay never starts from a state it could trip over, and with an
+    /// empty log the replayed index is the verified one.
     ///
     /// # Errors
-    /// Fails on a missing/corrupt snapshot, interior log corruption, or an
-    /// invariant violation in the recovered index.
+    /// Fails on a missing/corrupt checkpoint, interior log corruption, or an
+    /// invariant violation in the loaded or recovered index.
     pub fn open(dir: impl Into<PathBuf>) -> Result<(Self, IncrementalIndex), String> {
         let dir = dir.into();
-        let snap_path = Self::snapshot_path(&dir);
-        let text = fs::read_to_string(&snap_path).map_err(|e| io_err("read", &snap_path, e))?;
-        let doc = Json::parse(&text).map_err(|e| format!("snapshot: {e}"))?;
-        let mut index = snapshot_from_json(&doc)?;
+        let mut index = load_snapshot(&Self::snapshot_path(&dir))?;
         let wal_path = Self::wal_path(&dir);
         let mut log = OpenOptions::new()
             .read(true)
@@ -361,9 +456,11 @@ impl IndexStore {
         }
         log.seek(SeekFrom::Start(valid_len))
             .map_err(|e| io_err("seek", &wal_path, e))?;
-        index
-            .verify_invariants()
-            .map_err(|e| format!("recovered index failed invariants: {e}"))?;
+        if log_records > 0 {
+            index
+                .verify_invariants()
+                .map_err(|e| format!("recovered index failed invariants: {e}"))?;
+        }
         Ok((
             IndexStore {
                 dir,
@@ -411,9 +508,11 @@ impl IndexStore {
         Ok(())
     }
 
-    /// Write a fresh snapshot of `index` and reset the log. The snapshot
-    /// lands atomically (temp + rename) *before* the log is truncated;
-    /// replay idempotence makes a crash between the two steps harmless.
+    /// Write a fresh checkpoint of `index` and reset the log. The
+    /// checkpoint lands atomically (temp + rename) *before* the log is
+    /// truncated; replay idempotence makes a crash between the two steps
+    /// harmless. In a legacy directory the rename replaces the JSON
+    /// snapshot, which completes its migration.
     ///
     /// # Errors
     /// Propagates filesystem failures.
@@ -444,7 +543,7 @@ impl IndexStore {
     fn write_snapshot(&mut self, index: &IncrementalIndex) -> Result<(), String> {
         let path = Self::snapshot_path(&self.dir);
         let tmp = self.dir.join("snapshot.json.tmp");
-        fs::write(&tmp, snapshot_to_json(index).render()).map_err(|e| io_err("write", &tmp, e))?;
+        fs::write(&tmp, encode_checkpoint(index)).map_err(|e| io_err("write", &tmp, e))?;
         fs::rename(&tmp, &path).map_err(|e| io_err("rename", &tmp, e))?;
         SNAPSHOTS.incr();
         Ok(())
@@ -549,9 +648,12 @@ impl PersistentIndex {
         &self.index
     }
 
-    /// Mutable access for non-replayed tuning (probe limits); mutations
-    /// that change catalog state must go through [`Self::upsert`] /
-    /// [`Self::remove`] or they will not survive recovery.
+    /// Mutable access for tuning that is not logged: probe limits set here
+    /// reach disk with the next [`Self::snapshot`], and a reopen before
+    /// that restores the last checkpoint's (see the module docs).
+    /// Mutations that change catalog state must go through
+    /// [`Self::upsert`] / [`Self::remove`] or they will not survive
+    /// recovery.
     pub fn index_mut(&mut self) -> &mut IncrementalIndex {
         &mut self.index
     }
@@ -634,14 +736,43 @@ mod tests {
         let mut index = IncrementalIndex::build("name", 1, &catalog).unwrap();
         index.remove(2);
         index.upsert(7, Some("late arrival grill"));
-        let doc = snapshot_to_json(&index).render();
-        let loaded = snapshot_from_json(&Json::parse(&doc).unwrap()).unwrap();
-        loaded.verify_invariants().unwrap();
-        assert_eq!(snapshot_to_json(&loaded).render(), doc);
-        assert_eq!((loaded.min_overlap(), loaded.len()), (1, index.len()));
+        index.set_probe_limits(Some(5), None);
+        let file = encode_checkpoint(&index);
+        let loaded = decode_checkpoint(&file).unwrap();
+        assert_eq!(encode_checkpoint(&loaded), file);
+        assert_eq!(loaded.options(), index.options());
+        assert_eq!(loaded.len(), index.len());
+        assert_eq!(loaded.stale_debt(), 0);
         assert_eq!(
             loaded.candidates(&queries, 0),
             index.candidates(&queries, 0)
         );
+    }
+
+    #[test]
+    fn checkpoint_frame_defects_are_rejected() {
+        let mut index = IncrementalIndex::new("name", 1);
+        index.upsert(0, Some("fenix at the argyle"));
+        let file = encode_checkpoint(&index);
+        let with = |at: usize, bytes: &[u8]| {
+            let mut f = file.clone();
+            f[at..at + bytes.len()].copy_from_slice(bytes);
+            decode_checkpoint(&f).err().expect("defect accepted")
+        };
+        assert_eq!(
+            decode_checkpoint(&file[..CHECKPOINT_HEADER - 1])
+                .err()
+                .unwrap(),
+            "checkpoint: header truncated"
+        );
+        assert_eq!(with(0, b"em-indey"), "checkpoint: bad magic");
+        assert!(with(8, &3u32.to_le_bytes()).contains("version 3 unsupported"));
+        assert!(with(12, &u64::MAX.to_le_bytes()).contains("payload bytes"));
+        let last = file.len() - 1;
+        assert_eq!(with(last, &[file[last] ^ 1]), "checkpoint: crc mismatch");
+        let mut longer = file.clone();
+        longer.push(0);
+        let err = decode_checkpoint(&longer).err().unwrap();
+        assert!(err.contains("payload bytes"), "{err}");
     }
 }

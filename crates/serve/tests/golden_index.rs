@@ -1,25 +1,29 @@
-//! Golden on-disk format test: a pre-built snapshot + replay-log pair
-//! checked into `tests/fixtures/index_v1/` must keep loading and must
-//! answer a fixed query set bit-exactly — the serving-index analogue of
-//! the `artifact_pre_binned.json` guard for model artifacts. If this test
-//! fails after an intentional format change, regenerate the fixture with
+//! Golden on-disk format tests: pre-built checkpoint + replay-log pairs
+//! checked into `tests/fixtures/` must keep loading and must answer a
+//! fixed query set bit-exactly — the serving-index analogue of the
+//! `artifact_pre_binned.json` guard for model artifacts. Neither fixture
+//! is ever regenerated:
 //!
-//! ```text
-//! EM_REGEN_INDEX_FIXTURE=1 cargo test -p em-serve --test golden_index -- --nocapture
-//! ```
-//!
-//! and update the hardcoded expectations below.
+//! * `index_v1` holds a version-1 JSON `snapshot.json`, the format the
+//!   store wrote before the binary checkpoint; nothing writes it any more.
+//! * `index_v2` holds the version-2 binary checkpoint of the same index,
+//!   and the same log. [`build_fixture`] is how both were made; a change
+//!   that makes the writer stop reproducing `index_v2`'s bytes is a format
+//!   change, which needs a new version and a new fixture.
 
 use em_serve::{IncrementalIndex, IndexOptions, PersistentIndex};
 use em_table::{parse_csv, RecordPair};
 use std::fs;
 use std::path::{Path, PathBuf};
 
-fn fixture_dir() -> PathBuf {
+/// The files of a store directory, checkpoint first.
+const FILES: [&str; 2] = ["snapshot.json", "wal.log"];
+
+fn fixture_dir(name: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("tests")
         .join("fixtures")
-        .join("index_v1")
+        .join(name)
 }
 
 fn queries() -> em_table::Table {
@@ -33,7 +37,7 @@ fn queries() -> em_table::Table {
     .unwrap()
 }
 
-/// The exact candidate set the fixture must produce for [`queries`].
+/// The exact candidate set both fixtures must produce for [`queries`].
 fn expected() -> Vec<RecordPair> {
     [(0, 1), (0, 6), (1, 2), (1, 4), (1, 6), (2, 0), (3, 5)]
         .into_iter()
@@ -41,7 +45,7 @@ fn expected() -> Vec<RecordPair> {
         .collect()
 }
 
-/// Build the fixture deterministically (only used for regeneration).
+/// Build the fixture index into `dir` deterministically.
 fn build_fixture(dir: &Path) {
     let mut base = IncrementalIndex::with_options(
         "name",
@@ -66,26 +70,22 @@ fn build_fixture(dir: &Path) {
     p.upsert(5, Some("velvet lounge")).unwrap();
 }
 
-#[test]
-fn golden_fixture_loads_and_answers_bit_exactly() {
-    let dir = fixture_dir();
-    if std::env::var("EM_REGEN_INDEX_FIXTURE").is_ok() {
-        build_fixture(&dir);
-        let p = PersistentIndex::open(&dir).unwrap();
-        println!("regenerated fixture; candidates:");
-        for pair in p.candidates(&queries(), 0) {
-            println!("  ({}, {})", pair.left, pair.right);
-        }
-        return;
-    }
-    // Work on a copy: opening takes a write handle on the log, and the
-    // checked-in fixture must never be modified by a test run.
-    let work = std::env::temp_dir().join(format!("em-golden-{}", std::process::id()));
+fn work_dir(tag: &str) -> PathBuf {
+    let work = std::env::temp_dir().join(format!("em-golden-{tag}-{}", std::process::id()));
     let _ = fs::remove_dir_all(&work);
+    work
+}
+
+/// Open a copy of fixture `name` (opening takes a write handle on the
+/// log, and a checked-in fixture must never be modified by a test run)
+/// and check it answers bit-exactly.
+fn check_fixture(name: &str) {
+    let dir = fixture_dir(name);
+    let work = work_dir(name);
     fs::create_dir_all(&work).unwrap();
-    for name in ["snapshot.json", "wal.log"] {
-        fs::copy(dir.join(name), work.join(name))
-            .unwrap_or_else(|e| panic!("fixture file {name} missing: {e}"));
+    for file in FILES {
+        fs::copy(dir.join(file), work.join(file))
+            .unwrap_or_else(|e| panic!("fixture file {name}/{file} missing: {e}"));
     }
     let p = PersistentIndex::open(&work).unwrap();
     p.index().verify_invariants().unwrap();
@@ -95,5 +95,29 @@ fn golden_fixture_loads_and_answers_bit_exactly() {
     assert_eq!(p.index().len(), 6);
     assert_eq!(p.candidates(&queries(), 0), expected());
     assert_eq!(p.candidates(&queries(), 1), expected());
+    let _ = fs::remove_dir_all(&work);
+}
+
+#[test]
+fn golden_fixture_loads_and_answers_bit_exactly() {
+    check_fixture("index_v1");
+}
+
+#[test]
+fn golden_binary_fixture_loads_and_answers_bit_exactly() {
+    check_fixture("index_v2");
+}
+
+#[test]
+fn writer_reproduces_the_binary_fixture() {
+    let work = work_dir("rebuild");
+    build_fixture(&work);
+    for file in FILES {
+        let want = fs::read(fixture_dir("index_v2").join(file)).unwrap();
+        assert!(
+            fs::read(work.join(file)).unwrap() == want,
+            "{file} differs from tests/fixtures/index_v2/{file}"
+        );
+    }
     let _ = fs::remove_dir_all(&work);
 }

@@ -65,6 +65,29 @@ fn decode_varint(bytes: &[u8], pos: &mut usize) -> u32 {
     }
 }
 
+/// Decode one LEB128 varint starting at `pos` from bytes of unknown
+/// origin, advancing `pos` only on success. The varint must be complete,
+/// fit a `u32` and be the one [`encode_varint`] writes: no zero final
+/// byte after the first, so every value has exactly one encoding.
+fn checked_varint(bytes: &[u8], pos: &mut usize) -> Result<u32, &'static str> {
+    let mut v = 0u32;
+    for i in 0..5 {
+        let byte = *bytes.get(*pos + i).ok_or("truncated varint")?;
+        if i == 4 && byte > 0x0f {
+            return Err("value beyond u32");
+        }
+        v |= u32::from(byte & 0x7f) << (7 * i);
+        if byte & 0x80 == 0 {
+            if i > 0 && byte == 0 {
+                return Err("non-canonical varint");
+            }
+            *pos += i + 1;
+            return Ok(v);
+        }
+    }
+    unreachable!("the fifth byte has no continuation bit")
+}
+
 /// A strictly-ascending `u32` sequence stored as delta varints, inline for
 /// short lists. See the module docs for the layout rationale.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -113,12 +136,52 @@ impl DeltaList {
         list
     }
 
-    /// Encoded byte stream.
-    fn bytes(&self) -> &[u8] {
+    /// The encoded varint gap stream: what an index checkpoint stores and
+    /// [`Self::from_encoded`] reads back.
+    pub fn encoded(&self) -> &[u8] {
         match self {
             DeltaList::Inline { len, buf } => &buf[..usize::from(*len)],
             DeltaList::Spill { bytes, .. } => bytes,
         }
+    }
+
+    /// The list whose [`Self::encoded`] stream is `bytes`, checked in one
+    /// pass: every varint complete and canonical, every value below
+    /// `bound`, the values strictly ascending. The result equals, variant
+    /// included, the list that wrote the bytes (a stream of at most
+    /// [`INLINE_BYTES`] bytes is inline, a longer one spilled), and it
+    /// allocates at most `bytes.len()`.
+    ///
+    /// # Errors
+    /// Names the first defect of a stream no list encodes.
+    pub fn from_encoded(bytes: &[u8], bound: u32) -> Result<Self, &'static str> {
+        let (mut pos, mut count, mut last) = (0usize, 0u32, 0u32);
+        while pos < bytes.len() {
+            let gap = checked_varint(bytes, &mut pos)?;
+            if count > 0 && gap == 0 {
+                return Err("values not strictly ascending");
+            }
+            last = last.checked_add(gap).ok_or("value beyond u32")?;
+            if last >= bound {
+                return Err("value out of range");
+            }
+            // Strictly ascending values below `bound` number at most `bound`.
+            count += 1;
+        }
+        Ok(if bytes.len() <= INLINE_BYTES {
+            let mut buf = [0; INLINE_BYTES];
+            buf[..bytes.len()].copy_from_slice(bytes);
+            DeltaList::Inline {
+                len: bytes.len() as u8,
+                buf,
+            }
+        } else {
+            DeltaList::Spill {
+                bytes: bytes.to_vec(),
+                count,
+                last,
+            }
+        })
     }
 
     /// Number of values held.
@@ -131,7 +194,7 @@ impl DeltaList {
 
     /// True when no value is held.
     pub fn is_empty(&self) -> bool {
-        self.bytes().is_empty()
+        self.encoded().is_empty()
     }
 
     /// Largest (= last) value, `None` when empty.
@@ -153,7 +216,7 @@ impl DeltaList {
 
     /// Walk the decoded values in ascending order.
     pub fn iter(&self) -> DeltaIter<'_> {
-        DeltaIter::new(self.bytes())
+        DeltaIter::new(self.encoded())
     }
 
     /// How many held values also appear in `sorted` (strictly ascending):
@@ -173,17 +236,6 @@ impl DeltaList {
             }
         }
         n
-    }
-
-    /// True when `v` is held (forward walk; lists are short or this is the
-    /// slow path).
-    pub fn contains(&self, v: u32) -> bool {
-        for x in self.iter() {
-            if x >= v {
-                return x == v;
-            }
-        }
-        false
     }
 
     /// Append `v`, which must be strictly greater than [`Self::last`].
@@ -238,7 +290,7 @@ impl DeltaList {
         }
         // Some value is ≥ v. The first value is a gap from 0, so one walk
         // covers an insert before it too.
-        let bytes = self.bytes();
+        let bytes = self.encoded();
         let (mut pos, mut prev) = (0usize, 0u32);
         loop {
             let at = pos;
@@ -337,7 +389,6 @@ mod tests {
         assert_eq!(l.count(), 0);
         assert_eq!(l.last(), None);
         assert_eq!(l.iter().count(), 0);
-        assert!(!l.contains(0));
     }
 
     #[test]
@@ -358,8 +409,6 @@ mod tests {
         let l = DeltaList::from_sorted(&[5, 6, 9, 200]);
         assert!(matches!(l, DeltaList::Inline { .. }));
         assert_eq!(l.iter().collect::<Vec<_>>(), vec![5, 6, 9, 200]);
-        assert!(l.contains(9));
-        assert!(!l.contains(10));
         assert_eq!(l.heap_bytes(), 0);
     }
 
@@ -389,6 +438,46 @@ mod tests {
         let vals = [0, 1, u32::MAX - 1, u32::MAX];
         let l = DeltaList::from_sorted(&vals);
         assert_eq!(l.iter().collect::<Vec<_>>(), vals);
+    }
+
+    #[test]
+    fn from_encoded_round_trips_inline_and_spilled_lists() {
+        for vals in [
+            vec![],
+            vec![0],
+            vec![5, 6, 9, 200],
+            (0..200).map(|i| i * 3).collect(),
+        ] {
+            let l = DeltaList::from_sorted(&vals);
+            assert_eq!(DeltaList::from_encoded(l.encoded(), 600), Ok(l));
+        }
+        let top = DeltaList::from_sorted(&[0, u32::MAX - 1]);
+        assert_eq!(DeltaList::from_encoded(top.encoded(), u32::MAX), Ok(top));
+    }
+
+    #[test]
+    fn from_encoded_rejects_every_stream_no_list_writes() {
+        let max = u32::MAX;
+        let cases: [(&[u8], u32, &str); 7] = [
+            (&[0x85], 5, "truncated varint"),
+            (&[0x85, 0x00], 5, "non-canonical varint"),
+            (&[0xff, 0xff, 0xff, 0xff, 0x1f], max, "value beyond u32"),
+            (
+                &[0xff, 0xff, 0xff, 0xff, 0x8f, 0x01],
+                max,
+                "value beyond u32",
+            ),
+            (
+                &[0xfe, 0xff, 0xff, 0xff, 0x0f, 0x02],
+                max,
+                "value beyond u32",
+            ),
+            (&[3, 0], 5, "values not strictly ascending"),
+            (&[3, 1, 1], 5, "value out of range"),
+        ];
+        for (bytes, bound, why) in cases {
+            assert_eq!(DeltaList::from_encoded(bytes, bound), Err(why), "{bytes:?}");
+        }
     }
 
     #[test]

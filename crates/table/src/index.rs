@@ -31,6 +31,12 @@
 //!   optional per-query `top_k` keeps only the highest-overlap candidates.
 //!   Both default to off, in which case candidate sets are **bit-identical**
 //!   to the exact single-shard index.
+//! * **Binary checkpoints.** [`IncrementalIndex::write_checkpoint`] dumps
+//!   the options, the interner and every encoded list, each shard
+//!   compacted; [`IncrementalIndex::from_checkpoint`] copies the lists
+//!   back in one bounds-checked pass instead of rebuilding postings, and
+//!   returns only an index that passes its invariant check. `em-serve`'s
+//!   store frames the bytes and does the file work.
 //!
 //! **Invariants** (checked by [`IncrementalIndex::verify_invariants`],
 //! relied on by the probe loop):
@@ -92,7 +98,7 @@ const QUERY_CHUNK: usize = 256;
 const COMPACT_MIN_STALE: u64 = 256;
 
 /// Tuning knobs for [`IncrementalIndex::with_options`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IndexOptions {
     /// Minimum shared-token count for a candidate (`>= 1`).
     pub min_overlap: usize,
@@ -306,6 +312,17 @@ impl IncrementalIndex {
         self.shard_span
     }
 
+    /// The options this index runs with: the ones it was built with, with
+    /// any later [`set_probe_limits`](Self::set_probe_limits) applied.
+    pub fn options(&self) -> IndexOptions {
+        IndexOptions {
+            min_overlap: self.min_overlap,
+            shard_span: self.shard_span,
+            top_k: self.top_k,
+            max_posting: self.max_posting,
+        }
+    }
+
     /// Change the probe bounds on a live index: per-query candidate cap and
     /// document-frequency pruning threshold (`None` disables either). With
     /// both off, candidate sets are exact.
@@ -410,9 +427,9 @@ impl IncrementalIndex {
         COMPACTIONS.incr();
     }
 
-    /// Derive shard `shard_i`'s postings from the record truth in one
-    /// ascending pass, dropping every retired entry.
-    fn rebuild_shard(&mut self, shard_i: usize) {
+    /// Shard `shard_i`'s postings derived from the record truth in one
+    /// ascending pass, without retired entries, and their pair count.
+    fn compacted_postings(&self, shard_i: usize) -> (HashMap<u32, DeltaList>, u64) {
         let base = shard_i * self.shard_span;
         let end = (base + self.shard_span).min(self.records.len());
         let mut postings: HashMap<u32, DeltaList> = HashMap::new();
@@ -427,6 +444,13 @@ impl IncrementalIndex {
                 }
             }
         }
+        (postings, entries)
+    }
+
+    /// Replace shard `shard_i`'s postings with their compacted form,
+    /// dropping every retired entry.
+    fn rebuild_shard(&mut self, shard_i: usize) {
+        let (postings, entries) = self.compacted_postings(shard_i);
         let shard = &mut self.shards[shard_i];
         shard.postings = postings;
         shard.entries = entries;
@@ -620,8 +644,11 @@ impl IncrementalIndex {
     }
 
     /// Check every structural invariant the probe relies on; returns a
-    /// description of the first violation. O(total encoded entries × record
-    /// length) — cheap enough for every recovery, not meant for per-op use.
+    /// description of the first violation. Linear in the live and encoded
+    /// pairs: each shard counting-sorts its live `(token, row)` pairs by
+    /// token, then merge-walks every posting list against its token's
+    /// ascending live rows. Cheap enough for every recovery, not meant for
+    /// per-op use.
     pub fn verify_invariants(&self) -> Result<(), String> {
         let n_tokens = self.interner.len();
         let mut df = vec![0u32; n_tokens];
@@ -652,12 +679,51 @@ impl IncrementalIndex {
         {
             return Err("shard count out of sync with record count".into());
         }
+        // Per shard, token `t`'s live local rows end up ascending in
+        // `rows[end[t] - count[t]..end[t]]`. `count` is zeroed again for
+        // the tokens a shard touched, so the arrays serve every shard.
+        let mut count = vec![0u32; n_tokens];
+        let mut end = vec![0usize; n_tokens];
+        let mut touched: Vec<u32> = Vec::new();
+        let mut rows: Vec<u32> = Vec::new();
         for (s, shard) in self.shards.iter().enumerate() {
             let base = s * self.shard_span;
-            let end = (base + self.shard_span).min(self.records.len());
+            let records = self
+                .records
+                .get(base..(base + self.shard_span).min(self.records.len()))
+                .unwrap_or_default();
+            for ids in records.iter().flatten() {
+                for id in ids.iter() {
+                    let c = &mut count[id as usize];
+                    if *c == 0 {
+                        touched.push(id);
+                    }
+                    *c += 1;
+                }
+            }
+            let mut live_pairs = 0usize;
+            for &t in &touched {
+                end[t as usize] = live_pairs;
+                live_pairs += count[t as usize] as usize;
+            }
+            rows.resize(live_pairs, 0);
+            for (local, rec) in records.iter().enumerate() {
+                for id in rec.iter().flat_map(DeltaList::iter) {
+                    let slot = &mut end[id as usize];
+                    rows[*slot] = local as u32;
+                    *slot += 1;
+                }
+            }
             let (mut entries, mut encoded_live) = (0u64, 0u64);
             for (&token, list) in &shard.postings {
-                let mut prev = None;
+                let live_rows = match count.get(token as usize) {
+                    Some(&c) if c > 0 => {
+                        let e = end[token as usize];
+                        &rows[e - c as usize..e]
+                    }
+                    _ => &[],
+                };
+                let (mut prev, mut j) = (None, 0);
                 for local in list.iter() {
                     if local as usize >= self.shard_span {
                         return Err(format!("shard {s}: local row {local} out of span"));
@@ -667,20 +733,21 @@ impl IncrementalIndex {
                     }
                     prev = Some(local);
                     entries += 1;
-                    let row = base + local as usize;
-                    let live_pair = self
-                        .records
-                        .get(row)
-                        .and_then(|r| r.as_ref())
-                        .is_some_and(|r| r.contains(token));
-                    if live_pair {
+                    while j < live_rows.len() && live_rows[j] < local {
+                        j += 1;
+                    }
+                    if j < live_rows.len() && live_rows[j] == local {
                         encoded_live += 1;
                     } else if shard.stale_rows.binary_search(&local).is_err() {
+                        let row = base + local as usize;
                         return Err(format!(
                             "shard {s}: retired entry (token {token}, row {row}) not stale-marked"
                         ));
                     }
                 }
+            }
+            for t in touched.drain(..) {
+                count[t as usize] = 0;
             }
             if entries != shard.entries {
                 return Err(format!(
@@ -692,14 +759,7 @@ impl IncrementalIndex {
             // shard, so encoded pairs are distinct: every live pair is
             // encoded exactly when the encoded live pairs number as many as
             // the live records' tokens.
-            let live_pairs: u64 = self
-                .records
-                .get(base..end)
-                .unwrap_or_default()
-                .iter()
-                .flatten()
-                .map(|ids| u64::from(ids.count()))
-                .sum();
+            let live_pairs = live_pairs as u64;
             if encoded_live != live_pairs {
                 return Err(format!(
                     "shard {s}: only {encoded_live} of {live_pairs} live pairs encoded"
@@ -798,6 +858,241 @@ impl IncrementalIndex {
             index.rebuild_shard(shard_i);
         }
         Ok(index)
+    }
+
+    /// Append this index's checkpoint to `out`, every shard as compaction
+    /// would leave it (no retired entries), so a loaded shard starts with
+    /// no stale debt. Fields in order, integers little-endian, each string
+    /// or encoded list behind its `u32` byte length:
+    ///
+    /// * the attribute, then `min_overlap` and `shard_span` as `u64`, then
+    ///   `top_k` and `max_posting`, each a `u8` tag (0 = `None`) and, when
+    ///   set, a `u64`;
+    /// * a `u32` token count and the interned tokens in id order;
+    /// * a `u32` row count and, per row, a `u8` tag (0 = no record) and
+    ///   the record's [`DeltaList::encoded`] token ids;
+    /// * a `u32` shard count and, per shard, a `u32` list count and its
+    ///   posting lists in ascending token order, each a `u32` token id and
+    ///   the list's encoded local rows.
+    ///
+    /// [`Self::from_checkpoint`] reads it back.
+    pub fn write_checkpoint(&self, out: &mut Vec<u8>) {
+        put_bytes(out, self.attribute.as_bytes());
+        put_u64(out, self.min_overlap as u64);
+        put_u64(out, self.shard_span as u64);
+        for bound in [self.top_k, self.max_posting] {
+            match bound {
+                None => out.push(0),
+                Some(v) => {
+                    out.push(1);
+                    put_u64(out, v as u64);
+                }
+            }
+        }
+        let tokens = self.interner.export();
+        put_u32(out, tokens.len());
+        for (token, _) in tokens {
+            put_bytes(out, token.as_bytes());
+        }
+        put_u32(out, self.records.len());
+        for rec in &self.records {
+            match rec {
+                None => out.push(0),
+                Some(ids) => {
+                    out.push(1);
+                    put_bytes(out, ids.encoded());
+                }
+            }
+        }
+        put_u32(out, self.shards.len());
+        for (shard_i, shard) in self.shards.iter().enumerate() {
+            // With no stale debt every encoded pair is live, and a list's
+            // bytes depend only on its set: these are the compacted lists.
+            let compacted;
+            let postings = if shard.stale == 0 {
+                &shard.postings
+            } else {
+                compacted = self.compacted_postings(shard_i).0;
+                &compacted
+            };
+            let mut lists: Vec<(&u32, &DeltaList)> = postings.iter().collect();
+            lists.sort_unstable_by_key(|&(&token, _)| token);
+            put_u32(out, lists.len());
+            for (&token, list) in lists {
+                out.extend_from_slice(&token.to_le_bytes());
+                put_bytes(out, list.encoded());
+            }
+        }
+    }
+
+    /// Load a [`Self::write_checkpoint`] checkpoint in one bounds-checked
+    /// pass that copies each encoded list straight into its [`DeltaList`]:
+    /// no per-row `Vec<u32>` and no shard rebuild. Every count is checked
+    /// against the bytes left before anything is sized by it, so no input
+    /// makes this allocate more than a small multiple of its length. The
+    /// loaded index then passes [`Self::verify_invariants`] or the load
+    /// fails: an `Ok` index is always consistent.
+    ///
+    /// # Errors
+    /// Fails on truncation, trailing bytes, a count the bytes cannot hold,
+    /// bad UTF-8, a repeated token, a zero `min_overlap` or `shard_span`,
+    /// a malformed, unsorted or out-of-range list, posting lists out of
+    /// token order or empty, a shard count that does not fit the rows, and
+    /// any invariant violation.
+    pub fn from_checkpoint(bytes: &[u8]) -> Result<Self, String> {
+        let mut r = Reader { bytes, pos: 0 };
+        let attribute = r.str("attribute")?;
+        let min_overlap = r.usize("min_overlap")?;
+        let shard_span = r.usize("shard_span")?;
+        if min_overlap == 0 || shard_span == 0 {
+            return Err("min_overlap and shard_span must be at least 1".into());
+        }
+        let opts = IndexOptions {
+            min_overlap,
+            shard_span,
+            top_k: r.option("top_k")?,
+            max_posting: r.option("max_posting")?,
+        };
+        let mut index = Self::with_options(attribute, opts);
+        let n_tokens = r.count("tokens", 4)?;
+        let tokens = (0..n_tokens)
+            .map(|_| r.str("token").map(str::to_owned))
+            .collect::<Result<Vec<_>, _>>()?;
+        index.interner = TokenInterner::from_tokens(tokens)?;
+        index.df = vec![0; n_tokens];
+        let n_rows = r.count("rows", 1)?;
+        index.records.reserve_exact(n_rows);
+        for row in 0..n_rows {
+            let rec = match r.u8("row tag")? {
+                0 => None,
+                1 => {
+                    let ids = DeltaList::from_encoded(r.bytes("row")?, n_tokens as u32)
+                        .map_err(|why| format!("record {row}: {why}"))?;
+                    for id in ids.iter() {
+                        index.df[id as usize] += 1;
+                    }
+                    index.live += 1;
+                    Some(ids)
+                }
+                tag => return Err(format!("record {row}: bad tag {tag}")),
+            };
+            index.records.push(rec);
+        }
+        let n_shards = r.count("shards", 4)?;
+        if n_shards != n_rows.div_ceil(shard_span) {
+            return Err(format!(
+                "{n_shards} shards for {n_rows} rows of span {shard_span}"
+            ));
+        }
+        index.shards.reserve_exact(n_shards);
+        for s in 0..n_shards {
+            let rows = (n_rows - s * shard_span).min(shard_span) as u32;
+            let n_lists = r.count("posting lists", 9)?;
+            let mut postings = HashMap::with_capacity(n_lists);
+            let (mut entries, mut prev) = (0u64, None);
+            for _ in 0..n_lists {
+                let token = r.u32("posting token")?;
+                if token as usize >= n_tokens || prev.is_some_and(|p| p >= token) {
+                    return Err(format!("shard {s}: token {token} out of range or order"));
+                }
+                prev = Some(token);
+                let list = DeltaList::from_encoded(r.bytes("postings")?, rows)
+                    .map_err(|why| format!("shard {s} token {token}: {why}"))?;
+                if list.is_empty() {
+                    return Err(format!("shard {s} token {token}: empty posting list"));
+                }
+                entries += u64::from(list.count());
+                postings.insert(token, list);
+            }
+            index.shards.push(Shard {
+                postings,
+                entries,
+                ..Shard::default()
+            });
+        }
+        if r.pos != bytes.len() {
+            return Err(format!("{} trailing bytes", bytes.len() - r.pos));
+        }
+        index.verify_invariants()?;
+        Ok(index)
+    }
+}
+
+/// Append `n`, a length or count the index keeps below `u32::MAX`.
+fn put_u32(out: &mut Vec<u8>, n: usize) {
+    let n = u32::try_from(n).expect("checkpoint counts and lengths fit u32");
+    out.extend_from_slice(&n.to_le_bytes());
+}
+
+fn put_u64(out: &mut Vec<u8>, v: u64) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Append `bytes` behind its `u32` length.
+fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
+    put_u32(out, bytes.len());
+    out.extend_from_slice(bytes);
+}
+
+/// A bounds-checked cursor over checkpoint bytes. `what` names the field
+/// in errors.
+struct Reader<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Reader<'a> {
+    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], String> {
+        if n > self.bytes.len() - self.pos {
+            return Err(format!("checkpoint truncated in {what}"));
+        }
+        self.pos += n;
+        Ok(&self.bytes[self.pos - n..self.pos])
+    }
+
+    fn u8(&mut self, what: &str) -> Result<u8, String> {
+        Ok(self.take(1, what)?[0])
+    }
+
+    fn u32(&mut self, what: &str) -> Result<u32, String> {
+        let b = self.take(4, what)?;
+        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+    }
+
+    fn usize(&mut self, what: &str) -> Result<usize, String> {
+        let b = self.take(8, what)?;
+        let v = u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]);
+        usize::try_from(v).map_err(|_| format!("{what} {v} beyond usize"))
+    }
+
+    fn option(&mut self, what: &str) -> Result<Option<usize>, String> {
+        match self.u8(what)? {
+            0 => Ok(None),
+            1 => self.usize(what).map(Some),
+            tag => Err(format!("{what}: bad tag {tag}")),
+        }
+    }
+
+    /// A `u32` byte length, then that many bytes.
+    fn bytes(&mut self, what: &str) -> Result<&'a [u8], String> {
+        let n = self.u32(what)? as usize;
+        self.take(n, what)
+    }
+
+    fn str(&mut self, what: &str) -> Result<&'a str, String> {
+        std::str::from_utf8(self.bytes(what)?).map_err(|_| format!("{what}: invalid UTF-8"))
+    }
+
+    /// A `u32` count of items that take at least `min_bytes` each, refused
+    /// when the bytes left cannot hold that many: a count never sizes an
+    /// allocation the input does not back.
+    fn count(&mut self, what: &str, min_bytes: usize) -> Result<usize, String> {
+        let n = self.u32(what)? as usize;
+        let left = self.bytes.len() - self.pos;
+        if n > left / min_bytes {
+            return Err(format!("{n} {what} cannot fit in {left} bytes"));
+        }
+        Ok(n)
     }
 }
 
@@ -1115,13 +1410,16 @@ mod tests {
     }
 
     /// Plant one violation in a healthy index whose row 0 is retired (its
-    /// pairs stay encoded, stale-marked) and demand `Err`.
-    fn assert_rejects(plant: impl FnOnce(&mut IncrementalIndex)) {
+    /// pairs stay encoded, stale-marked) and demand exactly `message`. The
+    /// catalog interns arnie mortons of chicago as ids 0–3 and fenix at the
+    /// argyle as 4–7; row 2 adds grill on alley as 8–10 (11 tokens). Live
+    /// rows 1 and 2 hold 8 pairs, and shard 0 encodes 12.
+    fn assert_rejects(message: &str, plant: impl FnOnce(&mut IncrementalIndex)) {
         let mut index = IncrementalIndex::build("name", 1, &catalog()).unwrap();
         index.remove(0);
         index.verify_invariants().unwrap();
         plant(&mut index);
-        assert!(index.verify_invariants().is_err());
+        assert_eq!(index.verify_invariants(), Err(message.to_string()));
     }
 
     /// The first token id of live row 1 ("fenix at the argyle").
@@ -1130,8 +1428,89 @@ mod tests {
     }
 
     #[test]
+    fn verify_rejects_a_token_id_out_of_range() {
+        assert_rejects("record 1: token id 11 out of range", |index| {
+            index.records[1] = Some(DeltaList::from_sorted(&[4, 5, 6, 11]));
+        });
+    }
+
+    #[test]
+    fn verify_rejects_unsorted_record_ids() {
+        assert_rejects("record 1: token ids not strictly sorted", |index| {
+            // Gap 0 decodes to the same id twice: [t, t].
+            let mut buf = [0; crate::compact::INLINE_BYTES];
+            buf[0] = row1_token(index) as u8;
+            index.records[1] = Some(DeltaList::Inline { len: 2, buf });
+        });
+    }
+
+    #[test]
+    fn verify_rejects_a_wrong_live_count() {
+        assert_rejects("live count 3 != recomputed 2", |index| index.live += 1);
+    }
+
+    #[test]
+    fn verify_rejects_document_frequencies_out_of_sync() {
+        assert_rejects("document frequencies out of sync with records", |index| {
+            let token = row1_token(index);
+            index.df[token as usize] += 1;
+        });
+    }
+
+    #[test]
+    fn verify_rejects_a_wrong_shard_count() {
+        assert_rejects("shard count out of sync with record count", |index| {
+            index.shards.push(Shard::default());
+        });
+    }
+
+    #[test]
+    fn verify_rejects_a_local_row_out_of_span() {
+        assert_rejects("shard 0: local row 65536 out of span", |index| {
+            let token = row1_token(index);
+            let list = index.shards[0].postings.get_mut(&token).unwrap();
+            list.push(DEFAULT_SHARD_SPAN as u32);
+        });
+    }
+
+    #[test]
+    fn verify_rejects_unsorted_postings() {
+        assert_rejects("shard 0 token 4: postings not sorted", |index| {
+            // Row 1 twice in token 4's list: [1, 1].
+            let mut buf = [0; crate::compact::INLINE_BYTES];
+            buf[0] = 1;
+            let list = DeltaList::Inline { len: 2, buf };
+            index.shards[0].postings.insert(4, list);
+        });
+    }
+
+    #[test]
+    fn verify_rejects_an_unmarked_retired_entry() {
+        let message = "shard 0: retired entry (token 0, row 2) not stale-marked";
+        assert_rejects(message, |index| {
+            // Row 2 never held "arnie": one more retired pair, counted in
+            // `entries` and `stale`, but row 2 is not stale-marked.
+            let shard = &mut index.shards[0];
+            shard.postings.get_mut(&0).unwrap().insert(2);
+            shard.entries += 1;
+            shard.stale += 1;
+        });
+    }
+
+    #[test]
+    fn verify_rejects_off_by_one_counters() {
+        assert_rejects("shard 0: entries 13 != encoded 12", |index| {
+            index.shards[0].entries += 1;
+            index.shards[0].stale += 1;
+        });
+        assert_rejects("shard 0: stale 5 != encoded 12 - live 8", |index| {
+            index.shards[0].stale += 1;
+        });
+    }
+
+    #[test]
     fn verify_rejects_a_live_pair_missing_from_postings() {
-        assert_rejects(|index| {
+        assert_rejects("shard 0: only 7 of 8 live pairs encoded", |index| {
             // Re-point one live pair of row 1 at retired row 0: entries and
             // stale debt still add up, only the live-pair count can tell.
             let token = row1_token(index);
@@ -1143,31 +1522,33 @@ mod tests {
     }
 
     #[test]
-    fn verify_rejects_an_unmarked_retired_entry() {
-        assert_rejects(|index| index.shards[0].stale_rows.clear());
-    }
-
-    #[test]
-    fn verify_rejects_off_by_one_counters() {
-        assert_rejects(|index| index.shards[0].entries += 1);
-        assert_rejects(|index| index.shards[0].stale += 1);
-    }
-
-    #[test]
-    fn verify_rejects_document_frequencies_out_of_sync() {
-        assert_rejects(|index| {
-            let token = row1_token(index);
-            index.df[token as usize] += 1;
-        });
-    }
-
-    #[test]
-    fn verify_rejects_unsorted_record_ids() {
-        assert_rejects(|index| {
-            // Gap 0 decodes to the same id twice: [t, t].
-            let mut buf = [0; crate::compact::INLINE_BYTES];
-            buf[0] = row1_token(index) as u8;
-            index.records[1] = Some(DeltaList::Inline { len: 2, buf });
-        });
+    fn checkpoint_round_trips_a_churned_index() {
+        let opts = IndexOptions {
+            min_overlap: 2,
+            shard_span: 64,
+            top_k: Some(3),
+            max_posting: Some(40),
+        };
+        let rows = names(&random_names(300, 11));
+        let mut index = IncrementalIndex::build_with_options("name", opts, &rows).unwrap();
+        for row in (0..300).step_by(4) {
+            index.upsert(row, if row % 8 == 0 { None } else { Some("w1 w2 w3") });
+        }
+        assert!(index.stale_debt() > 0);
+        let mut bytes = Vec::new();
+        index.write_checkpoint(&mut bytes);
+        let loaded = IncrementalIndex::from_checkpoint(&bytes).unwrap();
+        assert_eq!(loaded.options(), index.options());
+        assert_eq!(loaded.records(), index.records());
+        assert_eq!(loaded.stale_debt(), 0);
+        let queries = names(&random_names(30, 12));
+        assert_eq!(
+            loaded.candidates(&queries, 1),
+            index.candidates(&queries, 1)
+        );
+        let mut again = Vec::new();
+        loaded.write_checkpoint(&mut again);
+        assert_eq!(again, bytes);
+        assert!(IncrementalIndex::from_checkpoint(&bytes[..bytes.len() - 1]).is_err());
     }
 }

@@ -28,6 +28,7 @@
 //! on the thread count.
 
 use crate::tokenize::{Tokenizer, QGRAM_PAD};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 /// The q-gram width the profile precomputes (Table II uses QGram(3) only).
@@ -90,17 +91,31 @@ impl TokenInterner {
     }
 
     /// Rebuild an interner from tokens listed in id order (the shape
-    /// [`TokenInterner::export`] produces). Fails if any token repeats.
+    /// [`TokenInterner::export`] produces). Each owned token moves into the
+    /// map with one hash and no copy. The map reserves the iterator's lower
+    /// size bound, which a `Vec`'s iterator states exactly, so it never
+    /// reserves more than the tokens the caller already holds.
+    ///
+    /// # Errors
+    /// Fails if any token repeats.
     pub fn from_tokens<I: IntoIterator<Item = String>>(tokens: I) -> Result<Self, String> {
-        let mut interner = TokenInterner::new();
+        let tokens = tokens.into_iter();
+        let mut map = HashMap::with_capacity(tokens.size_hint().0);
         for token in tokens {
-            let before = interner.len();
-            let id = interner.intern(&token);
-            if (id as usize) != before {
-                return Err(format!("duplicate token {token:?} in interner import"));
+            let id = u32::try_from(map.len()).map_err(|_| "more than u32::MAX tokens")?;
+            match map.entry(token) {
+                Entry::Vacant(slot) => {
+                    slot.insert(id);
+                }
+                Entry::Occupied(seen) => {
+                    return Err(format!(
+                        "duplicate token {:?} in interner import",
+                        seen.key()
+                    ));
+                }
             }
         }
-        Ok(interner)
+        Ok(TokenInterner { map })
     }
 }
 
@@ -292,6 +307,22 @@ mod tests {
         assert_eq!(it.get("york"), Some(1));
         assert_eq!(it.get("city"), None);
         assert_eq!(it.len(), 2);
+    }
+
+    #[test]
+    fn from_tokens_keeps_export_ids_and_rejects_repeats() {
+        let mut it = TokenInterner::new();
+        for t in ["new", "york", "city", "new"] {
+            it.intern(t);
+        }
+        let tokens = it.export().into_iter().map(|(t, _)| t.to_owned());
+        let back = TokenInterner::from_tokens(tokens.collect::<Vec<_>>()).unwrap();
+        assert_eq!(back.export(), it.export());
+        let repeated = ["a", "b", "a"].map(String::from);
+        assert_eq!(
+            TokenInterner::from_tokens(repeated).unwrap_err(),
+            "duplicate token \"a\" in interner import"
+        );
     }
 
     #[test]
