@@ -17,6 +17,8 @@
 //! assert!((history.incumbent().unwrap().config.get_float("x").unwrap() - 0.3).abs() < 0.2);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod config;
 mod runner;
 pub mod search;

@@ -96,27 +96,21 @@ impl FittedEmPipeline {
         assert!(repeats > 0, "repeats must be positive");
         let baseline = f1_score(y, &self.predict(x));
         let n = x.nrows();
-        let mut scores = vec![0.0f64; x.ncols()];
-        {
-            let writer = em_rt::SliceWriter::new(&mut scores);
-            em_rt::parallel_for_chunked(x.ncols(), 0, 1, |col| {
-                let mut rng = StdRng::seed_from_u64(em_rt::derive_seed(seed, col as u64));
-                let mut drop_sum = 0.0;
-                for _ in 0..repeats {
-                    let mut perm: Vec<usize> = (0..n).collect();
-                    perm.shuffle(&mut rng);
-                    let mut shuffled = x.clone();
-                    for (r, &src) in perm.iter().enumerate() {
-                        shuffled.set(r, col, x.get(src, col));
-                    }
-                    let f1 = f1_score(y, &self.predict(&shuffled));
-                    drop_sum += baseline - f1;
+        let scores = em_rt::parallel_map(x.ncols(), 1, |col| {
+            let mut rng = StdRng::seed_from_u64(em_rt::derive_seed(seed, col as u64));
+            let mut drop_sum = 0.0;
+            for _ in 0..repeats {
+                let mut perm: Vec<usize> = (0..n).collect();
+                perm.shuffle(&mut rng);
+                let mut shuffled = x.clone();
+                for (r, &src) in perm.iter().enumerate() {
+                    shuffled.set(r, col, x.get(src, col));
                 }
-                // Safety: each column index is handed out exactly once, and
-                // the one-element slots are pairwise disjoint.
-                unsafe { writer.slice_mut(col, 1)[0] = (drop_sum / repeats as f64).max(0.0) };
-            });
-        }
+                let f1 = f1_score(y, &self.predict(&shuffled));
+                drop_sum += baseline - f1;
+            }
+            (drop_sum / repeats as f64).max(0.0)
+        });
         FeatureImportanceReport::from_scores(feature_names, scores)
     }
 }

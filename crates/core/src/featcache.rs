@@ -15,11 +15,11 @@
 //!    values is memoized under the key `(left value id) << 32 | right value
 //!    id`. A batch [`FeatureCache::generate`] first walks the pairs
 //!    serially to collect the *distinct missing* keys in first-appearance
-//!    order, computes them in parallel (disjoint writes; one
-//!    [`em_text::eval_families`] call per missing key runs each measure
-//!    family once), inserts serially, then fills the output matrix in
-//!    parallel by lookup — every phase is bit-identical for every thread
-//!    count, and the memo survives across calls.
+//!    order, computes them in parallel (one row of a flat buffer per
+//!    missing key, filled by one [`em_text::eval_families`] call that runs
+//!    each measure family once), inserts serially, then fills the output
+//!    matrix in parallel by lookup — every phase is bit-identical for every
+//!    thread count, and the memo survives across calls.
 //!
 //! Numeric and boolean features are cheap (no tokenization, no DP) and are
 //! computed inline during the fill phase, exactly like the uncached path.
@@ -120,12 +120,7 @@ impl AttrCache {
         }
         let k = self.sims.len();
         let mut flat = vec![0.0f64; missing.len() * k];
-        let writer = em_rt::SliceWriter::new(flat.as_mut_slice());
-        let jobs = if missing.len() < 64 { 1 } else { 0 };
-        em_rt::parallel_for(missing.len(), jobs, |m| {
-            // Safety: each missing-key index is handed out exactly once and
-            // the row slices `[m * k, (m + 1) * k)` are pairwise disjoint.
-            let row = unsafe { writer.slice_mut(m * k, k) };
+        em_rt::parallel_rows(&mut flat, k, 64, |m, row| {
             let key = missing[m];
             let pa = &self.profiles[(key >> 32) as usize];
             let pb = &self.profiles[(key & u64::from(u32::MAX)) as usize];
@@ -219,18 +214,12 @@ impl FeatureCache {
                 let a_rows = map_rows(a);
                 let b_rows = map_rows(b);
                 // Parallel: tokenize each distinct value into a draft.
-                let mut drafts: Vec<Option<ProfileDraft>> = vec![None; values.len()];
-                let writer = em_rt::SliceWriter::new(drafts.as_mut_slice());
-                let draft_jobs = if values.len() < 64 { 1 } else { 0 };
-                em_rt::parallel_for(values.len(), draft_jobs, |v| {
-                    // Safety: each value index is handed out exactly once.
-                    let slot = unsafe { &mut writer.slice_mut(v, 1)[0] };
-                    *slot = Some(ProfileDraft::new(&values[v]));
-                });
+                let drafts =
+                    em_rt::parallel_map(values.len(), 64, |v| ProfileDraft::new(&values[v]));
                 // Serial: intern in value-id order (deterministic ids).
                 let profiles: Vec<TokenProfile> = drafts
                     .into_iter()
-                    .map(|d| TokenProfile::from_draft(d.expect("draft built"), &mut interner))
+                    .map(|d| TokenProfile::from_draft(d, &mut interner))
                     .collect();
                 PROFILE_BUILDS.add(profiles.len() as u64);
                 AttrCache {
@@ -400,12 +389,7 @@ impl FeatureCache {
         self.evict_to_cap();
         let attrs = &self.attrs;
         let specs = self.generator.specs();
-        let writer = em_rt::SliceWriter::new(out.as_mut_slice());
-        let jobs = if n < 64 { 1 } else { 0 };
-        em_rt::parallel_for(n, jobs, |r| {
-            // Safety: each row index is handed out exactly once, and row
-            // slices `[r * d, (r + 1) * d)` are pairwise disjoint.
-            let row = unsafe { writer.slice_mut(r * d, d) };
+        em_rt::parallel_rows(out.as_mut_slice(), d, 64, |r, row| {
             let p = pairs[r];
             for ac in attrs {
                 match (ac.a_rows[p.left], ac.b_rows[p.right]) {

@@ -229,11 +229,10 @@ impl FeatureGenerator {
     }
 
     /// Compute the feature matrix for a batch of pairs, in parallel on the
-    /// shared `em-rt` worker pool. Each worker steals chunks of pair indices
-    /// off a shared counter and writes its rows directly into the disjoint
-    /// row slices of the output matrix — no lock, no intermediate per-chunk
-    /// buffers. Row `r` depends only on `pairs[r]`, so the result is
-    /// bit-identical at any pool width.
+    /// shared `em-rt` worker pool. Workers claim 64 pairs at a time and
+    /// write each row straight into its own row of the output matrix; a
+    /// batch of at most 64 pairs runs inline. Row `r` depends only on
+    /// `pairs[r]`, so the result is bit-identical at any pool width.
     pub fn generate(&self, a: &Table, b: &Table, pairs: &[RecordPair]) -> Matrix {
         let _span = em_obs::span!("featuregen.generate");
         let n = pairs.len();
@@ -242,12 +241,7 @@ impl FeatureGenerator {
         if n == 0 || d == 0 {
             return out;
         }
-        let jobs = if n < 64 { 1 } else { 0 };
-        let writer = em_rt::SliceWriter::new(out.as_mut_slice());
-        em_rt::parallel_for(n, jobs, |r| {
-            // Safety: each row index is handed out exactly once, and row
-            // slices `[r * d, (r + 1) * d)` are pairwise disjoint.
-            let row = unsafe { writer.slice_mut(r * d, d) };
+        em_rt::parallel_rows(out.as_mut_slice(), d, 64, |r, row| {
             let ra = a.record(pairs[r].left);
             let rb = b.record(pairs[r].right);
             for (value, spec) in row.iter_mut().zip(&self.specs) {

@@ -33,6 +33,8 @@
 //! println!("{}", result.best_configuration); // Figure-11 style dump
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod active;
 pub mod automl_em;
 pub mod explain;

@@ -206,33 +206,27 @@ impl EmPipelineConfig {
     /// alternative to the paper's single hold-out for comparing pipelines on
     /// small datasets.
     ///
-    /// Folds are independent pool tasks; each fold's score lands in its own
-    /// slot and the slots are summed in fold order, so the result is
-    /// bit-identical to the serial loop at any pool width.
+    /// Folds are independent pool tasks, claimed one at a time; their
+    /// scores come back in fold order and are summed in it, so the result
+    /// is bit-identical to the serial loop at any pool width.
     pub fn cross_val_f1(&self, x: &Matrix, y: &[usize], k: usize, seed: u64) -> f64 {
         let _span = em_obs::span!("pipeline.cross_val");
         let folds = em_ml::stratified_k_fold(y, k, seed);
-        let mut scores = vec![0.0f64; folds.len()];
-        {
-            let writer = em_rt::SliceWriter::new(&mut scores);
-            em_rt::parallel_for_chunked(folds.len(), 0, 1, |f| {
-                let (train_idx, test_idx) = &folds[f];
-                let xt = x.select_rows(train_idx);
-                let yt: Vec<usize> = train_idx.iter().map(|&i| y[i]).collect();
-                let xs = x.select_rows(test_idx);
-                let ys: Vec<usize> = test_idx.iter().map(|&i| y[i]).collect();
-                let f1 = self.fit(&xt, &yt).f1(&xs, &ys);
-                em_obs::event("cv.fold", || {
-                    vec![
-                        ("fold", em_rt::Json::from(f)),
-                        ("f1", em_rt::Json::from(f1)),
-                    ]
-                });
-                // Safety: each fold index is handed out exactly once, and
-                // the one-element slots are pairwise disjoint.
-                unsafe { writer.slice_mut(f, 1)[0] = f1 };
+        let scores = em_rt::parallel_map(folds.len(), 1, |f| {
+            let (train_idx, test_idx) = &folds[f];
+            let xt = x.select_rows(train_idx);
+            let yt: Vec<usize> = train_idx.iter().map(|&i| y[i]).collect();
+            let xs = x.select_rows(test_idx);
+            let ys: Vec<usize> = test_idx.iter().map(|&i| y[i]).collect();
+            let f1 = self.fit(&xt, &yt).f1(&xs, &ys);
+            em_obs::event("cv.fold", || {
+                vec![
+                    ("fold", em_rt::Json::from(f)),
+                    ("f1", em_rt::Json::from(f1)),
+                ]
             });
-        }
+            f1
+        });
         scores.iter().sum::<f64>() / folds.len() as f64
     }
 

@@ -361,7 +361,7 @@ fn weak_lf_application_and_label_model_are_thread_count_invariant() {
     };
     let (serial, pooled) = serial_and_wide(run);
     // Votes go through FeatureCache (parallel profile drafting + memo
-    // fill); the label model's E-step is a parallel_for. Both must be bit
+    // fill); the label model's E-step is a parallel_map. Both must be bit
     // stable.
     assert_eq!(serial.votes, pooled.votes);
     assert_eq!(serial.stats, pooled.stats);

@@ -291,30 +291,22 @@ impl Benchmark {
         // One entity per positive pair; A gets the clean render, B the
         // noisy render of the same entity (DBLP-Scholar also switches the
         // rendering style via its distinct B-side domain).
-        type RowPair = (Vec<em_table::Value>, Vec<em_table::Value>);
-        let mut rows: Vec<Option<RowPair>> = vec![None; positives];
-        {
-            let writer = em_rt::SliceWriter::new(&mut rows);
-            em_rt::parallel_for(positives, 0, |e| {
-                let mut rng = StdRng::seed_from_u64(em_rt::derive_seed(seed, e as u64));
-                let (family, member) = family_of(e);
-                let rec_a = domain_a.base_record(family, member, &mut rng);
-                let rec_b_base = domain_b.base_record(family, member, &mut rng);
-                let rec_b: Vec<em_table::Value> = rec_b_base
-                    .iter()
-                    .enumerate()
-                    .map(|(col, v)| {
-                        let model = self.attr_noise(col).unwrap_or(noise);
-                        model.apply(v, &mut rng)
-                    })
-                    .collect();
-                // Safety: each entity index is handed out exactly once, and
-                // the one-element slots are pairwise disjoint.
-                unsafe { writer.slice_mut(e, 1)[0] = Some((rec_a, rec_b)) };
-            });
-        }
-        for pair in rows {
-            let (rec_a, rec_b) = pair.expect("every entity slot filled");
+        let rows = em_rt::parallel_map(positives, 0, |e| {
+            let mut rng = StdRng::seed_from_u64(em_rt::derive_seed(seed, e as u64));
+            let (family, member) = family_of(e);
+            let rec_a = domain_a.base_record(family, member, &mut rng);
+            let rec_b_base = domain_b.base_record(family, member, &mut rng);
+            let rec_b: Vec<em_table::Value> = rec_b_base
+                .iter()
+                .enumerate()
+                .map(|(col, v)| {
+                    let model = self.attr_noise(col).unwrap_or(noise);
+                    model.apply(v, &mut rng)
+                })
+                .collect();
+            (rec_a, rec_b)
+        });
+        for (rec_a, rec_b) in rows {
             table_a.push_row(rec_a).expect("domain arity");
             table_b.push_row(rec_b).expect("domain arity");
         }

@@ -15,7 +15,7 @@
 //! the same spec agree bit-for-bit.
 
 use crate::vocab;
-use em_rt::{derive_seed, parallel_for, SliceWriter, StdRng};
+use em_rt::{derive_seed, parallel_map, StdRng};
 use em_table::{Schema, Table, Value};
 
 /// Single-word pools composed into the scale vocabulary (multi-word pools
@@ -185,13 +185,7 @@ impl ScaleCatalog {
         let mut start = 0usize;
         while start < n {
             let len = chunk.min(n - start);
-            let mut values: Vec<String> = vec![String::new(); len];
-            let writer = SliceWriter::new(&mut values);
-            parallel_for(len, 0, |i| {
-                // Safety: each chunk-local index is handed out exactly once.
-                unsafe { writer.write(i, self.value(start + i)) };
-            });
-            let rows: Vec<Vec<Value>> = values.into_iter().map(|v| vec![Value::Text(v)]).collect();
+            let rows = parallel_map(len, 0, |i| self.row_values(start + i));
             sink(start, rows)?;
             start += len;
         }
@@ -202,15 +196,8 @@ impl ScaleCatalog {
     /// are synthesized in parallel on the `em-rt` pool; output is
     /// identical at any `EM_THREADS` because each row derives its own rng.
     pub fn table(&self) -> Table {
-        let n = self.spec.records;
-        let mut values: Vec<String> = vec![String::new(); n];
-        let writer = SliceWriter::new(&mut values);
-        parallel_for(n, 0, |i| {
-            // Safety: each row index is handed out exactly once.
-            unsafe { writer.write(i, self.value(i)) };
-        });
         let mut table = Table::new(Schema::new(["name"]));
-        for v in values {
+        for v in parallel_map(self.spec.records, 0, |i| self.value(i)) {
             table.push_row(vec![Value::Text(v)]).unwrap();
         }
         table

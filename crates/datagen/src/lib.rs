@@ -16,6 +16,8 @@
 //! assert!(stats.positives > 0 && stats.positives < stats.total);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod benchmark;
 pub mod catalog;
 pub mod domains;

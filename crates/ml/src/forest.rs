@@ -58,12 +58,12 @@ impl Default for ForestParams {
     }
 }
 
-/// Train `params.n_estimators` trees on the shared `em-rt` worker pool with
-/// per-tree seeds and optional bootstrap. Tree `t` is fully determined by
-/// `params.seed` and `t`, so predictions are bit-identical at any pool
-/// width. `fit_member` fits one tree on base rows `rows` (a bootstrap
-/// draw), or on all of them when `None`, with its share of the forest's
-/// [`SplitPrep`].
+/// Train `params.n_estimators` trees on the shared `em-rt` worker pool, one
+/// tree per claim, with per-tree seeds and optional bootstrap. Tree `t` is
+/// fully determined by `params.seed` and `t`, so predictions are
+/// bit-identical at any pool width. `fit_member` fits one tree on base rows
+/// `rows` (a bootstrap draw), or on all of them when `None`, with its share
+/// of the forest's [`SplitPrep`].
 fn fit_trees(
     x: &Matrix,
     params: &ForestParams,
@@ -76,9 +76,7 @@ fn fit_trees(
     // only repeat base rows, so each tree takes its order from the base
     // instead of re-sorting every feature.
     let prep = SplitPrep::new(x, params.splitter);
-    let mut results: Vec<Option<DecisionTree>> = vec![None; n_trees];
-    let writer = em_rt::SliceWriter::new(&mut results);
-    em_rt::parallel_for_chunked(n_trees, 0, 1, |t| {
+    em_rt::parallel_map(n_trees, 1, |t| {
         let tree_params = TreeParams {
             criterion,
             max_depth: params.max_depth,
@@ -89,19 +87,13 @@ fn fit_trees(
             min_impurity_decrease: params.min_impurity_decrease,
             seed: tree_seed(params.seed, t),
         };
-        let tree = if params.bootstrap {
+        if params.bootstrap {
             let idx = bootstrap_rows(tree_params.seed, n);
             fit_member(tree_params, Some(&idx), prep.tree(Some(&idx)))
         } else {
             fit_member(tree_params, None, prep.tree(None))
-        };
-        // Safety: `parallel_for` hands out each index exactly once.
-        unsafe { writer.write(t, Some(tree)) };
-    });
-    results
-        .into_iter()
-        .map(|t| t.expect("all trees trained"))
-        .collect()
+        }
+    })
 }
 
 /// [`fit_trees`] for the two classifiers.

@@ -19,6 +19,8 @@
 //! assert_eq!(rf.predict(&x), y);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod bayes;
 pub mod boost;
 pub mod decomp;

@@ -31,6 +31,8 @@
 //! branches on them — so enabling `EM_TRACE` cannot change any computed
 //! bit. `crates/core/tests/determinism.rs` enforces this.
 
+#![forbid(unsafe_code)]
+
 use em_rt::Json;
 use std::fs::File;
 use std::io::{BufWriter, Write};

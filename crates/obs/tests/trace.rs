@@ -144,7 +144,7 @@ fn spans_from_pool_threads_land_in_their_own_shards() {
     if std::env::var("EM_THREADS").is_err() {
         em_rt::set_threads(4);
     }
-    em_rt::parallel_for(64, 0, |_| {
+    em_rt::parallel_map(64, 0, |_| {
         let _span = em_obs::span!("test.task");
     });
     em_obs::flush();

@@ -1,4 +1,5 @@
-//! A persistent, process-global worker pool with scoped parallel iteration.
+//! A persistent, process-global worker pool with index-ordered parallel
+//! sections.
 //!
 //! One pool exists per process, lazily initialized by the first parallel
 //! section that runs on more than one thread (or by [`pool_workers`]) and
@@ -9,18 +10,21 @@
 //! search) pay the thread-spawn cost exactly once per process instead of
 //! once per call.
 //!
-//! Work distribution is dynamic: each [`parallel_for`] job shares a single
-//! atomic counter from which workers claim chunks of indices, so uneven
-//! per-index cost (deep vs. shallow trees, long vs. short strings) balances
-//! automatically. The output of a parallel section must not depend on which
-//! thread computes which index — every index is processed exactly once, so
-//! deterministic per-index closures yield bit-identical results for any
-//! thread count.
+//! A parallel section is one of two safe calls. [`parallel_map`] returns
+//! `f(i)` for every index in index order; [`parallel_rows`] hands each
+//! disjoint row of a caller's buffer to its own call. Work distribution is
+//! dynamic: participants take claims of indices one at a time off a shared
+//! iterator, so uneven per-index cost (deep vs. shallow trees, long vs.
+//! short strings) balances automatically. Every index runs exactly once
+//! and results are assembled by index, never by thread, so deterministic
+//! per-index closures give bit-identical results at any thread count. The
+//! one `grain` argument sets the claim size (see [`parallel_map`]); the
+//! pool width is the only width.
 //!
-//! Nesting is safe and cheap: a `parallel_for` issued while the pool is
-//! already running a job (e.g. a forest fit inside a parallel candidate
-//! batch) simply runs inline on the calling thread, which is already one of
-//! the saturating workers.
+//! Nesting is safe and cheap: a section issued while the pool is already
+//! running one (e.g. a forest fit inside a parallel fold) simply runs
+//! inline on the calling thread, which is already one of the saturating
+//! workers.
 
 use crate::stats;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -213,205 +217,245 @@ pub fn pool_workers() -> usize {
     pool().n_workers
 }
 
-/// Run `f(i)` for every `i in 0..n`, distributing indices over the shared
-/// pool with chunked work stealing. `jobs` caps the number of participating
-/// threads (0 = the pool's full [`threads`] count). Results are independent
-/// of `jobs`: every index runs exactly once, in chunks claimed off a single
-/// atomic counter.
-pub fn parallel_for<F: Fn(usize) + Sync>(n: usize, jobs: usize, f: F) {
-    // Aim for ~8 steal operations per participant: cheap enough to balance,
-    // coarse enough that counter contention is negligible.
-    let workers = effective_jobs(jobs);
-    let chunk = (n / (workers * 8).max(1)).max(1);
-    parallel_for_chunked(n, jobs, chunk, f);
+/// A section the pool runs: how many indices one claim takes and how many
+/// threads take part.
+struct Section {
+    pool: &'static Pool,
+    claim: usize,
+    participants: usize,
 }
 
-/// [`parallel_for`] with an explicit steal-chunk size.
-pub fn parallel_for_chunked<F: Fn(usize) + Sync>(n: usize, jobs: usize, chunk: usize, f: F) {
-    if n == 0 {
-        return;
+impl Section {
+    /// Plan a section of `n` indices claimed `grain` at a time (see
+    /// [`parallel_map`]), or `None` to run it inline: on one thread, on a
+    /// pool without workers, when it fits in one claim, or when the pool
+    /// is occupied (a nested section, or a concurrent top-level one: the
+    /// machine is already saturated). The one-participant cases are decided
+    /// before touching the pool, so they never size it.
+    fn plan(n: usize, grain: usize) -> Option<Section> {
+        let width = threads();
+        // About eight claims per participant: cheap enough to balance,
+        // coarse enough that claiming is noise.
+        let claim = if grain == 0 {
+            (n / (width * 8)).max(1)
+        } else {
+            grain
+        };
+        let participants = width.min(n.div_ceil(claim));
+        let section = (participants > 1)
+            .then(pool)
+            .filter(|p| {
+                p.n_workers > 0
+                    && p.busy
+                        .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
+                        .is_ok()
+            })
+            .map(|pool| Section {
+                pool,
+                claim,
+                participants,
+            });
+        if stats::enabled() {
+            let counter = match section {
+                Some(_) => &stats::POOL_JOBS,
+                None => &stats::POOL_INLINE,
+            };
+            counter.fetch_add(1, Ordering::Relaxed);
+        }
+        section
     }
-    let jobs = effective_jobs(jobs).min(n);
-    let stats_on = stats::enabled();
-    // Run inline on one thread, on a pool without workers, or when the pool
-    // is occupied (a nested section, or a concurrent top-level one: the
-    // machine is already saturated). The one-thread case is decided before
-    // touching the pool, so a serial section never sizes it.
-    let claimed = (jobs > 1).then(pool).filter(|p| {
-        p.n_workers > 0
-            && p.busy
-                .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
-                .is_ok()
+
+    /// Hand `claims` out one at a time to the participants and run `body`
+    /// on each. Returns once every claim has run; a panic in `body`
+    /// re-raises here after every participant has stopped (`Pool::run`,
+    /// which also frees the pool for the next section).
+    fn run<I: Iterator + Send>(self, claims: I, body: impl Fn(I::Item) + Sync) {
+        let claims = Mutex::new(claims);
+        let stats_on = stats::enabled();
+        // The submitter always participates; workers beyond the section's
+        // participants bow out.
+        let tickets = AtomicIsize::new(self.participants as isize - 1);
+        self.pool.run(&|| {
+            if tickets.fetch_sub(1, Ordering::Relaxed) < 0 {
+                return;
+            }
+            loop {
+                // The guard drops at the end of this statement: claims are
+                // taken under the lock, run outside it.
+                let Some(item) = claims.lock().expect("claim iterators do not panic").next() else {
+                    break;
+                };
+                if stats_on {
+                    stats::POOL_CHUNKS.fetch_add(1, Ordering::Relaxed);
+                }
+                body(item);
+            }
+        });
+    }
+}
+
+/// `f(i)` for every `i in 0..n`, in index order, computed on the shared
+/// pool. Every index runs exactly once, so a deterministic `f` gives the
+/// same vector at any pool width.
+///
+/// Participants claim `grain` indices at a time; `grain = 0` splits the
+/// section evenly into about eight claims per participant. A section of at
+/// most `grain` indices runs inline on the calling thread, as does every
+/// section on a one-thread pool or nested in another section.
+pub fn parallel_map<T, F>(n: usize, grain: usize, f: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+{
+    let Some(section) = Section::plan(n, grain) else {
+        return (0..n).map(f).collect();
+    };
+    // One part per claim, filled by whichever participant takes the claim
+    // and joined in claim order.
+    let claim = section.claim;
+    let mut parts: Vec<Vec<T>> = Vec::new();
+    parts.resize_with(n.div_ceil(claim), Vec::new);
+    section.run(parts.iter_mut().enumerate(), |(c, part)| {
+        *part = (c * claim..n.min((c + 1) * claim)).map(&f).collect();
     });
-    let Some(p) = claimed else {
-        if stats_on {
-            stats::POOL_INLINE.fetch_add(1, Ordering::Relaxed);
-        }
-        for i in 0..n {
-            f(i);
+    let mut out = Vec::with_capacity(n);
+    for part in parts {
+        out.extend(part);
+    }
+    out
+}
+
+/// Run `f(r, row)` for each row `r` of `out`, a row-major buffer of rows
+/// `width` long, on the shared pool. Rows are disjoint, so each call owns
+/// its row; scheduling is [`parallel_map`]'s, with `grain` counted in rows.
+///
+/// # Panics
+/// When `width` is 0 or `out.len()` is not a multiple of it.
+pub fn parallel_rows<T, F>(out: &mut [T], width: usize, grain: usize, f: F)
+where
+    T: Send,
+    F: Fn(usize, &mut [T]) + Sync,
+{
+    assert!(
+        width > 0 && out.len().is_multiple_of(width),
+        "a buffer of {} is not whole rows of width {width}",
+        out.len()
+    );
+    let Some(section) = Section::plan(out.len() / width, grain) else {
+        for (r, row) in out.chunks_mut(width).enumerate() {
+            f(r, row);
         }
         return;
     };
-    if stats_on {
-        stats::POOL_JOBS.fetch_add(1, Ordering::Relaxed);
-    }
-    let chunk = chunk.max(1);
-    let next = AtomicUsize::new(0);
-    // The submitter always participates; workers beyond `jobs` bow out.
-    let tickets = AtomicIsize::new(jobs as isize - 1);
-    let body = move || {
-        if tickets.fetch_sub(1, Ordering::Relaxed) < 0 {
-            return;
+    let claim = section.claim;
+    section.run(out.chunks_mut(width * claim).enumerate(), |(c, rows)| {
+        for (j, row) in rows.chunks_mut(width).enumerate() {
+            f(c * claim + j, row);
         }
-        loop {
-            let start = next.fetch_add(chunk, Ordering::Relaxed);
-            if start >= n {
-                break;
-            }
-            if stats_on {
-                stats::POOL_CHUNKS.fetch_add(1, Ordering::Relaxed);
-            }
-            let end = (start + chunk).min(n);
-            for i in start..end {
-                f(i);
-            }
-        }
-    };
-    // `run` resets `busy` before returning (including on panic paths is not
-    // needed: a panic propagates out of the process's test anyway, and the
-    // barrier has completed by the time it re-raises).
-    p.run(&body);
-}
-
-fn effective_jobs(jobs: usize) -> usize {
-    if jobs == 0 {
-        threads()
-    } else {
-        jobs
-    }
-}
-
-/// Shared mutable access to disjoint elements of a slice from a parallel
-/// section, without a lock: the caller promises every index is written by at
-/// most one thread (which `parallel_for`'s exactly-once index distribution
-/// gives for free).
-pub struct SliceWriter<'a, T> {
-    ptr: *mut T,
-    len: usize,
-    _borrow: std::marker::PhantomData<&'a mut [T]>,
-}
-
-unsafe impl<T: Send> Send for SliceWriter<'_, T> {}
-unsafe impl<T: Send> Sync for SliceWriter<'_, T> {}
-
-impl<'a, T> SliceWriter<'a, T> {
-    /// Wrap a uniquely-borrowed slice for disjoint parallel writes.
-    pub fn new(slice: &'a mut [T]) -> Self {
-        SliceWriter {
-            ptr: slice.as_mut_ptr(),
-            len: slice.len(),
-            _borrow: std::marker::PhantomData,
-        }
-    }
-
-    /// Length of the underlying slice.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the underlying slice is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Write one element.
-    ///
-    /// # Safety
-    /// No other thread may read or write index `i` for the duration of the
-    /// parallel section.
-    pub unsafe fn write(&self, i: usize, value: T) {
-        assert!(i < self.len, "SliceWriter index out of bounds");
-        unsafe { self.ptr.add(i).write(value) };
-    }
-
-    /// Borrow a mutable sub-slice `[start, start + len)`.
-    ///
-    /// # Safety
-    /// Ranges handed out to concurrent threads must be disjoint.
-    #[allow(clippy::mut_from_ref)]
-    pub unsafe fn slice_mut(&self, start: usize, len: usize) -> &mut [T] {
-        assert!(
-            start <= self.len && len <= self.len - start,
-            "SliceWriter range out of bounds"
-        );
-        unsafe { std::slice::from_raw_parts_mut(self.ptr.add(start), len) }
-    }
+    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
 
     #[test]
-    fn covers_every_index_exactly_once() {
-        let hits: Vec<AtomicUsize> = (0..1000).map(|_| AtomicUsize::new(0)).collect();
-        parallel_for(1000, 0, |i| {
-            hits[i].fetch_add(1, Ordering::Relaxed);
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-    }
-
-    #[test]
-    fn respects_explicit_job_caps() {
-        for jobs in [1, 2, 7] {
-            let sum = AtomicU64::new(0);
-            parallel_for(100, jobs, |i| {
-                sum.fetch_add(i as u64, Ordering::Relaxed);
+    fn every_index_runs_once_and_lands_in_order() {
+        let n = 1000;
+        for grain in [0, 1, 7, n + 1] {
+            let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+            let out = parallel_map(n, grain, |i| {
+                hits[i].fetch_add(1, Ordering::Relaxed);
+                i * i
             });
-            assert_eq!(sum.load(Ordering::Relaxed), 99 * 100 / 2);
+            assert!(
+                out.iter().enumerate().all(|(i, &v)| v == i * i),
+                "grain {grain}"
+            );
+            assert!(
+                hits.iter().all(|h| h.load(Ordering::Relaxed) == 1),
+                "grain {grain}"
+            );
         }
     }
 
     #[test]
-    fn disjoint_writes_assemble_results() {
-        let mut out = vec![0usize; 513];
-        let w = SliceWriter::new(&mut out);
-        parallel_for(513, 0, |i| unsafe { w.write(i, i * i) });
-        assert!(out.iter().enumerate().all(|(i, &v)| v == i * i));
+    fn rows_tile_the_buffer() {
+        for grain in [0, 1, 7, 400] {
+            let mut out = vec![usize::MAX; 3 * 301];
+            parallel_rows(&mut out, 3, grain, |r, row| {
+                assert_eq!(row.len(), 3);
+                for (c, v) in row.iter_mut().enumerate() {
+                    assert_eq!(*v, usize::MAX, "row {r} handed out twice");
+                    *v = r * 3 + c;
+                }
+            });
+            assert!(
+                out.iter().enumerate().all(|(i, &v)| v == i),
+                "grain {grain}"
+            );
+        }
     }
 
     #[test]
     fn nested_sections_run_inline() {
-        let total = AtomicUsize::new(0);
-        parallel_for(8, 0, |_| {
-            parallel_for(10, 0, |_| {
-                total.fetch_add(1, Ordering::Relaxed);
-            });
+        let rows = parallel_map(64, 1, |_| {
+            let outer = std::thread::current();
+            let on_worker = outer.name().is_some_and(|n| n.starts_with("em-rt-"));
+            let inner = parallel_map(10, 0, |j| (j, std::thread::current().id()));
+            let inline = inner.iter().all(|&(_, id)| id == outer.id());
+            assert!(inner.iter().enumerate().all(|(i, &(j, _))| i == j));
+            (on_worker, inline)
         });
-        assert_eq!(total.load(Ordering::Relaxed), 80);
+        // An index that ran on a worker shows the outer section held the
+        // pool throughout, so every inner section had to run inline.
+        if rows.iter().any(|&(on_worker, _)| on_worker) {
+            assert!(rows.iter().all(|&(_, inline)| inline));
+        }
+    }
+
+    static MADE: AtomicUsize = AtomicUsize::new(0);
+    static DROPPED: AtomicUsize = AtomicUsize::new(0);
+
+    /// Counts its constructions and drops.
+    struct Counted;
+
+    impl Counted {
+        fn new() -> Self {
+            MADE.fetch_add(1, Ordering::Relaxed);
+            Counted
+        }
+    }
+
+    impl Drop for Counted {
+        fn drop(&mut self) {
+            DROPPED.fetch_add(1, Ordering::Relaxed);
+        }
     }
 
     #[test]
-    fn pool_survives_a_panicking_job() {
+    fn a_panic_propagates_drops_only_what_was_made_and_spares_the_pool() {
         let caught = std::panic::catch_unwind(|| {
-            parallel_for(16, 0, |i| {
-                if i == 7 {
-                    panic!("boom");
-                }
-            });
+            parallel_map(64, 1, |i| {
+                assert_ne!(i, 7, "boom");
+                Counted::new()
+            })
         });
         assert!(caught.is_err());
+        // Every value made was dropped once, and nothing that was never
+        // made was dropped.
+        assert_eq!(
+            DROPPED.load(Ordering::Relaxed),
+            MADE.load(Ordering::Relaxed)
+        );
         // The pool must still work afterwards.
-        let sum = AtomicUsize::new(0);
-        parallel_for(50, 0, |i| {
-            sum.fetch_add(i, Ordering::Relaxed);
-        });
-        assert_eq!(sum.load(Ordering::Relaxed), 49 * 50 / 2);
+        let out = parallel_map(50, 0, |i| i);
+        assert_eq!(out.iter().sum::<usize>(), 49 * 50 / 2);
     }
 
     #[test]
     fn zero_items_is_a_no_op() {
-        parallel_for(0, 0, |_| panic!("must not run"));
+        assert!(parallel_map(0, 0, |_| -> usize { panic!("must not run") }).is_empty());
+        parallel_rows(&mut [0u8; 0], 4, 0, |_, _| panic!("must not run"));
     }
 }

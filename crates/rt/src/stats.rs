@@ -223,10 +223,10 @@ impl Default for LogHistogram {
 
 /// Parallel sections dispatched to the worker pool.
 pub static POOL_JOBS: AtomicU64 = AtomicU64::new(0);
-/// Parallel sections run inline (serial request, nested section, or a
-/// contended pool).
+/// Parallel sections run inline (one-thread width, a section that fits in
+/// one claim, a nested section, or a contended pool).
 pub static POOL_INLINE: AtomicU64 = AtomicU64::new(0);
-/// Work chunks claimed off dispatch counters (steal operations).
+/// Claims of indices taken by the participants of pool sections.
 pub static POOL_CHUNKS: AtomicU64 = AtomicU64::new(0);
 /// Delay from job publication to each participant starting it, in ns.
 pub static QUEUE_WAIT_NS: LogHistogram = LogHistogram::new();

@@ -310,7 +310,9 @@ impl CatalogStore {
             .map(|v| jsonio::as_str(v).map(str::to_string))
             .collect::<Result<Vec<_>, _>>()?;
         let schema = Schema::new(attributes);
-        let committed_rows = jsonio::as_u64(jsonio::field(&meta, "rows")?)? as u32;
+        let committed_rows = jsonio::as_u64(jsonio::field(&meta, "rows")?)?;
+        let committed_rows = u32::try_from(committed_rows)
+            .map_err(|_| format!("catalog meta: {committed_rows} rows exceed u32"))?;
         let committed_bytes = jsonio::as_u64(jsonio::field(&meta, "dat_bytes")?)?;
 
         let dat_path = Self::dat_path(&dir);
@@ -790,6 +792,29 @@ mod tests {
             .map(|_| ())
             .expect_err("interior corruption must be rejected");
         assert!(err.contains("crc mismatch"), "{err}");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn open_rejects_a_row_count_beyond_u32() {
+        let dir = temp_dir("rows-u32");
+        let _ = fs::remove_dir_all(&dir);
+        let mut store = CatalogStore::create(&dir, sample_schema()).unwrap();
+        for r in &sample_rows()[..3] {
+            store.append_row(r).unwrap();
+        }
+        store.commit().unwrap();
+        drop(store);
+        // 2^32 + 3 rows: an `as u32` cast would read it as 3.
+        let meta_path = CatalogStore::meta_path(&dir);
+        let meta = fs::read_to_string(&meta_path).unwrap();
+        let lying = meta.replacen("\"rows\": 3", "\"rows\": 4294967299", 1);
+        assert_ne!(lying, meta);
+        fs::write(&meta_path, lying).unwrap();
+        let err = CatalogStore::open(&dir)
+            .map(|_| ())
+            .expect_err("row count wrapped");
+        assert!(err.contains("4294967299"), "{err}");
         let _ = fs::remove_dir_all(&dir);
     }
 

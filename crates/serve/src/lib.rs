@@ -47,6 +47,8 @@
 //! assert!(scored.iter().all(|m| (0.0..=1.0).contains(&m.score)));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod artifact;
 pub mod catstore;
 pub mod matcher;

@@ -276,6 +276,7 @@ impl Op {
         let row = jsonio::as_usize(jsonio::field(&j, "row")?)?;
         match op {
             "upsert" => {
+                check_upsert_row(row).map_err(|e| format!("wal payload: {e}"))?;
                 let value = match jsonio::field(&j, "value")? {
                     Json::Null => None,
                     other => Some(jsonio::as_str(other)?.to_string()),
@@ -292,6 +293,19 @@ impl Op {
             Op::Upsert { row, value } => index.upsert(*row, value.as_deref()),
             Op::Remove { row } => index.remove(*row),
         }
+    }
+}
+
+/// Reject an upsert of a row the index cannot hold (see
+/// [`IncrementalIndex::MAX_ROWS`]). Such an op must never reach the log,
+/// where every later open would replay it.
+fn check_upsert_row(row: usize) -> Result<(), String> {
+    if row < IncrementalIndex::MAX_ROWS {
+        Ok(())
+    } else {
+        Err(format!(
+            "upsert of row {row}, beyond the index's u32 row ids"
+        ))
     }
 }
 
@@ -475,8 +489,10 @@ impl IndexStore {
     /// Append one upsert to the log (call before applying it to the index).
     ///
     /// # Errors
-    /// Propagates filesystem failures.
+    /// Propagates filesystem failures. Rejects a row the index cannot hold
+    /// ([`IncrementalIndex::MAX_ROWS`] or above) without writing anything.
     pub fn log_upsert(&mut self, row: usize, value: Option<&str>) -> Result<(), String> {
+        check_upsert_row(row)?;
         self.append(&Op::Upsert {
             row,
             value: value.map(str::to_string),
@@ -613,7 +629,9 @@ impl PersistentIndex {
     /// Log then apply an upsert. See [`IncrementalIndex::upsert`].
     ///
     /// # Errors
-    /// Propagates filesystem failures; the index is untouched on error.
+    /// Propagates filesystem failures and rejects a row the index cannot
+    /// hold ([`IncrementalIndex::MAX_ROWS`] or above); the log and the index
+    /// are untouched on error.
     pub fn upsert(&mut self, row: usize, value: Option<&str>) -> Result<(), String> {
         self.store.log_upsert(row, value)?;
         self.index.upsert(row, value);
@@ -724,6 +742,15 @@ mod tests {
     #[test]
     fn payload_parse_rejects_unknown_ops() {
         assert!(Op::from_payload(br#"{"op":"merge","row":1}"#).is_err());
+    }
+
+    #[test]
+    fn payload_parse_rejects_rows_the_index_cannot_hold() {
+        let last = br#"{"op":"upsert","row":4294967294,"value":null}"#;
+        assert!(Op::from_payload(last).is_ok());
+        let err = Op::from_payload(br#"{"op":"upsert","row":4294967295,"value":"x"}"#)
+            .expect_err("row u32::MAX accepted");
+        assert!(err.contains("upsert of row 4294967295"), "{err}");
     }
 
     #[test]

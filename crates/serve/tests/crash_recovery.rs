@@ -19,6 +19,9 @@
 //!    invariants and serves probes, never a panic.
 //! 6. **Probe bounds persist as of the last checkpoint** — they are not
 //!    logged, so a reopen restores the bounds the last snapshot wrote.
+//! 7. **Rows the index cannot hold never replay** — a well-framed upsert
+//!    of row `u32::MAX` fails the open instead of panicking in the index,
+//!    and `PersistentIndex::upsert` refuses it before logging.
 
 use em_rt::{Json, StdRng};
 use em_serve::store::{crc32, decode_checkpoint, encode_checkpoint, CHECKPOINT_MAGIC};
@@ -438,6 +441,38 @@ fn crash_inside_snapshot_reopens_to_the_pre_crash_candidates() {
     let _ = fs::remove_dir_all(dir);
     // A legacy JSON directory: its first snapshot migrates it.
     crash_inside_snapshot(&legacy_fixture(), "snapcrash-v1");
+}
+
+#[test]
+fn upserts_of_rows_beyond_u32_are_rejected() {
+    let (dir, _, _) = build_store("row-range");
+    let work = temp_dir("row-range-work");
+    copy_store(&dir, &work);
+    let payload = br#"{"op":"upsert","row":4294967295,"value":"x"}"#;
+    let mut wal = fs::read(work.join("wal.log")).unwrap();
+    wal.extend_from_slice(format!("{:08x} {:08x} ", payload.len(), crc32(payload)).as_bytes());
+    wal.extend_from_slice(payload);
+    wal.push(b'\n');
+    fs::write(work.join("wal.log"), wal).unwrap();
+    let err = PersistentIndex::open(&work)
+        .err()
+        .expect("row u32::MAX replayed");
+    assert!(err.contains("upsert of row 4294967295"), "{err}");
+
+    let mut p = PersistentIndex::open(&dir).unwrap();
+    let log = fs::read(dir.join("wal.log")).unwrap();
+    let want = p.candidates(&queries(), 0);
+    let err = p
+        .upsert(u32::MAX as usize, Some("fenix at the argyle"))
+        .expect_err("row u32::MAX logged");
+    assert!(err.contains("upsert of row 4294967295"), "{err}");
+    assert_eq!(fs::read(dir.join("wal.log")).unwrap(), log);
+    assert_eq!(p.candidates(&queries(), 0), want);
+    drop(p);
+    assert_eq!(reopened_candidates(&dir), want);
+    for d in [dir, work] {
+        let _ = fs::remove_dir_all(d);
+    }
 }
 
 #[test]

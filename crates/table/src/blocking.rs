@@ -56,19 +56,14 @@ fn sharded_probe<F>(n_left: usize, probe: F) -> Vec<RecordPair>
 where
     F: Fn(usize, &mut Vec<RecordPair>) + Sync,
 {
-    let n_shards = n_left.div_ceil(SHARD_SIZE);
-    let mut shards: Vec<Vec<RecordPair>> = vec![Vec::new(); n_shards];
-    let writer = em_rt::SliceWriter::new(&mut shards);
-    em_rt::parallel_for(n_shards, 0, |s| {
-        // Safety: each shard index is handed out exactly once, so this is
-        // the only thread touching slot `s`.
-        let buf = unsafe { &mut writer.slice_mut(s, 1)[0] };
-        let end = ((s + 1) * SHARD_SIZE).min(n_left);
-        for i in s * SHARD_SIZE..end {
-            probe(i, buf);
+    em_rt::parallel_map(n_left.div_ceil(SHARD_SIZE), 0, |s| {
+        let mut buf = Vec::new();
+        for i in s * SHARD_SIZE..((s + 1) * SHARD_SIZE).min(n_left) {
+            probe(i, &mut buf);
         }
-    });
-    shards.concat()
+        buf
+    })
+    .concat()
 }
 
 /// Pairs records whose values on one attribute are exactly equal

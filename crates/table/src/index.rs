@@ -53,9 +53,9 @@
 //!    `df[t]` is the live document frequency of token `t`.
 //!
 //! Probe output is a pure function of the query table and the op sequence
-//! at any `EM_THREADS`: the parallel grid writes disjoint buffers that are
-//! merged serially in (query, shard) order, and compaction triggers depend
-//! only on per-shard debt counters.
+//! at any `EM_THREADS`: the parallel grid returns one buffer per task, in
+//! task order, merged serially in (query, shard) order, and compaction
+//! triggers depend only on per-shard debt counters.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -229,6 +229,10 @@ pub struct IncrementalIndex {
 }
 
 impl IncrementalIndex {
+    /// Row ids the index can hold are below this: ids, and the row count
+    /// one past the highest id, are stored as `u32`.
+    pub const MAX_ROWS: usize = u32::MAX as usize;
+
     /// An empty index blocking on `attribute` with the given overlap
     /// threshold (`min_overlap >= 1`) and default sharding/pruning.
     pub fn new(attribute: impl Into<String>, min_overlap: usize) -> Self {
@@ -371,7 +375,7 @@ impl IncrementalIndex {
     /// time and reclaimed by shard compaction, so repeated upserts never
     /// accumulate unbounded stale entries.
     pub fn upsert(&mut self, row: usize, value: Option<&str>) {
-        assert!(row < u32::MAX as usize, "row id out of u32 range");
+        assert!(row < Self::MAX_ROWS, "row id out of u32 range");
         if row >= self.records.len() {
             self.records.resize_with(row + 1, || None);
         }
@@ -462,8 +466,9 @@ impl IncrementalIndex {
     /// pair sharing at least `min_overlap` lowercase word tokens on the
     /// blocking attribute — minus whatever an active `top_k` cap or
     /// `max_posting` pruning deliberately drops. Probes fan out over a
-    /// (query chunk × shard) grid on the `em-rt` pool (`jobs = 0` uses the
-    /// pool width); output order is deterministic at any thread count:
+    /// (query chunk × shard) grid on the `em-rt` pool; `jobs = 1` probes on
+    /// the calling thread instead, and any other value leaves the width to
+    /// the pool. Output order is deterministic at any thread count:
     /// query rows ascending, catalog rows ascending within a query. Panics
     /// when the blocking attribute is missing from the query schema, like
     /// the batch blockers.
@@ -509,20 +514,15 @@ impl IncrementalIndex {
         }
 
         // Grid probe: each task scans one query chunk against one shard and
-        // writes its own buffer of (query, catalog row, overlap) triples.
+        // returns its buffer of (query, catalog row, overlap) triples and
+        // its recount tally.
         let n_shards = self.shards.len();
         let n_chunks = nq.div_ceil(QUERY_CHUNK);
         let n_tasks = n_chunks * n_shards;
-        let mut buffers: Vec<Vec<(u32, u32, u32)>> = vec![Vec::new(); n_tasks];
-        let writer = em_rt::SliceWriter::new(&mut buffers);
-        let mut recounts: Vec<u64> = vec![0; n_tasks];
-        let recount_writer = em_rt::SliceWriter::new(&mut recounts);
         let min_overlap = u32::try_from(self.min_overlap).unwrap_or(u32::MAX);
-        em_rt::parallel_for(n_tasks, jobs, |t| {
-            // Safety: each task index is handed out exactly once, so this
-            // is the only thread touching slot `t` of either buffer.
-            let out = unsafe { &mut writer.slice_mut(t, 1)[0] };
-            let task_recounts = unsafe { &mut recount_writer.slice_mut(t, 1)[0] };
+        let probe = |t: usize| {
+            let mut out = Vec::new();
+            let mut task_recounts = 0u64;
             let (chunk, shard_i) = (t / n_shards, t % n_shards);
             let shard = &self.shards[shard_i];
             let base = shard_i * self.shard_span;
@@ -564,7 +564,7 @@ impl IncrementalIndex {
                         if shard.stale_rows.binary_search(&local).is_ok() {
                             // Retired entries may inflate the count: recount
                             // exactly against the record truth.
-                            *task_recounts += 1;
+                            task_recounts += 1;
                             let Some(rec) = &self.records[row] else {
                                 continue; // dead row, postings not yet compacted
                             };
@@ -578,8 +578,14 @@ impl IncrementalIndex {
                     }
                 }
             });
-        });
-        stats.stale_recounts = recounts.iter().sum();
+            (out, task_recounts)
+        };
+        let tasks = if jobs == 1 {
+            (0..n_tasks).map(probe).collect()
+        } else {
+            em_rt::parallel_map(n_tasks, 0, probe)
+        };
+        stats.stale_recounts = tasks.iter().map(|(_, recounts)| recounts).sum();
 
         // Serial merge in (chunk, query, shard) order: shard s covers rows
         // [s·span, (s+1)·span), so per-query candidates come out ascending
@@ -592,7 +598,7 @@ impl IncrementalIndex {
             for q in chunk * QUERY_CHUNK..q_end {
                 per_query.clear();
                 for (s, cursor) in cursors.iter_mut().enumerate() {
-                    let buf = &buffers[chunk * n_shards + s];
+                    let buf = &tasks[chunk * n_shards + s].0;
                     while *cursor < buf.len() && buf[*cursor].0 == q as u32 {
                         per_query.push((buf[*cursor].1, buf[*cursor].2));
                         *cursor += 1;

@@ -16,6 +16,8 @@
 //! assert_eq!(types[0], AttrType::ShortString);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod blocking;
 pub mod compact;
 mod csv;

@@ -28,6 +28,8 @@
 //! assert_eq!(f.name(), "jaccard_space");
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod align;
 mod edit;
 mod family;

@@ -322,13 +322,19 @@ impl LfRule {
     }
 }
 
-/// Inverse of [`Tokenizer::name`] (`"space"`, `"3gram"`, ...).
+/// Widest q-gram an LF set may name (see [`tokenizer_from_name`]).
+const MAX_QGRAM: usize = 16;
+
+/// Inverse of [`Tokenizer::name`] (`"space"`, `"3gram"`, ...). A q-gram
+/// wider than 16 is `None`: rules use 2–4, and q-gram tokenization builds
+/// about `len + q` strings of `q` chars per value, so an unbounded width
+/// read from an LF set file would be an unbounded allocation per value.
 pub fn tokenizer_from_name(name: &str) -> Option<Tokenizer> {
     if name == "space" {
         return Some(Tokenizer::Whitespace);
     }
     let q: usize = name.strip_suffix("gram")?.parse().ok()?;
-    Some(Tokenizer::QGram(q))
+    (q <= MAX_QGRAM).then_some(Tokenizer::QGram(q))
 }
 
 /// Inverse of [`StringSimilarity::name`] (`"jaccard_space"`,

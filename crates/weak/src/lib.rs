@@ -37,6 +37,8 @@
 //! assert_eq!(LfSet::from_json(&em_rt::Json::parse(&json).unwrap()), Ok(lfs));
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod lf;
 mod model;
 mod supervise;

@@ -14,10 +14,10 @@
 //!
 //! and symmetrically for non-match. [`LabelModel::fit`] runs EM: the
 //! E-step computes posteriors for all pairs in parallel on the `em-rt`
-//! pool (each pair's posterior depends only on its own votes, written into
-//! a disjoint [`em_rt::SliceWriter`] slot), and the M-step re-estimates
-//! `a_j` in one serial fixed-order pass — so a fit is bit-identical at any
-//! `EM_THREADS`.
+//! pool (each pair's posterior depends only on its own votes, and
+//! [`em_rt::parallel_map`] returns them in pair order), and the M-step
+//! re-estimates `a_j` in one serial fixed-order pass — so a fit is
+//! bit-identical at any `EM_THREADS`.
 //!
 //! Three identifiability guards (all standard in Snorkel-family models):
 //! the class prior is a fixed input (`class_balance`, default 0.5), never
@@ -39,7 +39,7 @@
 //! accurate (see the crate tests).
 
 use crate::lf::VoteMatrix;
-use em_rt::{Json, SliceWriter, StdRng};
+use em_rt::{Json, StdRng};
 
 /// Label-model fits completed.
 static LABEL_MODEL_FITS: em_obs::Counter = em_obs::Counter::new("weak.label_model_fits");
@@ -118,8 +118,8 @@ pub fn majority_vote(votes: &VoteMatrix) -> Vec<f64> {
 
 impl LabelModel {
     /// Fit by EM on the vote matrix. Deterministic for a fixed seed at any
-    /// `EM_THREADS` (seeded init, parallel E-step into disjoint slots,
-    /// serial fixed-order M-step).
+    /// `EM_THREADS` (seeded init, parallel E-step in pair order, serial
+    /// fixed-order M-step).
     pub fn fit(votes: &VoteMatrix, opts: &LabelModelOptions) -> LabelModel {
         let _span = em_obs::span!("weak.label_model_fit");
         let n = votes.n_pairs();
@@ -155,10 +155,9 @@ impl LabelModel {
         let mut converged = true;
         if n > 0 && total_votes > 0 {
             converged = false;
-            let mut posteriors = vec![0.0f64; n];
             for _ in 0..opts.max_iterations {
                 iterations += 1;
-                posterior_into(votes, &accuracies, prior, &mut posteriors);
+                let posteriors = e_step(votes, &accuracies, prior);
                 // M-step: one serial pass over pairs in index order.
                 let mut agree = vec![0.0f64; m];
                 for (i, &p) in posteriors.iter().enumerate() {
@@ -217,23 +216,15 @@ impl LabelModel {
     /// parameters. Pairs with no votes get exactly the prior.
     pub fn posteriors(&self, votes: &VoteMatrix) -> Vec<f64> {
         assert_eq!(votes.n_lfs(), self.accuracies.len(), "LF count mismatch");
-        let mut out = vec![0.0f64; votes.n_pairs()];
-        posterior_into(votes, &self.accuracies, self.prior, &mut out);
-        out
+        e_step(votes, &self.accuracies, self.prior)
     }
 }
 
-/// E-step: per-pair posteriors in log space, parallel over pairs (each slot
-/// depends only on its own row, so the result is bit-identical at any
-/// thread count).
-fn posterior_into(votes: &VoteMatrix, accuracies: &[f64], prior: f64, out: &mut [f64]) {
-    let n = votes.n_pairs();
-    assert_eq!(out.len(), n, "posterior buffer shape mismatch");
-    if n == 0 {
-        return;
-    }
-    let writer = SliceWriter::new(out);
-    em_rt::parallel_for(n, 0, |i| {
+/// E-step: per-pair posteriors in log space, parallel over pairs (each
+/// posterior depends only on its own row, so the result is bit-identical at
+/// any thread count).
+fn e_step(votes: &VoteMatrix, accuracies: &[f64], prior: f64) -> Vec<f64> {
+    em_rt::parallel_map(votes.n_pairs(), 0, |i| {
         let mut lp1 = prior.ln();
         let mut lp0 = (1.0 - prior).ln();
         for (j, &v) in votes.row(i).iter().enumerate() {
@@ -250,7 +241,6 @@ fn posterior_into(votes: &VoteMatrix, accuracies: &[f64], prior: f64, out: &mut 
                 std::cmp::Ordering::Equal => {}
             }
         }
-        // Safety: each pair index is handed out exactly once.
-        unsafe { writer.write(i, 1.0 / (1.0 + (lp0 - lp1).exp())) };
-    });
+        1.0 / (1.0 + (lp0 - lp1).exp())
+    })
 }

@@ -84,18 +84,36 @@ fn every_similarity_name_round_trips() {
         assert_eq!(similarity_from_name(&sim.name()), Some(sim), "{sim:?}");
     }
     assert_eq!(similarity_from_name("no_such_sim"), None);
+    // q-gram widths are capped at 16.
+    let q16 = StringSimilarity::Jaccard(Tokenizer::QGram(16));
+    assert_eq!(similarity_from_name("jaccard_16gram"), Some(q16));
+    assert_eq!(similarity_from_name("jaccard_17gram"), None);
 }
 
 #[test]
 fn malformed_json_is_rejected_with_context() {
-    let bad = em_rt::Json::parse(
-        r#"{"labeling_functions": [{"name": "x", "type": "sim_threshold",
-            "attr": "a", "sim": "unknown_sim", "cmp": "at_least",
-            "threshold": 0.5, "vote": "match"}]}"#,
-    )
-    .unwrap();
-    let err = LfSet::from_json(&bad).unwrap_err();
-    assert!(err.contains('x') && err.contains("unknown_sim"), "{err}");
+    for (rule, name) in [
+        (
+            r#""type": "sim_threshold", "sim": "unknown_sim", "threshold": 0.5"#,
+            "unknown_sim",
+        ),
+        (
+            r#""type": "sim_threshold", "sim": "jaccard_4000000000gram", "threshold": 0.5"#,
+            "jaccard_4000000000gram",
+        ),
+        (
+            r#""type": "blocking_overlap", "tokenizer": "17gram", "shared": 1"#,
+            "17gram",
+        ),
+    ] {
+        let bad = em_rt::Json::parse(&format!(
+            r#"{{"labeling_functions": [{{"name": "x", "attr": "a", {rule},
+                "cmp": "at_least", "vote": "match"}}]}}"#
+        ))
+        .unwrap();
+        let err = LfSet::from_json(&bad).unwrap_err();
+        assert!(err.contains('x') && err.contains(name), "{err}");
+    }
 }
 
 /// Truth-aligned votes from three perfectly accurate LFs (with different
